@@ -432,12 +432,14 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         if not backend_raw:
             raise ConfigError("run config needs a 'backend' object (or pass --mock)")
         knobs = _backend_config(backend_raw)
-        backend = inference.HttpBackend(knobs)
         model_name = knobs.model_name
 
-    parallel = max_parallel if max_parallel is not None else knobs.max_parallel
-    if parallel < 1:
-        raise ConfigError("--max-parallel must be >= 1")
+    if max_parallel is not None:
+        if max_parallel < 1:
+            raise ConfigError("--max-parallel must be >= 1")
+        knobs.max_parallel = max_parallel
+    if mock is None:  # built after the override: its pool is sized from it
+        backend = inference.HttpBackend(knobs)
 
     run_path = inference.prepare_run_dir(run_dir, overwrite=overwrite)
     cache = inference.ResponseCache(run_path / "cache")
@@ -451,12 +453,13 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         jobs,
         backend,
         cache,
-        max_parallel=parallel,
+        max_parallel=knobs.max_parallel,
         max_retries=knobs.max_retries,
         retry_base_delay=knobs.retry_base_delay,
         limiter=limiter,
         stats=stats,
     )
+    cache.close()
 
     manifest = {
         "benchmark_id": bench.benchmark_id,

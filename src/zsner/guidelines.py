@@ -173,7 +173,7 @@ def _find_balanced_object(text: str) -> dict | None:
             if depth == 0:
                 try:
                     obj = json.loads(text[start : i + 1])
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):
                     continue
                 if isinstance(obj, dict):
                     return obj
@@ -223,7 +223,7 @@ def parse_dg_reply(raw_text: str) -> tuple[str, str]:
     stripped = raw_text.strip()
     try:
         obj = json.loads(stripped)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         obj = None
     if isinstance(obj, dict):
         got = _from_object(obj)

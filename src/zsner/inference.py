@@ -131,40 +131,54 @@ def _utc_now() -> str:
 
 
 class ResponseCache:
-    """One JSON file per successful completion, atomic writes."""
+    """Append-only log of successful completions, indexed in memory.
+
+    One file, responses.jsonl, holds a line `<key>\t<record JSON>` per put.
+    It is read once on open; a later line for a key overrides an earlier
+    one, and a record is parsed only when its key is looked up.
+    """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            probe = self.directory / ".write-probe"
-            probe.write_text("", encoding="utf-8")
-            probe.unlink()
+            self._fh = open(self.directory / "responses.jsonl", "a+b")
+            self._fh.seek(0)
+            data = self._fh.read()
+            if data and not data.endswith(b"\n"):
+                self._fh.write(b"\n")  # end the line torn by a killed run
+                self._fh.flush()
         except OSError as exc:
             raise CacheError(f"cache directory {self.directory} not writable: {exc}")
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+        self._lock = threading.Lock()
+        self._records: dict[str, str] = {}
+        # a torn line may end inside a multi-byte character
+        for line in data.decode("utf-8", "surrogateescape").split("\n"):
+            key, _, text = line.partition("\t")
+            if key:
+                self._records[key] = text
 
     def get(self, key: str) -> dict | None:
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
+        text = self._records.get(key)
+        if text is None:
             return None
-        except json.JSONDecodeError:
-            return None  # torn write from a killed run; treat as a miss
+        try:
+            return json.loads(text)
+        except ValueError:
+            return None  # torn line from a killed run; treat as a miss
 
     def put(self, key: str, record: dict) -> None:
-        path = self._path(key)
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        text = json.dumps(record)  # ASCII escapes: even a lone surrogate encodes
+        with self._lock:
+            self._fh.write(f"{key}\t{text}\n".encode("utf-8"))
+            self._fh.flush()
+            self._records[key] = text
+
+    def close(self) -> None:
+        self._fh.close()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return len(self._records)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +221,13 @@ class HttpBackend:
         import requests
 
         self.config = config
-        self.session = session or requests.Session()
+        if session is None:
+            # one pooled connection per worker; the default pool keeps 10
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.max_parallel)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
         self._requests = requests
         api_key = ""
         if config.auth_env:
@@ -369,29 +389,21 @@ def run(
 ) -> list[CompletionRecord]:
     """Execute jobs, returning records aligned with the input order.
 
-    Cache hits cost no backend call and no limiter slot and come back with
-    attempt_count 0. Transient failures back off exponentially (base * 2^n)
-    up to max_retries extra attempts; a job that still fails yields an
-    error record and the rest of the batch proceeds.
+    Cache hits are served on the calling thread as the jobs are walked, at
+    no backend call and no limiter slot, and come back with attempt_count 0;
+    each miss goes to the thread pool as soon as it is found. Transient
+    failures back off exponentially (base * 2^n) up to max_retries extra
+    attempts; a job that still fails yields an error record and the rest
+    of the batch proceeds.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
     if max_parallel < 1:
         raise ValueError("max_parallel must be >= 1")
     stats = stats if stats is not None else RunStats()
     fingerprint = getattr(backend, "fingerprint", "")
 
-    def one(job) -> CompletionRecord:
-        key = cache_key(job.payload, fingerprint)
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                rec = CompletionRecord.from_record(hit)
-                rec.job_id = job.job_id
-                rec.attempt_count = 0
-                with lock:
-                    stats.cached += 1
-                return rec
+    def fetch(job, key) -> CompletionRecord:
         attempts = 0
         while True:
             attempts += 1
@@ -432,8 +444,20 @@ def run(
             return rec
 
     lock = threading.Lock()
+    slots: list[CompletionRecord | Future] = []
     with ThreadPoolExecutor(max_workers=max_parallel) as pool:
-        return list(pool.map(one, jobs))
+        for job in jobs:
+            key = cache_key(job.payload, fingerprint)
+            hit = cache.get(key) if cache is not None else None
+            if hit is None:
+                slots.append(pool.submit(fetch, job, key))
+                continue
+            rec = CompletionRecord.from_record(hit)
+            rec.job_id = job.job_id
+            rec.attempt_count = 0
+            stats.cached += 1  # only this thread counts hits
+            slots.append(rec)
+        return [s.result() if isinstance(s, Future) else s for s in slots]
 
 
 # --------------------------------------------------------------------------

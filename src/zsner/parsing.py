@@ -88,7 +88,7 @@ def _scan_balanced_array(text: str) -> list | None:
                 if depth == 0:
                     try:
                         value = json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
+                    except (json.JSONDecodeError, RecursionError):
                         break
                     if isinstance(value, list):
                         return value
@@ -101,7 +101,7 @@ def extract_list(raw_text: str) -> ParseResult:
     """Three-way classification of a raw model reply. Never raises."""
     try:
         value = json.loads(raw_text)
-    except (json.JSONDecodeError, TypeError):
+    except (json.JSONDecodeError, TypeError, RecursionError):
         value = None
     if isinstance(value, list):
         surfaces, dropped = _coerce_elements(value)

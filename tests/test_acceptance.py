@@ -255,6 +255,7 @@ def test_criterion_7_concurrency_bound_and_warm_cache(tmp_path):
         assert backend.calls == 1000  # not one more
         assert all(r.attempt_count == 0 for r in again)
         assert [r.raw_text for r in again] == [r.raw_text for r in records]
+        cache.close()
 
 
 def test_criterion_8_reply_parsing_and_normalization():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import build_benchmark_tree
+from zsner import inference
 from zsner.cli import main
 
 BIO = "\n".join(
@@ -188,6 +189,33 @@ def test_run_summary_and_cache_reuse(tree, capsys):
                    "--overwrite") == 0
     second = capsys.readouterr().out
     assert "0 fetched" in second
+
+
+def test_run_sizes_http_pool_after_max_parallel_override(tree, monkeypatch):
+    root, _ = tree
+    _gen_store(root)
+    cfg = _write_run_config(root, "with_dg")
+    with_backend = json.loads(cfg.read_text(encoding="utf-8"))
+    with_backend["backend"] = {
+        "endpoint_url": "http://localhost:9/v1/chat/completions",
+        "model_name": "m", "max_parallel": 2,
+    }
+    cfg.write_text(json.dumps(with_backend), encoding="utf-8")
+    built = []
+
+    class OfflineHttpBackend(inference.HttpBackend):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(self)
+
+        def complete(self, job):
+            return "[]"
+
+    monkeypatch.setattr(inference, "HttpBackend", OfflineHttpBackend)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--max-parallel", "24",
+                   "--quiet") == 0
+    adapter = built[0].session.get_adapter("http://localhost:9/")
+    assert adapter.poolmanager.connection_pool_kw["maxsize"] == 24
 
 
 def test_drop_k_run_has_perfect_precision(tree, capsys):

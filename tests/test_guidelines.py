@@ -57,6 +57,17 @@ def test_parse_dg_reply_failures_carry_raw():
         assert exc.value.raw_reply == raw
 
 
+@pytest.mark.parametrize(
+    "raw", ["[" * 2000, '[ "a", ' * 4000, '{"a": ' * 1000],
+    ids=["open", "open_items", "objects"],
+)
+def test_parse_dg_reply_deep_nesting_is_format_error(raw):
+    with pytest.raises(DGFormatError):
+        dg.parse_dg_reply(raw)
+    with pytest.raises(DGFormatError):  # the same nesting inside a balanced object
+        dg.parse_dg_reply("Ecco: " + raw + "}" * raw.count("{"))
+
+
 def test_generate_dg_retries_then_succeeds():
     replies = iter(["non strutturato", "ancora niente", GOOD_JSON])
     calls = []

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -36,9 +37,100 @@ def test_response_cache_round_trip(tmp_path):
     cache.put("k", {"raw_text": "x"})
     assert cache.get("k") == {"raw_text": "x"}
     assert len(cache) == 1
+    # each put reaches the file at once, so a killed run keeps it
+    log = tmp_path / "cache" / "responses.jsonl"
+    assert log.read_text(encoding="utf-8") == 'k\t{"raw_text": "x"}\n'
+    cache.close()
     # torn write is a miss, not a crash
-    (tmp_path / "cache" / "torn.json").write_text("{not json", encoding="utf-8")
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write("torn\t{not json\n")
+    cache = inf.ResponseCache(tmp_path / "cache")
     assert cache.get("torn") is None
+    assert cache.get("k") == {"raw_text": "x"}
+    cache.close()
+
+
+def test_response_cache_survives_reopen(tmp_path):
+    cache = inf.ResponseCache(tmp_path / "cache")
+    cache.put("k1", {"raw_text": "Città\tdi \"Roma\"\n", "status": "ok"})
+    cache.put("k2", {"raw_text": "[]"})
+    cache.close()
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.jsonl"]
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    assert reopened.get("k1") == {"raw_text": "Città\tdi \"Roma\"\n", "status": "ok"}
+    assert reopened.get("k2") == {"raw_text": "[]"}
+    assert reopened.get("k3") is None
+    assert len(reopened) == 2
+    reopened.close()
+
+
+def test_response_cache_last_write_wins(tmp_path):
+    cache = inf.ResponseCache(tmp_path / "cache")
+    cache.put("k", {"raw_text": "old"})
+    cache.put("k", {"raw_text": "new"})
+    assert cache.get("k") == {"raw_text": "new"}
+    cache.close()
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    assert reopened.get("k") == {"raw_text": "new"}
+    assert len(reopened) == 1
+    reopened.close()
+
+
+def test_response_cache_len_counts_distinct_keys(tmp_path):
+    cache = inf.ResponseCache(tmp_path / "cache")
+    assert len(cache) == 0
+    for key in ("a", "b", "a", "c", "b", "a"):
+        cache.put(key, {"raw_text": key})
+    assert len(cache) == 3
+    cache.close()
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    assert len(reopened) == 3
+    reopened.close()
+
+
+def test_response_cache_torn_last_line(tmp_path):
+    cache = inf.ResponseCache(tmp_path / "cache")
+    cache.put("whole", {"raw_text": "kept"})
+    cache.close()
+    log = tmp_path / "cache" / "responses.jsonl"
+    torn = 'torn\t{"raw_text": "Città'.encode("utf-8")[:-1]  # cut inside a character
+    log.write_bytes(log.read_bytes() + torn)
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    assert reopened.get("torn") is None
+    assert reopened.get("whole") == {"raw_text": "kept"}
+    reopened.put("after", {"raw_text": "intact"})
+    reopened.close()
+    again = inf.ResponseCache(tmp_path / "cache")
+    assert again.get("after") == {"raw_text": "intact"}
+    assert again.get("whole") == {"raw_text": "kept"}
+    assert again.get("torn") is None
+    again.close()
+
+
+def test_response_cache_concurrent_puts(tmp_path):
+    cache = inf.ResponseCache(tmp_path / "cache")
+
+    def writer(w):
+        for i in range(200):
+            cache.put(f"{w}-{i}", {"raw_text": "x" * (i % 50)})
+
+    threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    cache.close()
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    assert len(reopened) == 8 * 200
+    assert all(reopened.get(f"{w}-{i}") == {"raw_text": "x" * (i % 50)}
+               for w in range(8) for i in range(200))
+    reopened.close()
 
 
 def test_response_cache_unwritable_location(tmp_path):
@@ -110,6 +202,27 @@ def test_run_order_and_stats(tmp_path):
     assert (stats2.cached, stats2.fetched) == (20, 0)
     assert all(r.attempt_count == 0 for r in again)
     assert [r.raw_text for r in again] == [r.raw_text for r in records]
+    cache.close()
+
+
+def test_run_serves_hits_on_calling_thread(tmp_path):
+    gold = {(f"d{i}", "plant"): [f"s{i}"] for i in range(10)}
+    jobs = [job(f"j{i}", f"d{i}") for i in range(10)]
+    backend = inf.MockBackend("gold_oracle", gold)
+    cache = inf.ResponseCache(tmp_path / "cache")
+    inf.run(jobs[::2], backend, cache, max_parallel=3)  # fill every other cell
+
+    lookups = []
+    get = cache.get
+    cache.get = lambda key: lookups.append(threading.get_ident()) or get(key)
+    stats = inf.RunStats()
+    records = inf.run(jobs, backend, cache, max_parallel=3, stats=stats)
+    cache.close()
+    assert set(lookups) == {threading.get_ident()} and len(lookups) == 10
+    assert [r.job_id for r in records] == [j.job_id for j in jobs]
+    assert [r.attempt_count for r in records] == [0, 1] * 5
+    assert [r.raw_text for r in records] == [f'["s{i}"]' for i in range(10)]
+    assert (stats.cached, stats.fetched, backend.calls) == (5, 5, 10)
 
 
 def test_run_retries_with_exponential_backoff():
@@ -154,6 +267,7 @@ def test_run_does_not_cache_failures(tmp_path):
     records = inf.run([job()], backend, cache, max_retries=0, sleep=lambda _: None)
     assert records[0].status == "ok"
     assert len(cache) == 1
+    cache.close()
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +323,13 @@ def test_http_backend_success(monkeypatch):
     assert sent["json"]["messages"]
     assert sent["headers"]["Authorization"] == "Bearer sk-zsner"
     assert sent["timeout"] == 9.0
+
+
+def test_http_backend_pool_matches_max_parallel():
+    backend = inf.HttpBackend(_config(auth_env="", max_parallel=32))
+    for url in ("http://x/v1", "https://x/v1"):
+        pool_kw = backend.session.get_adapter(url).poolmanager.connection_pool_kw
+        assert pool_kw["maxsize"] == 32
 
 
 def test_http_backend_requires_auth_env(monkeypatch):
@@ -285,6 +406,7 @@ def test_overwrite_preserves_cache(tmp_path):
     assert cache.get("k") == {"raw_text": "kept"}
     assert not (run_dir / "extra.txt").exists()
     assert not (run_dir / "replies.jsonl").exists()
+    cache.close()
 
 
 def test_load_run_rejects_non_run_dir(tmp_path):

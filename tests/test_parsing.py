@@ -40,6 +40,22 @@ def test_extract_list_never_raises(text):
     assert all(isinstance(s, str) for s in result.surfaces)
 
 
+# nesting deep enough that json.loads raises RecursionError
+DEEP_REPLIES = ["[" * 2000, '[ "a", ' * 4000, '{"a": ' * 1000]
+
+
+@pytest.mark.parametrize("text", DEEP_REPLIES, ids=["open", "open_items", "objects"])
+def test_extract_list_deep_nesting_is_failed(text):
+    result = extract_list(text)
+    assert (result.status, result.surfaces) == (PARSE_FAILED, [])
+
+
+def test_extract_list_deep_balanced_array_after_prose():
+    result = extract_list("Ecco: " + "[" * 1100 + "]" * 1100)
+    assert result.status in (PARSE_RECOVERED, PARSE_FAILED)
+    assert result.surfaces == []
+
+
 @given(st.lists(st.text(max_size=40), max_size=10))
 @settings(max_examples=200, deadline=None)
 def test_exact_array_of_strings_round_trips(surfaces):
