@@ -243,8 +243,15 @@ def _canned_client(table: dict[str, dict]):
     return client
 
 
+def _http_backend(backend_cfg: inference.BackendConfig) -> inference.HttpBackend:
+    try:
+        return inference.HttpBackend(backend_cfg)
+    except ValueError as e:  # endpoint or proxy URL it cannot use
+        raise ConfigError(f"bad backend config: {e}")
+
+
 def _backend_client(backend_cfg: inference.BackendConfig):
-    backend = inference.HttpBackend(backend_cfg)
+    backend = _http_backend(backend_cfg)
 
     def client(payload: dict) -> str:
         attempts = 0
@@ -438,8 +445,8 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         if max_parallel < 1:
             raise ConfigError("--max-parallel must be >= 1")
         knobs.max_parallel = max_parallel
-    if mock is None:  # built after the override: its pool is sized from it
-        backend = inference.HttpBackend(knobs)
+    if mock is None:
+        backend = _http_backend(knobs)
 
     run_path = inference.prepare_run_dir(run_dir, overwrite=overwrite)
     cache = inference.ResponseCache(run_path / "cache")
@@ -460,6 +467,8 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         stats=stats,
     )
     cache.close()
+    if mock is None:
+        backend.close()
 
     manifest = {
         "benchmark_id": bench.benchmark_id,

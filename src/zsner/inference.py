@@ -9,6 +9,7 @@ fingerprint, so reruns and ablation reruns never repeat a request.
 import hashlib
 import json
 import os
+import select
 import shutil
 import threading
 import time
@@ -215,20 +216,25 @@ class RateLimiter:
 
 
 class HttpBackend:
-    """OpenAI-compatible /chat/completions over requests."""
+    """OpenAI-compatible /chat/completions over stdlib http.client.
 
-    def __init__(self, config: BackendConfig, session=None):
-        import requests
+    Each worker thread keeps one keep-alive connection, opened on its first
+    call; close() closes every connection the backend opened. A connection
+    the server closed while idle is reopened before it carries a request,
+    so it costs no retry. The http_proxy, https_proxy and no_proxy
+    variables are read once, here; proxy URLs with credentials are refused.
+    TLS verifies host names against the system trust store.
+    """
+
+    def __init__(self, config: BackendConfig):
+        # imported here, not at module level: http.client pulls in ssl,
+        # which no command without an HTTP backend needs
+        import http.client
+        import ssl
+        import urllib.parse
+        import urllib.request
 
         self.config = config
-        if session is None:
-            # one pooled connection per worker; the default pool keeps 10
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.max_parallel)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self.session = session
-        self._requests = requests
         api_key = ""
         if config.auth_env:
             api_key = os.environ.get(config.auth_env, "")
@@ -237,59 +243,123 @@ class HttpBackend:
                     f"environment variable {config.auth_env!r} is not set; "
                     f"export the API key before running"
                 )
-        self.api_key = api_key
         self.params = {
             "temperature": config.temperature,
             "max_tokens": config.max_tokens,
         }
         self.fingerprint = decoding_fingerprint(config.model_name, self.params)
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+
+        url = urllib.parse.urlsplit(config.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint_url {config.endpoint_url!r} is not an http(s) URL")
+        port = url.port or (443 if url.scheme == "https" else 80)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._address = (url.hostname, port)
+        self._tunnel = None
+        self._conn_kw = {"timeout": config.timeout}
+        self._conn_cls = http.client.HTTPConnection
+        if url.scheme == "https":
+            self._conn_cls = http.client.HTTPSConnection
+            self._conn_kw["context"] = ssl.create_default_context()
+
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            purl = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if purl.username is not None or purl.password is not None:
+                raise ValueError(
+                    f"{url.scheme}_proxy carries credentials, which are not supported"
+                )
+            if purl.scheme != "http" or not purl.hostname:
+                raise ValueError(f"{url.scheme}_proxy {proxy!r} is not an http:// URL")
+            self._address = (purl.hostname, purl.port or 80)
+            if url.scheme == "https":
+                self._tunnel = (url.hostname, port)
+            else:  # a plain proxy takes the absolute URL in the request line
+                self._target = f"http://{url.netloc}{self._target}"
+
+        self._http = http.client
+        self._local = threading.local()
+        self._conns = []
+        self._conns_lock = threading.Lock()
+
+    def _connection(self):
+        """This thread's connection; http.client opens its socket on use."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._conn_cls(*self._address, **self._conn_kw)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+            self._local.conn = conn
+            with self._conns_lock:
+                self._conns.append(conn)
+        elif conn.sock is not None and _readable(conn.sock):
+            conn.close()  # idle and closed by the server: reconnect, not retry
+        return conn
+
+    def close(self) -> None:
+        with self._conns_lock:
+            for conn in self._conns:
+                conn.close()
 
     def complete(self, job) -> str:
         body = dict(job.payload)
         body["model"] = self.config.model_name
         body.update(self.params)
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        conn = self._connection()
         try:
-            resp = self.session.post(
-                self.config.endpoint_url,
-                json=body,
-                headers=headers,
-                timeout=self.config.timeout,
+            try:
+                conn.request("POST", self._target, json.dumps(body).encode(),
+                             self._headers)
+                resp = conn.getresponse()
+                status, raw = resp.status, resp.read()
+            except BaseException:
+                conn.close()  # a half-used connection is never reused
+                raise
+        except TimeoutError as exc:
+            raise BackendError(f"timed out: {exc}", KIND_TIMEOUT, transient=True)
+        except (OSError, self._http.HTTPException) as exc:
+            raise BackendError(
+                f"{type(exc).__name__}: {exc}", KIND_NETWORK, transient=True
             )
-        except self._requests.Timeout as exc:
-            raise BackendError(str(exc), KIND_TIMEOUT, transient=True)
-        except self._requests.RequestException as exc:
-            raise BackendError(str(exc), KIND_NETWORK, transient=True)
 
-        if resp.status_code == 429:
+        if status == 429:
             raise BackendError("rate limited", KIND_RATE_LIMIT, transient=True)
-        if resp.status_code >= 500:
+        if status >= 500:
             raise BackendError(
-                f"server error {resp.status_code}", KIND_SERVER, transient=True
+                f"server error {status}", KIND_SERVER, transient=True
             )
-        if resp.status_code in (401, 403):
+        if status in (401, 403):
             raise BackendError(
-                f"auth rejected ({resp.status_code})", KIND_AUTH, transient=False
+                f"auth rejected ({status})", KIND_AUTH, transient=False
             )
-        if resp.status_code >= 400:
-            text = resp.text[:2000]
+        if status >= 400:
+            text = raw.decode("utf-8", "replace")[:2000]
             lowered = text.lower()
             if any(marker in lowered for marker in _TOO_LONG_MARKERS):
                 raise BackendError(text, KIND_TOO_LONG, transient=False)
             raise BackendError(
-                f"request rejected ({resp.status_code}): {text}",
+                f"request rejected ({status}): {text}",
                 KIND_REQUEST,
                 transient=False,
             )
         try:
-            data = resp.json()
+            data = json.loads(raw)
             return data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise BackendError(
                 f"malformed completion response: {exc}", KIND_PROTOCOL, transient=True
             )
+
+
+def _readable(sock) -> bool:
+    """Zero-timeout poll: an idle keep-alive socket that polls readable was
+    closed by the server (or holds bytes no request asked for)."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 MOCK_KINDS = ("gold_oracle", "empty", "drop_k", "malformed")
@@ -492,7 +562,8 @@ def persist_run(records, manifest: dict, run_dir, overwrite: bool = False) -> No
     run_dir = prepare_run_dir(run_dir, overwrite)
     with open(run_dir / "replies.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_record(), ensure_ascii=False) + "\n")
+            # ASCII escapes, as in the response log: even a lone surrogate encodes
+            fh.write(json.dumps(rec.to_record()) + "\n")
     manifest = dict(manifest)
     manifest.setdefault("written_at", _utc_now())
     with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:

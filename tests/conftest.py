@@ -1,11 +1,17 @@
-"""Shared synthetic-corpus builders.
+"""Shared synthetic-corpus builders and a scripted loopback HTTP endpoint.
 
 Documents are built token-first with single-space joins so they round-trip
 through the BIO encoder/decoder exactly; mention support per tag is exact,
 which the tier-assembly tests rely on.
 """
 
+import json
 import random
+import socket
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -130,3 +136,110 @@ def build_benchmark_tree(tmp_path, rng: random.Random, *, min_support: int = 5):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+# --------------------------------------------------------------------------
+# scripted loopback endpoint
+
+
+def completion(content: str) -> dict:
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    # keep-alive, and whole responses sent in one write: without buffering
+    # and TCP_NODELAY, Nagle plus delayed ACK adds ~40 ms per request
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.cond:
+            self.server.connections += 1
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        srv = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with srv.cond:
+            srv.requests.append(
+                SimpleNamespace(line=self.requestline, headers=self.headers, body=body)
+            )
+            status, reply = srv.script.pop(0) if srv.script else (200, completion("[]"))
+        time.sleep(srv.delay)
+        data = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        if srv.close_after_reply:  # no "Connection: close" header is sent
+            self.close_connection = True
+
+
+class ScriptedEndpoint(ThreadingHTTPServer):
+    """Chat endpoint on 127.0.0.1 that records every request.
+
+    Replies come from `script`, a list of (status, dict or bytes) popped one
+    per request, then a completion of "[]". `delay` is slept before
+    each reply; `close_after_reply` drops the connection after each one.
+    """
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.cond = threading.Condition()
+        self.script: list = []
+        self.delay = 0.0
+        self.close_after_reply = False
+        self.requests: list[SimpleNamespace] = []
+        self.connections = 0
+        self.closed = 0
+
+    @property
+    def root(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+    @property
+    def url(self) -> str:
+        return f"{self.root}/v1/chat/completions"
+
+    def wait_all_closed(self, timeout: float = 5.0) -> bool:
+        with self.cond:
+            return self.cond.wait_for(lambda: self.closed == self.connections, timeout)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)  # the socket is closed from here on
+        with self.cond:
+            self.closed += 1
+            self.cond.notify_all()
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out leaves the handler a broken pipe
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    for var in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    server = ScriptedEndpoint()
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05})
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join(timeout=10)
+    server.server_close()
+    assert not thread.is_alive()
+
+
+def closed_port() -> int:
+    """A loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]

@@ -191,31 +191,24 @@ def test_run_summary_and_cache_reuse(tree, capsys):
     assert "0 fetched" in second
 
 
-def test_run_sizes_http_pool_after_max_parallel_override(tree, monkeypatch):
+def test_run_sizes_http_pool_after_max_parallel_override(tree, endpoint):
     root, _ = tree
     _gen_store(root)
     cfg = _write_run_config(root, "with_dg")
     with_backend = json.loads(cfg.read_text(encoding="utf-8"))
     with_backend["backend"] = {
-        "endpoint_url": "http://localhost:9/v1/chat/completions",
-        "model_name": "m", "max_parallel": 2,
+        "endpoint_url": endpoint.url, "model_name": "m", "max_parallel": 1,
     }
     cfg.write_text(json.dumps(with_backend), encoding="utf-8")
-    built = []
-
-    class OfflineHttpBackend(inference.HttpBackend):
-        def __init__(self, config):
-            super().__init__(config)
-            built.append(self)
-
-        def complete(self, job):
-            return "[]"
-
-    monkeypatch.setattr(inference, "HttpBackend", OfflineHttpBackend)
-    assert run_cli("run", cfg, "--run-dir", root / "r", "--max-parallel", "24",
+    endpoint.delay = 0.005  # long enough that every worker gets a job
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--max-parallel", "3",
                    "--quiet") == 0
-    adapter = built[0].session.get_adapter("http://localhost:9/")
-    assert adapter.poolmanager.connection_pool_kw["maxsize"] == 24
+    records, _ = inference.load_run(root / "r")
+    assert [r.status for r in records] == ["ok"] * len(records)
+    assert len(endpoint.requests) == len(records)
+    # one keep-alive connection per worker: the override, not the config's 1
+    assert 1 < endpoint.connections <= 3
+    assert endpoint.wait_all_closed()  # the run closed them before exiting
 
 
 def test_drop_k_run_has_perfect_precision(tree, capsys):
@@ -265,6 +258,19 @@ def test_exit_codes_for_bad_inputs(tree, monkeypatch):
 
     assert run_cli("guidelines", "validate", "--store", root / "manifest.json",
                    "--tags", "person") == 3  # not a store file
+
+
+def test_run_refuses_unusable_endpoint_or_proxy(tree, monkeypatch):
+    root, _ = tree
+    _gen_store(root)
+    cfg = _write_run_config(root, "with_dg")
+    with_backend = json.loads(cfg.read_text(encoding="utf-8"))
+    for url, proxy in [("ftp://localhost/v1", ""),
+                       ("http://localhost:9/v1", "http://user:pw@localhost:3128")]:
+        monkeypatch.setenv("http_proxy", proxy)
+        with_backend["backend"] = {"endpoint_url": url, "model_name": "m"}
+        cfg.write_text(json.dumps(with_backend), encoding="utf-8")
+        assert run_cli("run", cfg, "--run-dir", root / "r") == 2
 
 
 def test_score_detects_missing_records(tree, capsys):
