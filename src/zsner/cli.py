@@ -589,26 +589,30 @@ def score(run_dir, output, semantics, quiet):
             f"{manifest['benchmark_id']}, file has {bench.benchmark_id}"
         )
 
-    jobs = prompts.benchmark_grid_jobs(
-        bench, manifest["variant"], manifest["template_id"], manifest["adapter_id"]
-    )
     by_id: dict[str, inference.CompletionRecord] = {}
     for rec in records:
         if rec.job_id in by_id:
             raise RunDirectoryError(f"duplicate record for job {rec.job_id}")
         by_id[rec.job_id] = rec
-    missing = [j.job_id for j in jobs if j.job_id not in by_id]
+    grid = (manifest["variant"], manifest["template_id"], manifest["adapter_id"])
+    preds = []
+    missing = []
+    statuses: Counter[str] = Counter()
+    for (doc_id, tag), _ in bench.cells():
+        cell = SimpleNamespace(
+            job_id=prompts.job_id_for(doc_id, tag, *grid), doc_id=doc_id, tag_id=tag
+        )
+        rec = by_id.get(cell.job_id)
+        if rec is None:
+            missing.append(cell.job_id)
+        else:
+            ext = parsing.to_extraction(rec, cell)
+            statuses[ext.parse_status] += 1
+            preds.append(ext)
     if missing:
         raise CoverageError(
             f"run lacks records for {len(missing)} jobs, e.g. {missing[:5]}"
         )
-
-    preds = []
-    statuses: Counter[str] = Counter()
-    for job in jobs:
-        ext = parsing.to_extraction(by_id[job.job_id], job)
-        statuses[ext.parse_status] += 1
-        preds.append(ext)
 
     gold = evaluation.build_gold(bench, datasets)
     report = evaluation.tier_report(

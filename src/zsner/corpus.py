@@ -232,20 +232,6 @@ def tag_inventory(docs: Iterable[Document]) -> dict[str, int]:
     return dict(counts)
 
 
-def filter_documents(docs: Iterable[Document], keep_tags: set[str]) -> list[Document]:
-    """Project documents onto a tag set. Mention-less documents are kept:
-    they still contribute false positives when a model hallucinates."""
-    return [
-        Document(
-            d.doc_id,
-            d.text,
-            d.domain,
-            [m for m in d.mentions if m.tag_id in keep_tags],
-        )
-        for d in docs
-    ]
-
-
 # --------------------------------------------------------------------------
 # dataset files (one JSON record per line)
 
@@ -334,6 +320,24 @@ class Benchmark:
             for tag in t.tag_ids:
                 seen.setdefault(tag)
         return list(seen)
+
+    def cells(self) -> Iterable[tuple[tuple[str, str], tuple[str, ...]]]:
+        """Each distinct (doc_id, tag) cell of the tier grids once, with the
+        names of the tiers it counts in.
+
+        Tier order, then dataset, document and tag order fix the sequence; a
+        cell that two tiers share comes where the first of them puts it.
+        """
+        grid: dict[tuple[str, str], tuple[str, ...]] = {}
+        for tier in self.tiers:
+            alone = (tier.name,)
+            for ds in tier.dataset_ids:
+                for doc_id in self.doc_ids.get(ds, ()):
+                    for tag in tier.tag_ids:
+                        held = grid.setdefault((doc_id, tag), alone)
+                        if tier.name not in held:
+                            grid[doc_id, tag] = held + alone
+        return grid.items()
 
 
 def validate_benchmark(benchmark: Benchmark) -> None:
@@ -481,8 +485,9 @@ def save_benchmark(benchmark: Benchmark, path: str | Path) -> None:
 
 
 def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document]]]:
-    """Read a manifest and the dataset files it references (paths are
-    resolved relative to the manifest's directory)."""
+    """Read a manifest and the dataset files its tiers evaluate (paths are
+    resolved relative to the manifest's directory). The training dataset
+    is needed only for assembly and is not read."""
     path = Path(path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -508,8 +513,11 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document
     except (KeyError, TypeError) as e:
         raise ConfigError(f"benchmark manifest {path} missing field: {e}")
 
+    tier_datasets = {ds for t in benchmark.tiers for ds in t.dataset_ids}
     datasets: dict[str, list[Document]] = {}
     for key, rel in benchmark.dataset_paths.items():
+        if key not in tier_datasets:
+            continue
         ds_path = Path(rel)
         if not ds_path.is_absolute():
             ds_path = path.parent / ds_path

@@ -7,7 +7,7 @@ counts across documents and tags; macro-F1 is reported alongside.
 """
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -41,27 +41,42 @@ def micro_f1(counts: Counts) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def gold_extraction(doc: Document, tag_id: str) -> Extraction:
-    """Gold-side mirror of the reply parser: normalized mention surfaces."""
-    surfaces = [
-        normalize_surface(m.surface) for m in doc.mentions if m.tag_id == tag_id
-    ]
-    return Extraction(doc.doc_id, tag_id, [s for s in surfaces if s])
-
-
 def build_gold(
     benchmark: Benchmark, datasets: dict[str, list[Document]]
 ) -> list[Extraction]:
-    """Gold extractions for every (document, tag) cell of every tier."""
-    gold: dict[tuple[str, str], Extraction] = {}
+    """Gold extractions for every cell of Benchmark.cells(), in its order."""
+    by_doc: dict[str, dict[str, list[str]]] = {}
     for tier in benchmark.tiers:
         for ds in tier.dataset_ids:
             if ds not in datasets:
                 raise ConfigError(f"tier {tier.name!r}: dataset {ds!r} not loaded")
             for doc in datasets[ds]:
-                for tag in tier.tag_ids:
-                    gold.setdefault((doc.doc_id, tag), gold_extraction(doc, tag))
-    return list(gold.values())
+                if doc.doc_id in by_doc:
+                    continue
+                # the gold-side mirror of the reply parser, once per document
+                by_tag = by_doc[doc.doc_id] = {}
+                for m in doc.mentions:
+                    surface = normalize_surface(m.surface)
+                    if surface:
+                        by_tag.setdefault(m.tag_id, []).append(surface)
+    return [
+        Extraction(doc_id, tag, by_doc[doc_id].get(tag, []))
+        for (doc_id, tag), _ in benchmark.cells()
+    ]
+
+
+def _cell_counts(gold: list[str], pred: list[str], semantics: str) -> tuple[int, int, int]:
+    """(tp, fp, fn) of one cell's surface lists."""
+    if semantics == SET:
+        gold, pred = set(gold), set(pred)
+        tp = len(gold & pred)
+    elif semantics != MULTISET:
+        raise ConfigError(f"unknown matching semantics {semantics!r}")
+    elif gold and pred:
+        tp = sum((Counter(gold) & Counter(pred)).values())
+    else:  # more than half of all cells: nothing to match
+        tp = 0
+    return tp, len(pred) - tp, len(gold) - tp
 
 
 def score_pair(gold: Extraction, pred: Extraction, semantics: str = MULTISET) -> Counts:
@@ -71,17 +86,7 @@ def score_pair(gold: Extraction, pred: Extraction, semantics: str = MULTISET) ->
             f"gold cell ({gold.doc_id},{gold.tag_id}) vs "
             f"pred cell ({pred.doc_id},{pred.tag_id})"
         )
-    if semantics == MULTISET:
-        g = Counter(gold.surfaces)
-        p = Counter(pred.surfaces)
-        tp = sum((g & p).values())
-        return Counts(tp, sum(p.values()) - tp, sum(g.values()) - tp)
-    if semantics == SET:
-        g = set(gold.surfaces)
-        p = set(pred.surfaces)
-        tp = len(g & p)
-        return Counts(tp, len(p) - tp, len(g) - tp)
-    raise ConfigError(f"unknown matching semantics {semantics!r}")
+    return Counts(*_cell_counts(gold.surfaces, pred.surfaces, semantics))
 
 
 @dataclass
@@ -196,20 +201,24 @@ def tier_report(
     gold_index = _index_extractions(gold, "gold")
     pred_index = _index_extractions(predictions, "predicted")
 
-    grids: dict[str, set[tuple[str, str]]] = {}
-    union_grid: set[tuple[str, str]] = set()
-    for tier in benchmark.tiers:
-        cells = {
-            (doc_id, tag)
-            for ds in tier.dataset_ids
-            for doc_id in benchmark.doc_ids.get(ds, ())
-            for tag in tier.tag_ids
-        }
-        grids[tier.name] = cells
-        union_grid |= cells
+    # one pass over the distinct cells; counts are summed per (tiers, tag)
+    sums: dict[tuple[tuple[str, ...], str], list[int]] = defaultdict(lambda: [0, 0, 0])
+    missing: list[tuple[str, str]] = []
+    missing_gold: list[tuple[str, str]] = []
+    for cell, in_tiers in benchmark.cells():
+        pred = pred_index.pop(cell, None)
+        g = gold_index.get(cell)
+        if pred is None or g is None:
+            (missing if pred is None else missing_gold).append(cell)
+            continue
+        tp, fp, fn = _cell_counts(g.surfaces, pred.surfaces, semantics)
+        acc = sums[in_tiers, cell[1]]
+        acc[0] += tp
+        acc[1] += fp
+        acc[2] += fn
 
-    missing = sorted(union_grid - set(pred_index))
-    extra = sorted(set(pred_index) - union_grid)
+    missing.sort()
+    extra = sorted(pred_index)
     if missing or extra:
         parts = []
         if missing:
@@ -217,25 +226,23 @@ def tier_report(
         if extra:
             parts.append(f"{len(extra)} extra cells, e.g. {extra[:5]}")
         raise CoverageError("prediction grid mismatch: " + "; ".join(parts))
-    missing_gold = sorted(union_grid - set(gold_index))
     if missing_gold:
+        missing_gold.sort()
         raise CoverageError(
             f"gold grid mismatch: {len(missing_gold)} missing cells, "
             f"e.g. {missing_gold[:5]}"
         )
 
+    totals: dict[tuple[str, str], Counts] = defaultdict(Counts)
+    for (in_tiers, tag), c in sums.items():
+        for name in in_tiers:
+            totals[name, tag] += Counts(*c)
     tiers: dict[str, TierScore] = {}
     for tier in benchmark.tiers:
-        per_tag_counts: dict[str, Counts] = {tag: Counts() for tag in tier.tag_ids}
-        for doc_id, tag in grids[tier.name]:
-            cell = (doc_id, tag)
-            per_tag_counts[tag] = per_tag_counts[tag] + score_pair(
-                gold_index[cell], pred_index[cell], semantics
-            )
+        # tier.tag_ids order: macro_f1 sums its floats in this order
+        per_tag_counts = {tag: totals[tier.name, tag] for tag in tier.tag_ids}
         per_tag = {tag: TagScore.from_counts(c) for tag, c in per_tag_counts.items()}
-        pooled = Counts()
-        for c in per_tag_counts.values():
-            pooled = pooled + c
+        pooled = sum(per_tag_counts.values(), Counts())
         macro = (
             sum(s.f1 for s in per_tag.values()) / len(per_tag) if per_tag else 0.0
         )

@@ -69,7 +69,7 @@ class BackendConfig:
             raise ValueError("max_parallel must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletionRecord:
     job_id: str
     raw_text: str
@@ -104,11 +104,6 @@ class CompletionRecord:
             fingerprint=rec.get("fingerprint", ""),
             timestamp=rec.get("timestamp", ""),
         )
-
-
-def canonical_record(rec: dict) -> dict:
-    """Record content minus the run-specific fields (for comparing reruns)."""
-    return {k: v for k, v in rec.items() if k not in ("timestamp", "latency_ms")}
 
 
 def decoding_fingerprint(model_name: str, params: dict) -> str:

@@ -10,6 +10,7 @@ Replies are classified three ways, never raising:
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 from zsner.errors import PairingError
@@ -58,42 +59,81 @@ def _coerce_elements(items: list) -> tuple[list[str], int]:
     return surfaces, dropped
 
 
-def _scan_balanced_array(text: str) -> list | None:
-    """Return the first substring that parses as a JSON array, else None.
+_SCAN_CHARS = re.compile(r'[\[\]"\\]')
+_OUT, _IN, _ESC = range(3)  # outside a string, inside one, just after a backslash
+_DECODER = json.JSONDecoder()
 
-    Bracket balancing honours JSON string literals and escapes, so brackets
-    inside quoted surfaces do not terminate the scan.
+
+def _merge(a: list, b: list) -> list:
+    """Join two stacks of open groups that from here on see the same brackets.
+
+    A group, [depth, start, ...], holds the starts that one ']' will close;
+    depth is a lower bound of the nesting inside their spans.
     """
-    n = len(text)
-    start = text.find("[")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, n):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
+    if len(a) < len(b):
+        a, b = b, a
+    for k in range(1, len(b) + 1):
+        a[-k][0] = min(a[-k][0], b[-k][0])
+        a[-k] += b[-k][1:]
+    return a
+
+
+def _closed_spans(text: str) -> list[tuple[int, int]]:
+    """(start, depth) for each '[' whose own scan finds the ']' closing it.
+
+    A scan from one '[' honours JSON string literals and escapes. Scans from different '[' differ only in their
+    string state, so one left-to-right pass runs them as at most three
+    lanes, one per state; lanes that reach the same state see the same
+    brackets from then on and merge. Linear in len(text).
+    """
+    lanes: dict[int, list] = {}  # state -> stack of open groups, innermost last
+    spans: list[tuple[int, int]] = []
+    prev = -1
+    for m in _SCAN_CHARS.finditer(text):
+        i, ch = m.start(), m.group()
+        if _ESC in lanes and i > prev + 1:  # the escaped character was plain text
+            esc = lanes.pop(_ESC)
+            lanes[_IN] = _merge(lanes[_IN], esc) if _IN in lanes else esc
+        prev = i
+        moved: dict[int, list] = {}
+        for state, stack in lanes.items():
+            if state == _ESC:
+                state = _IN
+            elif state == _IN:
+                state = _ESC if ch == "\\" else _OUT if ch == '"' else _IN
             elif ch == '"':
-                in_string = True
+                state = _IN
             elif ch == "[":
-                depth += 1
+                stack.append([1, i])
             elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        value = json.loads(text[start : i + 1])
-                    except (json.JSONDecodeError, RecursionError):
-                        break
-                    if isinstance(value, list):
-                        return value
-                    break
-        start = text.find("[", start + 1)
+                group = stack.pop()
+                spans.extend((start, group[0]) for start in group[1:])
+                if not stack:
+                    continue
+                stack[-1][0] = max(stack[-1][0], group[0] + 1)
+            moved[state] = _merge(moved[state], stack) if state in moved else stack
+        if ch == "[" and _OUT not in moved:
+            moved[_OUT] = [[1, i]]
+        lanes = moved
+    return spans
+
+
+def _scan_balanced_array(text: str) -> list | None:
+    """Return the first substring, by start, that parses as a JSON array.
+
+    Only spans whose brackets balance are parsed, each at most once. A span
+    nested as deep as the recursion limit is skipped, since json gives up
+    on it with RecursionError anyway.
+    """
+    limit = sys.getrecursionlimit()
+    for start, depth in sorted(_closed_spans(text)):
+        if depth >= limit:
+            continue
+        try:
+            # what parses from start is exactly the span that its scan closed
+            return _DECODER.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            continue
     return None
 
 
@@ -114,7 +154,7 @@ def extract_list(raw_text: str) -> ParseResult:
     return ParseResult(PARSE_FAILED, [])
 
 
-@dataclass
+@dataclass(slots=True)
 class Extraction:
     """Normalized surface multiset predicted (or gold) for one (doc, tag)."""
 
@@ -122,26 +162,6 @@ class Extraction:
     tag_id: str
     surfaces: list[str] = field(default_factory=list)
     parse_status: str = PARSE_OK
-
-    def to_record(self, variant: str = "") -> dict:
-        rec = {
-            "doc_id": self.doc_id,
-            "tag_id": self.tag_id,
-            "surfaces": list(self.surfaces),
-            "parse_status": self.parse_status,
-        }
-        if variant:
-            rec["variant"] = variant
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "Extraction":
-        return cls(
-            doc_id=rec["doc_id"],
-            tag_id=rec["tag_id"],
-            surfaces=list(rec.get("surfaces", [])),
-            parse_status=rec.get("parse_status", PARSE_OK),
-        )
 
 
 def to_extraction(record, job) -> Extraction:

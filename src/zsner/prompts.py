@@ -31,17 +31,17 @@ class PromptTemplate:
     template_id: str
     body: str
     language: str = "it"
+    # the body each variant renders, worked out once from `body`
+    with_dg_body: str = field(init=False, repr=False, compare=False)
+    without_dg_body: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
-
-    def _split(self) -> tuple[list[str], list[str]]:
-        """(kept-either-way lines, block-content lines); validates markers."""
-        outside: list[str] = []
-        inside: list[str] = []
+        outside: list[str] = []  # lines kept either way
+        inside: list[str] = []  # lines of the D&G block
         in_block = False
         seen_block = False
-        for line in self.body.split("\n"):
+        lines = self.body.split("\n")
+        for line in lines:
             stripped = line.strip()
             if stripped == DG_BEGIN:
                 if in_block or seen_block:
@@ -58,16 +58,10 @@ class PromptTemplate:
                         f"{DG_BEGIN}"
                     )
                 in_block = False
-            elif in_block:
-                inside.append(line)
             else:
-                outside.append(line)
+                (inside if in_block else outside).append(line)
         if in_block:
             raise RenderError(f"template {self.template_id!r}: unclosed {DG_BEGIN}")
-        return outside, inside
-
-    def validate(self) -> None:
-        outside, inside = self._split()
         kept = "\n".join(outside)
         block = "\n".join(inside)
         for name in ("text", "display_name"):
@@ -82,40 +76,31 @@ class PromptTemplate:
                 raise RenderError(
                     f"template {self.template_id!r}: {ph} outside the D&G block"
                 )
-            if inside or block:
-                if ph not in block:
-                    raise RenderError(
-                        f"template {self.template_id!r}: D&G block lacks {ph}"
-                    )
+            if inside and ph not in block:
+                raise RenderError(
+                    f"template {self.template_id!r}: D&G block lacks {ph}"
+                )
+        object.__setattr__(self, "with_dg_body", "\n".join(
+            line for line in lines if line.strip() not in (DG_BEGIN, DG_END)
+        ))
+        object.__setattr__(self, "without_dg_body", kept)
 
 
 def render(
     doc: Document, spec: TagSpec, variant: str, template: PromptTemplate
 ) -> str:
     """The user-turn prompt text for one (document, tag) cell."""
-    if variant not in VARIANTS:
-        raise RenderError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    outside, inside = template._split()
     if variant == WITH_DG:
         if not spec.definition.strip() or not spec.guidelines.strip():
             raise RenderError(
                 f"tag {spec.tag_id!r}: with_dg rendering needs a non-empty "
                 f"definition and guidelines"
             )
-        lines: list[str] = []
-        in_block = False
-        for line in template.body.split("\n"):
-            stripped = line.strip()
-            if stripped == DG_BEGIN:
-                in_block = True
-                continue
-            if stripped == DG_END:
-                in_block = False
-                continue
-            lines.append(line)
-        body = "\n".join(lines)
+        body = template.with_dg_body
+    elif variant == WITHOUT_DG:
+        body = template.without_dg_body
     else:
-        body = "\n".join(outside)
+        raise RenderError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
     values = {
         "text": doc.text,
@@ -246,13 +231,7 @@ def expand_benchmark_jobs(
     adapter: ChatAdapter,
     system_text: str = "",
 ) -> list[PromptJob]:
-    """Jobs covering every tier's (document, tag) grid, deduplicated.
-
-    A document that sits in two tiers gets one job per distinct tag; tier
-    order then dataset order then tag order fixes the sequence.
-    """
-    jobs: list[PromptJob] = []
-    seen: set[tuple[str, str]] = set()
+    """One job per cell of Benchmark.cells(), in its order."""
     docs_by_id: dict[str, Document] = {}
     for tier in benchmark.tiers:
         for ds in tier.dataset_ids:
@@ -266,16 +245,14 @@ def expand_benchmark_jobs(
                     raise ExpansionError(
                         f"duplicate document id {doc.doc_id!r} with differing text"
                     )
-                for tag in tier.tag_ids:
-                    if (doc.doc_id, tag) in seen:
-                        continue
-                    seen.add((doc.doc_id, tag))
-                    spec = specs.get(tag)
-                    if spec is None:
-                        raise ExpansionError(f"no tag spec for {tag!r}")
-                    jobs.append(
-                        _build_job(doc, spec, variant, template, adapter, system_text)
-                    )
+    jobs: list[PromptJob] = []
+    for (doc_id, tag), _ in benchmark.cells():
+        spec = specs.get(tag)
+        if spec is None:
+            raise ExpansionError(f"no tag spec for {tag!r}")
+        jobs.append(
+            _build_job(docs_by_id[doc_id], spec, variant, template, adapter, system_text)
+        )
     return jobs
 
 
@@ -287,25 +264,14 @@ def benchmark_grid_jobs(
     Job ids depend only on (doc, tag, variant, template, adapter), so this
     is enough to pair archived completion records back to their cells.
     """
-    jobs: list[PromptJob] = []
-    seen: set[tuple[str, str]] = set()
-    for tier in benchmark.tiers:
-        for ds in tier.dataset_ids:
-            for doc_id in benchmark.doc_ids.get(ds, ()):
-                for tag in tier.tag_ids:
-                    if (doc_id, tag) in seen:
-                        continue
-                    seen.add((doc_id, tag))
-                    jobs.append(
-                        PromptJob(
-                            job_id=job_id_for(
-                                doc_id, tag, variant, template_id, adapter_id
-                            ),
-                            doc_id=doc_id,
-                            tag_id=tag,
-                            variant=variant,
-                            template_id=template_id,
-                            adapter_id=adapter_id,
-                        )
-                    )
-    return jobs
+    return [
+        PromptJob(
+            job_id=job_id_for(doc_id, tag, variant, template_id, adapter_id),
+            doc_id=doc_id,
+            tag_id=tag,
+            variant=variant,
+            template_id=template_id,
+            adapter_id=adapter_id,
+        )
+        for (doc_id, tag), _ in benchmark.cells()
+    ]

@@ -5,6 +5,7 @@ different algorithmic shape (explicit one-by-one matching instead of
 Counter arithmetic), so agreement between the two is meaningful.
 """
 
+import json
 import random
 import string
 
@@ -95,3 +96,38 @@ def random_cell(rng: random.Random, max_len: int = 8) -> tuple[list[str], list[s
         return [rng.choice(pool) for _ in range(k)]
 
     return draw(), draw()
+
+
+def oracle_scan_balanced_array(text: str):
+    """The first substring, by start, that parses as a JSON array, else None.
+
+    Rescans from every '[' (quadratic): for each start, walk forward
+    honouring JSON strings and escapes to the ']' that balances it, and
+    parse that span once.
+    """
+    start = text.find("[")
+    while start != -1:
+        depth = 0
+        in_string = escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "[":
+                depth += 1
+            elif ch == "]":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        return json.loads(text[start : i + 1])
+                    except (ValueError, RecursionError):
+                        break
+        start = text.find("[", start + 1)
+    return None

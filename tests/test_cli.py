@@ -1,10 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import build_benchmark_tree
 from zsner import inference
 from zsner.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 BIO = "\n".join(
     [
@@ -301,3 +305,93 @@ def test_report_benchmark_mismatch(tree, tmp_path_factory, rng, capsys):
     assert run_cli("report",
                    "--with-report", root / "run_w" / "score.json",
                    "--without-report", other_root / "run_wo" / "score.json") == 4
+
+
+def test_commands_after_assembly_do_not_read_training_data(tmp_path, rng, capsys):
+    build_benchmark_tree(tmp_path, rng)  # dataset files and the same tiers
+    config = {
+        "training": {"dataset": "train", "tags": ["person", "organization",
+                                                  "location"]},
+        "datasets": {k: f"{k}.jsonl" for k in ("train", "wn_test", "fic_test",
+                                               "mn_test")},
+        "tiers": [
+            {"name": "in_domain", "kind": "in_domain", "datasets": ["wn_test"]},
+            {"name": "unseen_ne", "kind": "unseen_ne", "datasets": ["mn_test"]},
+        ],
+    }
+    (tmp_path / "bench.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("benchmark", tmp_path / "bench.json",
+                   "-o", tmp_path / "manifest.json") == 0
+    (tmp_path / "train.jsonl").unlink()
+
+    cfg = _write_run_config(tmp_path, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", tmp_path / "r", "--mock",
+                   "gold_oracle", "--quiet") == 0
+    assert run_cli("render", "--benchmark", tmp_path / "manifest.json",
+                   "--variant", "without_dg", "-o", tmp_path / "jobs.jsonl") == 0
+    assert run_cli("score", tmp_path / "r", "--quiet") == 0
+    capsys.readouterr()
+    score = json.loads((tmp_path / "r" / "score.json").read_text(encoding="utf-8"))
+    assert [t["micro"]["f1"] for t in score["tiers"].values()] == [1.0, 1.0]
+    jobs = (tmp_path / "jobs.jsonl").read_text(encoding="utf-8").splitlines()
+    records, _ = inference.load_run(tmp_path / "r")
+    assert len(jobs) == len(records)
+
+
+def _mixed_reply(i: int, raw: str) -> tuple[str, str]:
+    """(status, raw_text) for record i of a gold_oracle run, mixing reply kinds."""
+    if i % 11 == 10:
+        return "error", ""
+    surfaces = json.loads(raw)
+    kind = i % 7
+    if kind == 1:
+        return "ok", f"Ecco le entità:\n{raw}\nFine."
+    if kind == 2:
+        return "ok", json.dumps(surfaces + ["Zebedeo"], ensure_ascii=False)
+    if kind == 3:
+        return "ok", raw[: len(raw) // 2]
+    if kind == 4:
+        return "ok", "Nessuna entità di questo tipo."
+    if kind == 5:
+        return "ok", json.dumps(surfaces[1:], ensure_ascii=False)
+    if kind == 6:
+        doubled = surfaces + [f"  {s.upper()} " for s in surfaces[:1]]
+        return "ok", json.dumps(doubled, ensure_ascii=False)
+    return "ok", raw
+
+
+def mixed_run(root) -> None:
+    """A seeded benchmark tree and a run directory under root whose replies
+    mix exact, wrapped, extra, truncated, empty, shortened, duplicated and
+    failed ones."""
+    import random
+
+    build_benchmark_tree(root, random.Random(4242))
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet") == 0
+    replies = root / "r" / "replies.jsonl"
+    lines = []
+    for i, line in enumerate(replies.read_text(encoding="utf-8").splitlines()):
+        rec = json.loads(line)
+        rec["status"], rec["raw_text"] = _mixed_reply(i, rec["raw_text"])
+        lines.append(json.dumps(rec))
+    replies.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _masked(path) -> str:
+    text = path.read_text(encoding="utf-8")
+    return re.sub(r'"run_manifest": "[^"]*"', '"run_manifest": ""', text)
+
+
+# The golden files are the score.json this run gave before scoring became one
+# pass over Benchmark.cells(); a change to them is a change of scores.
+@pytest.mark.parametrize("semantics", ["multiset", "set"])
+def test_score_json_matches_golden_bytes(tmp_path, semantics, capsys):
+    mixed_run(tmp_path)
+    out = tmp_path / "score.json"
+    assert run_cli("score", tmp_path / "r", "-o", out, "--semantics", semantics) == 0
+    tally = capsys.readouterr().out.splitlines()[0]
+    assert tally == "replies: 363 ok, 91 recovered, 245 failed"
+    golden = FIXTURES / f"score_mixed_{semantics}.json"
+    assert _masked(out) == golden.read_text(encoding="utf-8")

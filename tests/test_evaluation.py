@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_benchmark_tree
 from oracles import oracle_cell_counts, oracle_prf, oracle_set_cell_counts, random_cell
+from zsner import corpus
 from zsner import evaluation as ev
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
 from zsner.parsing import Extraction
@@ -81,6 +84,68 @@ def _report_inputs(tmp_path, rng):
     bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
     gold = ev.build_gold(bench, datasets)
     return bench, datasets, gold
+
+
+_SURFACES = ("roma", "po", "etna")
+_mentions = st.lists(
+    st.tuples(st.sampled_from(("person", "location", "plant")), st.sampled_from(_SURFACES)),
+    max_size=4,
+)
+
+
+def _doc(doc_id, mentions):
+    words = [surface for _, surface in mentions]
+    text = " ".join([doc_id] + words)
+    out, pos = [], len(doc_id) + 1
+    for tag, surface in mentions:
+        out.append(corpus.Mention(tag, surface, pos, pos + len(surface)))
+        pos += len(surface) + 1
+    return corpus.Document(doc_id, text, mentions=out)
+
+
+@given(
+    data=st.data(),
+    docs_a=st.lists(_mentions, max_size=4),
+    docs_b=st.lists(_mentions, max_size=4),
+    semantics=st.sampled_from((ev.MULTISET, ev.SET)),
+)
+@settings(max_examples=150, deadline=None)
+def test_tier_report_sums_oracle_cell_counts(data, docs_a, docs_b, semantics):
+    """Dataset "a" sits in both tiers, so its location cells count twice."""
+    datasets = {
+        "a": [_doc(f"a{i}", m) for i, m in enumerate(docs_a)],
+        "b": [_doc(f"b{i}", m) for i, m in enumerate(docs_b)],
+    }
+    tiers = [
+        corpus.BenchmarkTier("t1", "in_domain", ("a",), ("person", "location")),
+        corpus.BenchmarkTier("t2", "out_of_domain", ("a", "b"), ("location", "plant")),
+    ]
+    bench = corpus.Benchmark(
+        "b-1", "train", ("person", "location"), tiers, 1,
+        doc_ids={k: tuple(d.doc_id for d in docs) for k, docs in datasets.items()},
+    )
+    pred = {
+        cell: data.draw(st.lists(st.sampled_from(_SURFACES), max_size=3))
+        for cell, _ in bench.cells()
+    }
+    report = ev.tier_report(
+        bench,
+        ev.build_gold(bench, datasets),
+        [Extraction(d, t, surfaces) for (d, t), surfaces in pred.items()],
+        "with_dg",
+        semantics=semantics,
+    )
+    oracle = oracle_cell_counts if semantics == ev.MULTISET else oracle_set_cell_counts
+    for tier in tiers:
+        for tag in tier.tag_ids:
+            want = [0, 0, 0]
+            for doc in (d for ds in tier.dataset_ids for d in datasets[ds]):
+                gold = [m.surface for m in doc.mentions if m.tag_id == tag]
+                for i, n in enumerate(oracle(gold, pred[doc.doc_id, tag])):
+                    want[i] += n
+            got = report.tiers[tier.name].per_tag[tag].counts
+            assert (got.tp, got.fp, got.fn) == tuple(want)
+        assert list(report.tiers[tier.name].per_tag) == list(tier.tag_ids)
 
 
 def test_tier_report_gold_vs_itself_is_perfect(tmp_path, rng):

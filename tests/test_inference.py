@@ -487,13 +487,6 @@ def test_load_run_rejects_non_run_dir(tmp_path):
         inf.load_run(tmp_path)
 
 
-def test_canonical_record_strips_volatile_fields():
-    rec = _records(1)[0].to_record()
-    canon = inf.canonical_record(rec)
-    assert "timestamp" not in canon and "latency_ms" not in canon
-    assert canon["job_id"] == "j0" and canon["raw_text"] == "[]"
-
-
 def test_mock_backend_tracks_concurrency(tmp_path):
     gold = {(f"d{i}", "plant"): ["x"] for i in range(40)}
     jobs = [job(f"j{i}", f"d{i}") for i in range(40)]

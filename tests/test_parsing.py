@@ -1,17 +1,19 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_scan_balanced_array
+from zsner import parsing
 from zsner.errors import PairingError
 from zsner.inference import CompletionRecord
 from zsner.parsing import (
     PARSE_FAILED,
     PARSE_OK,
     PARSE_RECOVERED,
-    Extraction,
     extract_list,
     normalize_surface,
     to_extraction,
@@ -56,6 +58,48 @@ def test_extract_list_deep_balanced_array_after_prose():
     assert result.surfaces == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    [('Ecco: ["Roma", ' * 10_000)[:100_000], '[ "a", ' * 4000],
+    ids=["unclosed_100kB", "open_items"],
+)
+def test_extract_list_long_unclosed_reply_is_fast(text):
+    started = time.perf_counter()
+    result = extract_list(text)
+    assert time.perf_counter() - started < 1.0
+    assert (result.status, result.surfaces) == (PARSE_FAILED, [])
+
+
+# pieces that make string state, escapes and bracket depth collide
+_SCAN_PIECES = [
+    "[", "]", '"', "\\", "a", " ", ",", "1", '{"k": ', "}",
+    # whole string literals with brackets, quotes and escapes inside
+    '"x"', '"]"', '"["', r'"\""', r'"\\"', r'"\n"', r'"q\"]"',
+]
+
+
+@pytest.mark.parametrize("text", [
+    r'["\""]',  # an escaped quote does not end the string
+    r'["\n"]',  # an escape consumes one plain character, no more
+    r'["\\"]',  # an escaped backslash escapes nothing after it
+    '"[" ["a"]',  # a '[' inside prose quotes still starts a scan
+    '[x "] ["a"]',  # a later '[' inside the first scan's string
+    '["Roma", "Mil ... ["Napoli"]',  # a truncated array, then a whole one
+    r'["["\""]',  # two scans meet in one state; the later start parses
+    'Ecco: [[["a"]]]',  # the outermost of nested arrays
+])
+def test_scan_balanced_array_string_cases(text):
+    expected = oracle_scan_balanced_array(text)
+    assert expected is not None
+    assert parsing._scan_balanced_array(text) == expected
+
+
+@given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=40).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_scan_balanced_array_matches_rescanning_oracle(text):
+    assert parsing._scan_balanced_array(text) == oracle_scan_balanced_array(text)
+
+
 @given(st.lists(st.text(max_size=40), max_size=10))
 @settings(max_examples=200, deadline=None)
 def test_exact_array_of_strings_round_trips(surfaces):
@@ -87,15 +131,6 @@ def test_normalize_idempotent_on_known_hard_point():
     hard = "İࣩ"
     once = normalize_surface(hard)
     assert normalize_surface(once) == once
-
-
-def test_extraction_record_round_trip():
-    ext = Extraction("d1", "plant", ["quercia", "pino"], PARSE_RECOVERED)
-    rec = ext.to_record(variant="with_dg")
-    assert rec["variant"] == "with_dg"
-    back = Extraction.from_record(rec)
-    assert back == ext
-    assert "variant" not in ext.to_record()
 
 
 class _Job:

@@ -226,3 +226,42 @@ def test_benchmark_expansion_missing_spec(tmp_path, rng, template):
         prompts.expand_benchmark_jobs(
             bench, datasets, {}, prompts.WITH_DG, template, a
         )
+
+
+# Rendered text feeds the cache key and the job's payload, so it must not
+# drift by a byte. The document and the spec carry placeholder and marker
+# text of their own, which must come through verbatim.
+_PIN_HEAD = (
+    'Ti viene fornito un TESTO e il compito di estrarre da esso tutte le entità '
+    'di tipo "pianta {guidelines}".\n'
+)
+_PIN_TAIL = (
+    'Riporta ogni occorrenza di tipo "pianta {guidelines}", usando esattamente '
+    'la forma con cui compare nel TESTO.\n'
+    'Rispondi SOLO con una lista JSON di stringhe, ad esempio '
+    '["prima entità", "seconda entità"].\n'
+    'Se nel TESTO non sono presenti entità di questo tipo, rispondi con una '
+    'lista vuota: [].\n'
+    '\n'
+    'TESTO: Il segnaposto {text} resta e {dg:begin} pure.'
+)
+
+
+def test_default_template_renders_pinned_text():
+    template = load_template("default_it")
+    doc = Document("d1", "Il segnaposto {text} resta e {dg:begin} pure.")
+    spec = TagSpec(
+        tag_id="plant",
+        display_name="pianta {guidelines}",
+        definition="Una {text} vegetale.",
+        guidelines="Riga uno.\n{dg:end}\nRiga due.",
+    )
+    assert prompts.render(doc, spec, prompts.WITH_DG, template) == (
+        _PIN_HEAD
+        + "Definizione: Una {text} vegetale.\n"
+        + "Linee guida: Riga uno.\n{dg:end}\nRiga due.\n"
+        + _PIN_TAIL
+    )
+    assert prompts.render(doc, spec, prompts.WITHOUT_DG, template) == (
+        _PIN_HEAD + _PIN_TAIL
+    )
