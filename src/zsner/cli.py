@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import click
 
-from zsner import corpus, evaluation, inference, parsing, prompts, resources
+from zsner import __version__, corpus, evaluation, inference, parsing, prompts, resources
 from zsner import guidelines as dg
 from zsner.errors import (
     ConfigError,
@@ -82,7 +82,7 @@ def _parse_mock(mock: str) -> tuple[str, int]:
 
 
 @click.group()
-@click.version_option(package_name="zsner")
+@click.version_option(version=__version__)
 def cli():
     """Zero-shot named-entity evaluation over instruction-tuned chat models."""
 
@@ -456,19 +456,21 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         else None
     )
     stats = inference.RunStats()
-    records = inference.run(
-        jobs,
-        backend,
-        cache,
-        max_parallel=knobs.max_parallel,
-        max_retries=knobs.max_retries,
-        retry_base_delay=knobs.retry_base_delay,
-        limiter=limiter,
-        stats=stats,
-    )
-    cache.close()
-    if mock is None:
-        backend.close()
+    try:
+        records = inference.run(
+            jobs,
+            backend,
+            cache,
+            max_parallel=knobs.max_parallel,
+            max_retries=knobs.max_retries,
+            retry_base_delay=knobs.retry_base_delay,
+            limiter=limiter,
+            stats=stats,
+        )
+    finally:
+        cache.close()
+        if mock is None:
+            backend.close()
 
     manifest = {
         "benchmark_id": bench.benchmark_id,
@@ -602,7 +604,7 @@ def score(run_dir, output, semantics, quiet):
         cell = SimpleNamespace(
             job_id=prompts.job_id_for(doc_id, tag, *grid), doc_id=doc_id, tag_id=tag
         )
-        rec = by_id.get(cell.job_id)
+        rec = by_id.pop(cell.job_id, None)
         if rec is None:
             missing.append(cell.job_id)
         else:
@@ -612,6 +614,11 @@ def score(run_dir, output, semantics, quiet):
     if missing:
         raise CoverageError(
             f"run lacks records for {len(missing)} jobs, e.g. {missing[:5]}"
+        )
+    if by_id:  # every record left over matches no cell
+        raise CoverageError(
+            f"run has records for {len(by_id)} jobs on no cell of the benchmark "
+            f"grid, e.g. {list(by_id)[:5]}"
         )
 
     gold = evaluation.build_gold(bench, datasets)

@@ -8,7 +8,7 @@ in a JSON store so inference runs never regenerate them.
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -38,7 +38,6 @@ class TagSpec:
     guidelines: str = ""
     provenance: str = "generated"
     generator_model: str = ""
-    seen_in_training: bool = False  # benchmark context, not persisted
 
     def to_record(self) -> dict:
         return {
@@ -113,12 +112,6 @@ def load_store(path) -> GuidelineStore:
         created_at=data.get("created_at", ""),
         meta_prompt_id=data.get("meta_prompt_id", ""),
     )
-
-
-def mark_seen_in_training(store: GuidelineStore, training_tags) -> None:
-    seen = set(training_tags)
-    for tag, spec in store.records.items():
-        store.records[tag] = replace(spec, seen_in_training=tag in seen)
 
 
 def validate_store(store: GuidelineStore, required_tags) -> dict:

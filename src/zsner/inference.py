@@ -136,23 +136,24 @@ class ResponseCache:
 
     def __init__(self, directory):
         self.directory = Path(directory)
+        self._lock = threading.Lock()
+        self._records: dict[str, str] = {}
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.directory / "responses.jsonl", "a+b")
             self._fh.seek(0)
-            data = self._fh.read()
-            if data and not data.endswith(b"\n"):
+            line = b"\n"  # an empty log needs no newline
+            for line in self._fh:
+                # a torn line may end inside a multi-byte character
+                text = line.decode("utf-8", "surrogateescape").removesuffix("\n")
+                key, _, text = text.partition("\t")
+                if key:
+                    self._records[key] = text
+            if not line.endswith(b"\n"):
                 self._fh.write(b"\n")  # end the line torn by a killed run
                 self._fh.flush()
         except OSError as exc:
             raise CacheError(f"cache directory {self.directory} not writable: {exc}")
-        self._lock = threading.Lock()
-        self._records: dict[str, str] = {}
-        # a torn line may end inside a multi-byte character
-        for line in data.decode("utf-8", "surrogateescape").split("\n"):
-            key, _, text = line.partition("\t")
-            if key:
-                self._records[key] = text
 
     def get(self, key: str) -> dict | None:
         text = self._records.get(key)
@@ -440,6 +441,15 @@ class RunStats:
     failed: int = 0
 
 
+# How many misses may wait for a worker before the runner stops reading
+# jobs: W = max(MAX_PENDING, 16 * max_parallel). When W are pending it waits
+# for the older half, one wait per W/2 jobs rather than a thread handoff
+# per job, while the newer half keeps every worker busy. 16 jobs per worker
+# ride out a stretch of slow replies, and 1024 rendered jobs hold a few MB
+# whatever the size of the grid.
+MAX_PENDING = 1024
+
+
 def run(
     jobs,
     backend,
@@ -454,12 +464,16 @@ def run(
 ) -> list[CompletionRecord]:
     """Execute jobs, returning records aligned with the input order.
 
-    Cache hits are served on the calling thread as the jobs are walked, at
-    no backend call and no limiter slot, and come back with attempt_count 0;
-    each miss goes to the thread pool as soon as it is found. Transient
-    failures back off exponentially (base * 2^n) up to max_retries extra
-    attempts; a job that still fails yields an error record and the rest
-    of the batch proceeds.
+    Jobs are read as the runner reaches them. Cache hits are served on the
+    calling thread, at no backend call and no limiter slot, and come back
+    with attempt_count 0; each miss goes to the thread pool as soon as it
+    is found, and at most max(MAX_PENDING, 16 * max_parallel) misses are
+    pending at once. Transient failures back off exponentially
+    (base * 2^n) up to max_retries extra attempts; a job that still fails
+    yields an error record and the rest of the batch proceeds. A rejected
+    credential (a non-transient `auth` error) stops the run instead: no
+    further job is read or sent, calls in flight finish (their replies
+    are cached), and AuthError is raised.
     """
     from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -467,10 +481,11 @@ def run(
         raise ValueError("max_parallel must be >= 1")
     stats = stats if stats is not None else RunStats()
     fingerprint = getattr(backend, "fingerprint", "")
+    rejected: list[BackendError] = []  # the run stops once this is not empty
 
-    def fetch(job, key) -> CompletionRecord:
+    def fetch(job, key) -> CompletionRecord | None:
         attempts = 0
-        while True:
+        while not rejected:
             attempts += 1
             if limiter is not None:
                 limiter.acquire()
@@ -481,6 +496,8 @@ def run(
                 if exc.transient and attempts <= max_retries:
                     sleep(retry_base_delay * (2 ** (attempts - 1)))
                     continue
+                if exc.kind == KIND_AUTH:
+                    rejected.append(exc)
                 with lock:
                     stats.failed += 1
                 return CompletionRecord(
@@ -507,22 +524,47 @@ def run(
             with lock:
                 stats.fetched += 1
             return rec
+        return None  # the run is stopping: nothing more is sent
 
     lock = threading.Lock()
-    slots: list[CompletionRecord | Future] = []
-    with ThreadPoolExecutor(max_workers=max_parallel) as pool:
+    window = max(MAX_PENDING, 16 * max_parallel)
+    records: list[CompletionRecord | None] = []
+    pending: deque[tuple[int, Future]] = deque()  # (index in records, miss)
+
+    def collect(n: int) -> None:
+        for _ in range(n):
+            i, fut = pending.popleft()
+            records[i] = fut.result()
+
+    pool = ThreadPoolExecutor(max_workers=max_parallel)
+    try:
         for job in jobs:
+            if rejected:
+                break
             key = cache_key(job.payload, fingerprint)
             hit = cache.get(key) if cache is not None else None
             if hit is None:
-                slots.append(pool.submit(fetch, job, key))
+                pending.append((len(records), pool.submit(fetch, job, key)))
+                records.append(None)
+                if len(pending) >= window:
+                    collect(window // 2)
                 continue
             rec = CompletionRecord.from_record(hit)
             rec.job_id = job.job_id
             rec.attempt_count = 0
             stats.cached += 1  # only this thread counts hits
-            slots.append(rec)
-        return [s.result() if isinstance(s, Future) else s for s in slots]
+            records.append(rec)
+        if not rejected:
+            collect(len(pending))
+    finally:
+        # queued jobs are dropped; calls in flight finish and reach the cache
+        pool.shutdown(cancel_futures=True)
+    if rejected:
+        raise AuthError(
+            f"endpoint rejected the credentials: {rejected[0]}; replies received "
+            f"so far are cached, so a rerun does not repeat them"
+        )
+    return records
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ inside document text or guideline text are never re-expanded.
 
 import hashlib
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from zsner.corpus import Benchmark, Document
@@ -90,18 +91,7 @@ def render(
     doc: Document, spec: TagSpec, variant: str, template: PromptTemplate
 ) -> str:
     """The user-turn prompt text for one (document, tag) cell."""
-    if variant == WITH_DG:
-        if not spec.definition.strip() or not spec.guidelines.strip():
-            raise RenderError(
-                f"tag {spec.tag_id!r}: with_dg rendering needs a non-empty "
-                f"definition and guidelines"
-            )
-        body = template.with_dg_body
-    elif variant == WITHOUT_DG:
-        body = template.without_dg_body
-    else:
-        raise RenderError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
+    body = _variant_body(spec, variant, template)
     values = {
         "text": doc.text,
         "display_name": spec.display_name,
@@ -109,6 +99,20 @@ def render(
         "guidelines": spec.guidelines,
     }
     return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], body)
+
+
+def _variant_body(spec: TagSpec, variant: str, template: PromptTemplate) -> str:
+    """The template body `variant` renders for `spec`, or RenderError."""
+    if variant == WITH_DG:
+        if not spec.definition.strip() or not spec.guidelines.strip():
+            raise RenderError(
+                f"tag {spec.tag_id!r}: with_dg rendering needs a non-empty "
+                f"definition and guidelines"
+            )
+        return template.with_dg_body
+    if variant == WITHOUT_DG:
+        return template.without_dg_body
+    raise RenderError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 # --------------------------------------------------------------------------
@@ -222,6 +226,24 @@ def _build_job(doc, spec, variant, template, adapter, system_text) -> PromptJob:
     )
 
 
+class JobGrid:
+    """The jobs of a benchmark grid, built one at a time as it is iterated.
+
+    len() is the number of cells. Each pass renders every job afresh, in
+    Benchmark.cells() order, so no payload outlives its consumer.
+    """
+
+    def __init__(self, size: int, build: Callable[[], Iterator[PromptJob]]):
+        self._size = size
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[PromptJob]:
+        return self._build()
+
+
 def expand_benchmark_jobs(
     benchmark: Benchmark,
     datasets: dict[str, list[Document]],
@@ -230,8 +252,12 @@ def expand_benchmark_jobs(
     template: PromptTemplate,
     adapter: ChatAdapter,
     system_text: str = "",
-) -> list[PromptJob]:
-    """One job per cell of Benchmark.cells(), in its order."""
+) -> JobGrid:
+    """One job per cell of Benchmark.cells(), in its order, rendered lazily.
+
+    Every ExpansionError or RenderError a job could raise is raised here,
+    before any job is built.
+    """
     docs_by_id: dict[str, Document] = {}
     for tier in benchmark.tiers:
         for ds in tier.dataset_ids:
@@ -245,33 +271,17 @@ def expand_benchmark_jobs(
                     raise ExpansionError(
                         f"duplicate document id {doc.doc_id!r} with differing text"
                     )
-    jobs: list[PromptJob] = []
-    for (doc_id, tag), _ in benchmark.cells():
+    cells = benchmark.cells()
+    for tag in dict.fromkeys(tag for (_, tag), _ in cells):  # first-use order
         spec = specs.get(tag)
         if spec is None:
             raise ExpansionError(f"no tag spec for {tag!r}")
-        jobs.append(
-            _build_job(docs_by_id[doc_id], spec, variant, template, adapter, system_text)
-        )
-    return jobs
+        _variant_body(spec, variant, template)
 
+    def build() -> Iterator[PromptJob]:
+        for (doc_id, tag), _ in cells:
+            yield _build_job(
+                docs_by_id[doc_id], specs[tag], variant, template, adapter, system_text
+            )
 
-def benchmark_grid_jobs(
-    benchmark: Benchmark, variant: str, template_id: str, adapter_id: str
-) -> list[PromptJob]:
-    """The same job grid as expand_benchmark_jobs, without rendered payloads.
-
-    Job ids depend only on (doc, tag, variant, template, adapter), so this
-    is enough to pair archived completion records back to their cells.
-    """
-    return [
-        PromptJob(
-            job_id=job_id_for(doc_id, tag, variant, template_id, adapter_id),
-            doc_id=doc_id,
-            tag_id=tag,
-            variant=variant,
-            template_id=template_id,
-            adapter_id=adapter_id,
-        )
-        for (doc_id, tag), _ in benchmark.cells()
-    ]
+    return JobGrid(len(cells), build)

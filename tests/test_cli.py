@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from conftest import build_benchmark_tree
+from conftest import build_benchmark_tree, completion
 from zsner import inference
 from zsner.cli import main
 
@@ -395,3 +396,109 @@ def test_score_json_matches_golden_bytes(tmp_path, semantics, capsys):
     assert tally == "replies: 363 ok, 91 recovered, 245 failed"
     golden = FIXTURES / f"score_mixed_{semantics}.json"
     assert _masked(out) == golden.read_text(encoding="utf-8")
+
+
+def _digest(path, mask=False) -> dict:
+    text = path.read_text(encoding="utf-8")
+    if mask:  # the only fields that vary from run to run
+        text = re.sub(r'"latency_ms": \d+', '"latency_ms": 0', text)
+        text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+    return {"lines": text.count("\n"),
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def grid_outputs(root) -> dict:
+    """Digests of what a seeded tree gives: replies.jsonl of a cold and a
+    warm mock run, and the render -o export of each variant."""
+    import random
+
+    build_benchmark_tree(root, random.Random(5150))
+    _gen_store(root)
+    cfg = _write_run_config(root, "with_dg")
+    out = {}
+    for name, extra in (("replies_cold", ()), ("replies_warm", ("--overwrite",))):
+        assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                       "--max-parallel", "3", "--quiet", *extra) == 0
+        out[name] = _digest(root / "r" / "replies.jsonl", mask=True)
+    assert run_cli("render", "--benchmark", root / "manifest.json", "--store",
+                   root / "store.json", "-o", root / "with_dg.jsonl") == 0
+    assert run_cli("render", "--benchmark", root / "manifest.json", "--variant",
+                   "without_dg", "--adapter", "llama3_headers", "--system",
+                   "Sei un annotatore.", "-o", root / "without_dg.jsonl") == 0
+    for variant in ("with_dg", "without_dg"):
+        out[f"render_{variant}"] = _digest(root / f"{variant}.jsonl")
+    return out
+
+
+# The fixture holds the digests these outputs had while jobs were still
+# expanded into a list before the first call; rendering jobs as the runner
+# reaches them must not change a byte.
+def test_run_and_render_outputs_match_eager_expansion(tmp_path, capsys, monkeypatch):
+    # the smallest window, 16 jobs per worker, so the runner waits on its
+    # pending misses several times over the cold run
+    monkeypatch.setattr(inference, "MAX_PENDING", 1)
+    expected = json.loads((FIXTURES / "grid_outputs.json").read_text(encoding="utf-8"))
+    assert grid_outputs(tmp_path) == expected
+
+
+def test_version_from_source_checkout():
+    from click.testing import CliRunner
+
+    from zsner.cli import cli
+
+    result = CliRunner().invoke(cli, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
+
+def test_score_rejects_stray_records(tree, capsys):
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "empty",
+                   "--quiet") == 0
+    assert run_cli("score", root / "r", "--quiet") == 0
+    replies = root / "r" / "replies.jsonl"
+    stray = json.loads(replies.read_text(encoding="utf-8").splitlines()[0])
+    stray["job_id"] = "0000deadbeef0000"
+    with open(replies, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(stray) + "\n")
+    capsys.readouterr()
+    assert run_cli("score", root / "r", "--quiet") == 4
+    err = capsys.readouterr().err
+    assert "records for 1 jobs" in err and "0000deadbeef0000" in err
+
+
+def test_render_export_with_uncovered_tag_writes_nothing(tree, capsys):
+    root, bench = tree
+    _gen_store(root)
+    store = json.loads((root / "store.json").read_text(encoding="utf-8"))
+    del store["records"][bench.tiers[-1].tag_ids[-1]]
+    (root / "store.json").write_text(json.dumps(store), encoding="utf-8")
+    assert run_cli("render", "--benchmark", root / "manifest.json",
+                   "--store", root / "store.json", "-o", root / "jobs.jsonl") == 2
+    assert not (root / "jobs.jsonl").exists()
+
+
+def test_run_stops_with_exit_5_on_rejected_credentials(tree, endpoint, capsys):
+    root, bench = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    raw = json.loads(cfg.read_text(encoding="utf-8"))
+    raw["backend"] = {"endpoint_url": endpoint.url, "model_name": "m",
+                      "max_parallel": 3, "retry_base_delay": 0.0}
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    cells = len(bench.cells())
+    k = 40
+    endpoint.script = [(200, completion("[]"))] * k + [(401, {})] * cells
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--quiet") == 5
+    assert "rejected the credentials" in capsys.readouterr().err
+    assert k < len(endpoint.requests) <= k + 3
+    assert not (root / "r" / "manifest.json").exists()
+    assert not (root / "r" / "replies.jsonl").exists()
+    assert endpoint.wait_all_closed()
+
+    # with the key fixed, the finished cells come from the cache
+    endpoint.script = []
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--quiet") == 0
+    manifest = json.loads((root / "r" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["counts"] == {"jobs": cells, "cached": k,
+                                  "fetched": cells - k, "failed": 0}

@@ -183,17 +183,3 @@ def test_validate_store_reports_problems():
     good = dg.GuidelineStore()
     good.records["plant"] = dg.TagSpec("plant", "pianta", "d", "g")
     assert dg.validate_store(good, ["plant"])["ok"] is True
-
-
-def test_mark_seen_in_training_not_persisted(tmp_path):
-    store = dg.GuidelineStore()
-    store.records["plant"] = dg.TagSpec("plant", "pianta", "d", "g")
-    store.records["person"] = dg.TagSpec("person", "persona", "d", "g")
-    dg.mark_seen_in_training(store, ["person"])
-    assert store.records["person"].seen_in_training is True
-    assert store.records["plant"].seen_in_training is False
-    path = tmp_path / "store.json"
-    dg.save_store(store, path)
-    assert "seen_in_training" not in path.read_text(encoding="utf-8")
-    back = dg.load_store(path)
-    assert back.records["person"].seen_in_training is False

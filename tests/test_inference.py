@@ -3,6 +3,7 @@ import json
 import ssl
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -270,6 +271,185 @@ def test_run_does_not_cache_failures(tmp_path):
     assert records[0].status == "ok"
     assert len(cache) == 1
     cache.close()
+
+
+def _window(max_parallel):
+    return max(inf.MAX_PENDING, 16 * max_parallel)
+
+
+def _run_in_thread(*args, **kwargs):
+    """Start inf.run on a thread; the list gets its records or its error."""
+    out = []
+
+    def target():
+        try:
+            out.append(inf.run(*args, **kwargs))
+        except Exception as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    return thread, out
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def test_run_reads_at_most_the_window_ahead_of_finished_jobs():
+    window = _window(4)
+    lock = threading.Lock()
+    finished = [0]
+    leads = []  # jobs read minus jobs finished, at each read
+    release = threading.Event()
+
+    def jobs():
+        for i in range(3 * window):
+            with lock:
+                leads.append(len(leads) + 1 - finished[0])
+            yield job(f"j{i}")
+
+    def complete(j):
+        assert release.wait(timeout=30)
+        with lock:
+            finished[0] += 1
+        return "[]"
+
+    backend = SimpleNamespace(complete=complete)
+    thread, out = _run_in_thread(jobs(), backend, None, max_parallel=4)
+    try:
+        _wait_until(lambda: len(leads) >= window)
+        time.sleep(0.2)
+        assert len(leads) == window  # nothing finished: the runner waits
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [r.job_id for r in out[0]] == [f"j{i}" for i in range(3 * window)]
+    assert max(leads) <= window
+
+
+def test_run_keeps_workers_busy_behind_a_stuck_job():
+    window = _window(4)
+    lock = threading.Lock()
+    done = [0]
+    half_done = threading.Event()
+    release = threading.Event()
+
+    def complete(j):
+        if j.job_id == "j0":
+            assert release.wait(timeout=30)
+        else:
+            with lock:
+                done[0] += 1
+                if done[0] >= window // 2:
+                    half_done.set()
+        return "[]"
+
+    backend = SimpleNamespace(complete=complete)
+    jobs = [job(f"j{i}") for i in range(2 * window)]
+    thread, out = _run_in_thread(jobs, backend, None, max_parallel=4)
+    try:
+        # the runner waits on j0, its oldest miss; the others go on meanwhile
+        assert half_done.wait(timeout=30)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [r.status for r in out[0]] == ["ok"] * len(jobs)
+
+
+def test_run_order_and_stats_under_frequent_thread_switches(tmp_path, monkeypatch):
+    monkeypatch.setattr(inf, "MAX_PENDING", 1)  # the window is 16 per worker
+    n = 3000
+    gold = {(f"d{i}", "plant"): [f"s{i}"] for i in range(n)}
+    jobs = [job(f"j{i}", f"d{i}") for i in range(n)]
+    cache = inf.ResponseCache(tmp_path / "cache")
+    inf.run(jobs[::3], inf.MockBackend("gold_oracle", gold), cache, max_parallel=2)
+    backend = inf.MockBackend(
+        "gold_oracle", gold,
+        fail_plan={f"j{i}": 1 if i % 5 else 9 for i in range(1, n, 7)},
+    )
+    stats = inf.RunStats()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        records = inf.run(jobs, backend, cache, max_parallel=16, max_retries=2,
+                          sleep=lambda _: None, stats=stats)
+    finally:
+        sys.setswitchinterval(interval)
+        cache.close()
+    assert [r.job_id for r in records] == [j.job_id for j in jobs]
+    failed = [r.job_id for r in records if r.status == "error"]
+    assert failed == [f"j{i}" for i in range(1, n, 7) if i % 3 and not i % 5]
+    assert all(r.raw_text == f'["s{i}"]' for i, r in enumerate(records)
+               if r.status == "ok")
+    assert (stats.cached, stats.fetched, stats.failed) == (
+        1000, n - 1000 - len(failed), len(failed))
+    assert 1 <= backend.max_in_flight <= 16
+
+
+def test_run_stops_on_rejected_credentials(tmp_path):
+    auth_seen = threading.Event()
+    calls = []
+
+    def complete(j):
+        calls.append(j.job_id)
+        if j.job_id == "j0":  # still in flight when the rejection comes
+            assert auth_seen.wait(timeout=30)
+            return '["Roma"]'
+        auth_seen.set()
+        raise inf.BackendError("auth rejected (401)", "auth", transient=False)
+
+    backend = SimpleNamespace(complete=complete, fingerprint="m:0")
+    jobs = [job(f"j{i}") for i in range(200)]
+    cache = inf.ResponseCache(tmp_path / "cache")
+    with pytest.raises(AuthError, match="401"):
+        inf.run(jobs, backend, cache, max_parallel=2)
+    cache.close()
+    # 401 from the second request on: at most one more per worker
+    assert sorted(calls[:2]) == ["j0", "j1"]
+    assert len(calls) <= 1 + 2
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    assert len(reopened) == 1
+    assert reopened.get(inf.cache_key(jobs[0].payload, "m:0"))["raw_text"] == '["Roma"]'
+    reopened.close()
+
+
+def test_run_stops_reading_jobs_after_rejected_credentials():
+    window = _window(2)
+    read = []
+
+    def jobs():
+        for i in range(3 * window):
+            read.append(i)
+            yield job(f"j{i}")
+
+    def complete(j):
+        raise inf.BackendError("auth rejected (403)", "auth", transient=False)
+
+    with pytest.raises(AuthError):
+        inf.run(jobs(), SimpleNamespace(complete=complete), None, max_parallel=2)
+    assert len(read) <= window + 1
+
+
+def test_run_drops_queued_jobs_when_a_call_raises():
+    calls = []
+
+    def complete(j):
+        calls.append(j.job_id)
+        if j.job_id == "j0":
+            raise RuntimeError("backend bug")
+        time.sleep(0.05)
+        return "[]"
+
+    jobs = [job(f"j{i}") for i in range(50)]
+    with pytest.raises(RuntimeError, match="backend bug"):
+        inf.run(jobs, SimpleNamespace(complete=complete), None, max_parallel=1)
+    assert len(calls) < 10  # not all 50: the queued ones were cancelled
 
 
 # --------------------------------------------------------------------------

@@ -210,13 +210,60 @@ def test_benchmark_expansion_covers_grid_once(tmp_path, rng, template):
                 for tag in tier.tag_ids:
                     expected.add((doc_id, tag))
     assert set(cells) == expected
-
-    grid = prompts.benchmark_grid_jobs(bench, prompts.WITH_DG, "t1", "openai_chat")
-    assert [(j.job_id, j.doc_id, j.tag_id) for j in grid] == [
-        (j.job_id, j.doc_id, j.tag_id) for j in jobs
-    ]
-    assert all(j.payload == {} for j in grid)
     assert all(j.payload for j in jobs)
+
+
+def _grid_specs(bench):
+    return {
+        tag: TagSpec(tag_id=tag, display_name=tag, definition="d", guidelines="g")
+        for tag in bench.all_tags()
+    }
+
+
+def test_benchmark_grid_is_sized_and_iterates_again(tmp_path, rng, template):
+    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    grid = prompts.expand_benchmark_jobs(
+        bench, datasets, _grid_specs(bench), prompts.WITH_DG, template,
+        load_adapter("openai_chat"),
+    )
+    assert len(grid) == len(bench.cells())
+    first, second = list(grid), list(grid)
+    assert [(j.doc_id, j.tag_id) for j in first] == [c for c, _ in bench.cells()]
+    assert first == second
+    assert [j.payload for j in first] == [j.payload for j in second]
+    assert first[0] is not second[0]  # built afresh on each pass
+
+
+@pytest.mark.parametrize("fault", ["missing_spec", "unloaded_dataset",
+                                   "differing_duplicate", "empty_guidelines"])
+def test_benchmark_expansion_fails_before_rendering(tmp_path, rng, template,
+                                                   monkeypatch, fault):
+    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    specs = _grid_specs(bench)
+    last_tag = bench.tiers[-1].tag_ids[-1]  # its first cell comes late
+    error = ExpansionError
+    if fault == "missing_spec":
+        del specs[last_tag]
+    elif fault == "unloaded_dataset":
+        del datasets["mn_test"]
+    elif fault == "differing_duplicate":
+        twin = datasets["wn_test"][0]
+        datasets["mn_test"] = datasets["mn_test"] + [
+            Document(twin.doc_id, twin.text + " altro")
+        ]
+    else:
+        specs[last_tag] = TagSpec(last_tag, last_tag, definition="d", guidelines=" ")
+        error = RenderError
+    rendered = []
+    real_render = prompts.render
+    monkeypatch.setattr(prompts, "render",
+                        lambda *args: rendered.append(args) or real_render(*args))
+    with pytest.raises(error):
+        prompts.expand_benchmark_jobs(
+            bench, datasets, specs, prompts.WITH_DG, template,
+            load_adapter("openai_chat"),
+        )
+    assert rendered == []
 
 
 def test_benchmark_expansion_missing_spec(tmp_path, rng, template):
