@@ -570,6 +570,13 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
 # scoring commands
 
 
+def _record_mismatch(missing: list[str], stray: list[str]) -> CoverageError:
+    if missing:
+        return CoverageError(f"run lacks records for {len(missing)} jobs, e.g. {missing[:5]}")
+    return CoverageError(f"run has records for {len(stray)} jobs on no cell of the "
+                         f"benchmark grid, e.g. {stray[:5]}")
+
+
 @cli.command()
 @click.argument("run_dir", type=click.Path(file_okay=False))
 @click.option("-o", "--output", default=None, type=click.Path(dir_okay=False),
@@ -591,41 +598,29 @@ def score(run_dir, output, semantics, quiet):
             f"{manifest['benchmark_id']}, file has {bench.benchmark_id}"
         )
 
-    by_id: dict[str, inference.CompletionRecord] = {}
-    for rec in records:
-        if rec.job_id in by_id:
-            raise RunDirectoryError(f"duplicate record for job {rec.job_id}")
-        by_id[rec.job_id] = rec
+    gold = evaluation.build_gold(bench, datasets)
+    del datasets  # from here on memory holds the gold map, not the documents
     grid = (manifest["variant"], manifest["template_id"], manifest["adapter_id"])
-    preds = []
-    missing = []
     statuses: Counter[str] = Counter()
-    for (doc_id, tag), _ in bench.cells():
-        cell = SimpleNamespace(
-            job_id=prompts.job_id_for(doc_id, tag, *grid), doc_id=doc_id, tag_id=tag
+
+    def predictions():
+        """Each record parsed as it is read, paired with its cell."""
+        pairs = evaluation._lockstep(
+            bench.cells(), records, lambda cell: prompts.job_id_for(*cell, *grid),
+            lambda rec: rec.job_id,
+            duplicate=lambda job_id: RunDirectoryError(f"duplicate record for job {job_id}"),
+            mismatch=_record_mismatch,
         )
-        rec = by_id.pop(cell.job_id, None)
-        if rec is None:
-            missing.append(cell.job_id)
-        else:
+        for (doc_id, tag), _, rec in pairs:
+            cell = SimpleNamespace(job_id=rec.job_id, doc_id=doc_id, tag_id=tag)
             ext = parsing.to_extraction(rec, cell)
             statuses[ext.parse_status] += 1
-            preds.append(ext)
-    if missing:
-        raise CoverageError(
-            f"run lacks records for {len(missing)} jobs, e.g. {missing[:5]}"
-        )
-    if by_id:  # every record left over matches no cell
-        raise CoverageError(
-            f"run has records for {len(by_id)} jobs on no cell of the benchmark "
-            f"grid, e.g. {list(by_id)[:5]}"
-        )
+            yield ext
 
-    gold = evaluation.build_gold(bench, datasets)
     report = evaluation.tier_report(
         bench,
         gold,
-        preds,
+        predictions(),
         manifest["variant"],
         semantics=semantics,
         run_manifest=str(run_path / "manifest.json"),

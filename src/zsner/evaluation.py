@@ -43,8 +43,11 @@ def micro_f1(counts: Counts) -> tuple[float, float, float]:
 
 def build_gold(
     benchmark: Benchmark, datasets: dict[str, list[Document]]
-) -> list[Extraction]:
-    """Gold extractions for every cell of Benchmark.cells(), in its order."""
+) -> dict[str, dict[str, list[str]]]:
+    """Normalized gold surfaces of every tier document: {doc_id: {tag: [surface]}}.
+
+    A document with no mention of a tag has no entry for it.
+    """
     by_doc: dict[str, dict[str, list[str]]] = {}
     for tier in benchmark.tiers:
         for ds in tier.dataset_ids:
@@ -59,10 +62,7 @@ def build_gold(
                     surface = normalize_surface(m.surface)
                     if surface:
                         by_tag.setdefault(m.tag_id, []).append(surface)
-    return [
-        Extraction(doc_id, tag, by_doc[doc_id].get(tag, []))
-        for (doc_id, tag), _ in benchmark.cells()
-    ]
+    return by_doc
 
 
 def _cell_counts(gold: list[str], pred: list[str], semantics: str) -> tuple[int, int, int]:
@@ -172,60 +172,85 @@ class ScoreReport:
         )
 
 
-def _index_extractions(
-    extractions: Iterable[Extraction], side: str
-) -> dict[tuple[str, str], Extraction]:
-    index: dict[tuple[str, str], Extraction] = {}
-    for e in extractions:
-        cell = (e.doc_id, e.tag_id)
-        if cell in index:
-            raise PairingError(f"duplicate {side} extraction for cell {cell}")
-        index[cell] = e
-    return index
+def _lockstep(cells, items, key, item_key, *, duplicate, mismatch):
+    """Pair each cell of Benchmark.cells(), in order, with the item of its key.
+
+    Yields (cell, in_tiers, item). `items` is read once, only as far as the
+    current cell needs; an item read early waits in a dict for its cell.
+    Two items with one key raise duplicate(key); after that, cells with no
+    item or items on no cell raise mismatch(missing keys in cell order,
+    stray keys in read order).
+    """
+    early: dict = {}
+
+    def read():
+        for item in items:
+            k = item_key(item)
+            if k in early:
+                raise duplicate(k)
+            early[k] = item
+            yield k
+
+    reader, missing = read(), []
+    for cell, in_tiers in cells:
+        k = key(cell)
+        if k in early or k in reader:  # `in` reads on up to k, or to the end
+            yield cell, in_tiers, early.pop(k)
+        else:
+            missing.append(k)
+    for _ in reader:
+        pass
+    if early:  # an item whose cell has passed came twice, or is on no cell
+        for k in map(key, (cell for cell, _ in cells)):
+            if k in early:
+                raise duplicate(k)
+    if missing or early:
+        raise mismatch(missing, list(early))
+
+
+def _prediction_mismatch(missing: list, extra: list) -> CoverageError:
+    parts = []
+    if missing:
+        parts.append(f"{len(missing)} missing cells, e.g. {sorted(missing)[:5]}")
+    if extra:
+        parts.append(f"{len(extra)} extra cells, e.g. {sorted(extra)[:5]}")
+    return CoverageError("prediction grid mismatch: " + "; ".join(parts))
 
 
 def tier_report(
     benchmark: Benchmark,
-    gold: Iterable[Extraction],
+    gold: dict[str, dict[str, list[str]]],
     predictions: Iterable[Extraction],
     variant: str,
     *,
     semantics: str = MULTISET,
     run_manifest: str = "",
 ) -> ScoreReport:
-    """Score predictions against gold over every tier of the benchmark.
+    """Score predictions against build_gold's map over every tier.
 
-    Predictions must cover the benchmark's (document, tag) grid exactly;
-    missing or extra cells raise CoverageError rather than scoring as zeros.
+    Predictions are read once, in one pass over Benchmark.cells(), and may
+    come in any order. They must cover the grid exactly: a cell predicted
+    twice raises PairingError, and missing or extra cells raise
+    CoverageError rather than scoring as zeros.
     """
-    gold_index = _index_extractions(gold, "gold")
-    pred_index = _index_extractions(predictions, "predicted")
-
-    # one pass over the distinct cells; counts are summed per (tiers, tag)
+    # counts are summed per (tiers, tag)
     sums: dict[tuple[tuple[str, ...], str], list[int]] = defaultdict(lambda: [0, 0, 0])
-    missing: list[tuple[str, str]] = []
     missing_gold: list[tuple[str, str]] = []
-    for cell, in_tiers in benchmark.cells():
-        pred = pred_index.pop(cell, None)
-        g = gold_index.get(cell)
-        if pred is None or g is None:
-            (missing if pred is None else missing_gold).append(cell)
+    pairs = _lockstep(
+        benchmark.cells(), predictions, lambda cell: cell, lambda e: (e.doc_id, e.tag_id),
+        duplicate=lambda cell: PairingError(f"duplicate predicted extraction for cell {cell}"),
+        mismatch=_prediction_mismatch,
+    )
+    for cell, in_tiers, pred in pairs:
+        by_tag = gold.get(cell[0])
+        if by_tag is None:
+            missing_gold.append(cell)
             continue
-        tp, fp, fn = _cell_counts(g.surfaces, pred.surfaces, semantics)
+        tp, fp, fn = _cell_counts(by_tag.get(cell[1], []), pred.surfaces, semantics)
         acc = sums[in_tiers, cell[1]]
         acc[0] += tp
         acc[1] += fp
         acc[2] += fn
-
-    missing.sort()
-    extra = sorted(pred_index)
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"{len(missing)} missing cells, e.g. {missing[:5]}")
-        if extra:
-            parts.append(f"{len(extra)} extra cells, e.g. {extra[:5]}")
-        raise CoverageError("prediction grid mismatch: " + "; ".join(parts))
     if missing_gold:
         missing_gold.sort()
         raise CoverageError(

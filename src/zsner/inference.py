@@ -14,6 +14,7 @@ import shutil
 import threading
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -608,7 +609,9 @@ def persist_run(records, manifest: dict, run_dir, overwrite: bool = False) -> No
         fh.write("\n")
 
 
-def load_run(run_dir) -> tuple[list[CompletionRecord], dict]:
+def load_run(run_dir) -> tuple[Iterator[CompletionRecord], dict]:
+    """(records, manifest) of a run directory. The manifest is read here; the
+    records are read one line at a time as they are iterated, in file order."""
     run_dir = Path(run_dir)
     replies = run_dir / "replies.jsonl"
     manifest_path = run_dir / "manifest.json"
@@ -616,12 +619,13 @@ def load_run(run_dir) -> tuple[list[CompletionRecord], dict]:
         raise RunDirectoryError(
             f"{run_dir} is not a run directory (need replies.jsonl and manifest.json)"
         )
-    records = []
-    with open(replies, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(CompletionRecord.from_record(json.loads(line)))
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return records, manifest
+    return _read_records(replies), manifest
+
+
+def _read_records(path: Path) -> Iterator[CompletionRecord]:
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield CompletionRecord.from_record(json.loads(line))

@@ -139,15 +139,20 @@ def _scan_balanced_array(text: str) -> list | None:
 
 def extract_list(raw_text: str) -> ParseResult:
     """Three-way classification of a raw model reply. Never raises."""
-    try:
-        value = json.loads(raw_text)
-    except (json.JSONDecodeError, TypeError, RecursionError):
-        value = None
-    if isinstance(value, list):
-        surfaces, dropped = _coerce_elements(value)
-        return ParseResult(PARSE_OK, surfaces, dropped)
+    if not isinstance(raw_text, str):  # e.g. a record whose raw_text is null
+        return ParseResult(PARSE_FAILED, [])
+    # json.loads can only return a list when the first character after JSON
+    # whitespace (a subset of str.isspace) is '['; a failed call is costly
+    if raw_text.lstrip().startswith("["):
+        try:
+            value = json.loads(raw_text)
+        except (json.JSONDecodeError, RecursionError):
+            value = None
+        if isinstance(value, list):
+            surfaces, dropped = _coerce_elements(value)
+            return ParseResult(PARSE_OK, surfaces, dropped)
 
-    embedded = _scan_balanced_array(raw_text) if raw_text else None
+    embedded = _scan_balanced_array(raw_text) if "[" in raw_text else None
     if embedded is not None:
         surfaces, dropped = _coerce_elements(embedded)
         return ParseResult(PARSE_RECOVERED, surfaces, dropped)

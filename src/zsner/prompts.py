@@ -182,35 +182,6 @@ def job_id_for(
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
-def expand_jobs(
-    docs,
-    specs,
-    variant: str,
-    template: PromptTemplate,
-    adapter: ChatAdapter,
-    system_text: str = "",
-) -> list[PromptJob]:
-    """One job per (document, tag), document-major, tag order as given.
-
-    specs is a list of TagSpec (or a tag_id -> TagSpec mapping, iterated in
-    insertion order).
-    """
-    if isinstance(specs, dict):
-        specs = list(specs.values())
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.doc_id in seen:
-            raise ExpansionError(f"duplicate document id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-    jobs: list[PromptJob] = []
-    for doc in docs:
-        for spec in specs:
-            jobs.append(
-                _build_job(doc, spec, variant, template, adapter, system_text)
-            )
-    return jobs
-
-
 def _build_job(doc, spec, variant, template, adapter, system_text) -> PromptJob:
     user_text = render(doc, spec, variant, template)
     return PromptJob(

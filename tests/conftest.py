@@ -168,7 +168,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             srv.requests.append(
                 SimpleNamespace(line=self.requestline, headers=self.headers, body=body)
             )
-            status, reply = srv.script.pop(0) if srv.script else (200, completion("[]"))
+            status, reply = (
+                srv.script.pop(0) if srv.script else (200, completion(srv.respond(body)))
+            )
         time.sleep(srv.delay)
         data = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(status)
@@ -184,8 +186,9 @@ class ScriptedEndpoint(ThreadingHTTPServer):
     """Chat endpoint on 127.0.0.1 that records every request.
 
     Replies come from `script`, a list of (status, dict or bytes) popped one
-    per request, then a completion of "[]". `delay` is slept before
-    each reply; `close_after_reply` drops the connection after each one.
+    per request, then a completion of `respond(request body)`, "[]" unless
+    set. `delay` is slept before each reply; `close_after_reply` drops the
+    connection after each one.
     """
 
     daemon_threads = True
@@ -194,6 +197,7 @@ class ScriptedEndpoint(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), _ScriptedHandler)
         self.cond = threading.Condition()
         self.script: list = []
+        self.respond = lambda body: "[]"
         self.delay = 0.0
         self.close_after_reply = False
         self.requests: list[SimpleNamespace] = []

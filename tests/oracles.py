@@ -131,3 +131,29 @@ def oracle_scan_balanced_array(text: str):
                         break
         start = text.find("[", start + 1)
     return None
+
+
+def _oracle_coerce(items: list) -> tuple[list[str], int]:
+    surfaces, dropped = [], 0
+    for item in items:
+        if isinstance(item, (str, bool, int, float)):
+            surfaces.append(item if isinstance(item, str) else json.dumps(item))
+        else:
+            dropped += 1
+    return surfaces, dropped
+
+
+def oracle_extract_list(raw_text) -> tuple[str, list[str], int]:
+    """(status, surfaces, dropped) as extract_list gave them before it skipped
+    hopeless work: json.loads on every reply, then a scan of every non-empty
+    one."""
+    try:
+        value = json.loads(raw_text)
+    except (json.JSONDecodeError, TypeError, RecursionError):
+        value = None
+    if isinstance(value, list):
+        return ("ok", *_oracle_coerce(value))
+    embedded = oracle_scan_balanced_array(raw_text) if raw_text else None
+    if embedded is not None:
+        return ("recovered", *_oracle_coerce(embedded))
+    return ("failed", [], 0)

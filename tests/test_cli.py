@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,7 +213,7 @@ def test_run_sizes_http_pool_after_max_parallel_override(tree, endpoint):
     endpoint.delay = 0.005  # long enough that every worker gets a job
     assert run_cli("run", cfg, "--run-dir", root / "r", "--max-parallel", "3",
                    "--quiet") == 0
-    records, _ = inference.load_run(root / "r")
+    records = list(inference.load_run(root / "r")[0])
     assert [r.status for r in records] == ["ok"] * len(records)
     assert len(endpoint.requests) == len(records)
     # one keep-alive connection per worker: the override, not the config's 1
@@ -335,7 +340,7 @@ def test_commands_after_assembly_do_not_read_training_data(tmp_path, rng, capsys
     score = json.loads((tmp_path / "r" / "score.json").read_text(encoding="utf-8"))
     assert [t["micro"]["f1"] for t in score["tiers"].values()] == [1.0, 1.0]
     jobs = (tmp_path / "jobs.jsonl").read_text(encoding="utf-8").splitlines()
-    records, _ = inference.load_run(tmp_path / "r")
+    records = list(inference.load_run(tmp_path / "r")[0])
     assert len(jobs) == len(records)
 
 
@@ -502,3 +507,118 @@ def test_run_stops_with_exit_5_on_rejected_credentials(tree, endpoint, capsys):
     manifest = json.loads((root / "r" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["counts"] == {"jobs": cells, "cached": k,
                                   "fetched": cells - k, "failed": 0}
+
+
+def test_score_reads_shuffled_replies_to_the_same_bytes(tmp_path, capsys):
+    import random
+
+    mixed_run(tmp_path)
+    replies = tmp_path / "r" / "replies.jsonl"
+    lines = replies.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(6).shuffle(lines)
+    replies.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "score.json"
+    assert run_cli("score", tmp_path / "r", "-o", out) == 0
+    tally = capsys.readouterr().out.splitlines()[0]
+    assert tally == "replies: 363 ok, 91 recovered, 245 failed"
+    golden = FIXTURES / "score_mixed_multiset.json"
+    assert _masked(out) == golden.read_text(encoding="utf-8")
+
+
+def _edit_replies(replies, fault: str) -> None:
+    """Put one fault or several into a run's replies.jsonl."""
+    lines = replies.read_text(encoding="utf-8").splitlines(keepends=True)
+    stray = json.loads(lines[0])
+    stray["job_id"] = "0000deadbeef0000"
+    stray = json.dumps(stray) + "\n"
+    mid = len(lines) // 2
+    if fault == "duplicate_after_its_cell":
+        lines.append(lines[mid])
+    elif fault == "duplicate_before_its_cell":
+        lines.insert(mid, lines[-1])
+    elif fault == "missing":
+        del lines[mid]
+    elif fault == "stray_mid_file":
+        lines.insert(mid, stray)
+    elif fault == "missing_and_stray":
+        lines[mid] = stray
+    else:  # the first cell missing, a stray record mid-file, a duplicate last
+        lines = lines[1:mid] + [stray] + lines[mid:] + [lines[mid + 3]]
+    replies.write_text("".join(lines), encoding="utf-8")
+
+
+_FAULTS = [
+    ("duplicate_after_its_cell", 2, "duplicate record"),
+    ("duplicate_before_its_cell", 2, "duplicate record"),
+    ("missing", 4, "lacks records for 1 jobs"),
+    ("stray_mid_file", 4, "records for 1 jobs on no cell"),
+    ("missing_and_stray", 4, "lacks records for 1 jobs"),
+    ("duplicate_missing_and_stray", 2, "duplicate record"),
+]
+
+
+@pytest.mark.parametrize("fault, code, message", _FAULTS, ids=[f[0] for f in _FAULTS])
+def test_score_faults_exit_codes_and_write_no_report(tree, capsys, fault, code,
+                                                     message):
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "empty",
+                   "--quiet") == 0
+    _edit_replies(root / "r" / "replies.jsonl", fault)
+    capsys.readouterr()
+    assert run_cli("score", root / "r", "--quiet") == code
+    assert message in capsys.readouterr().err
+    assert not (root / "r" / "score.json").exists()
+
+
+def _masked_replies(run_dir) -> list[dict]:
+    """replies.jsonl without the fields a resumed run may change."""
+    records = []
+    for line in (run_dir / "replies.jsonl").read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        for key in ("timestamp", "latency_ms", "attempt_count"):
+            rec.pop(key)
+        records.append(rec)
+    return records
+
+
+@pytest.mark.parametrize("sig, code", [(signal.SIGINT, 130),
+                                       (signal.SIGKILL, -signal.SIGKILL)],
+                         ids=["sigint", "sigkill"])
+def test_killed_run_resumes_from_its_cache(tree, endpoint, capsys, sig, code):
+    root, bench = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    raw = json.loads(cfg.read_text(encoding="utf-8"))
+    raw["backend"] = {"endpoint_url": endpoint.url, "model_name": "m",
+                      "max_parallel": 2}
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    # a reply of its own for each prompt, so a misplaced one shows
+    endpoint.respond = lambda body: json.dumps([hashlib.sha256(body).hexdigest()[:8]])
+    assert run_cli("run", cfg, "--run-dir", root / "whole", "--quiet") == 0
+
+    endpoint.delay = 0.005
+    src = Path(inference.__file__).parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zsner.cli", "run", str(cfg), "--run-dir",
+         str(root / "r")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    log = root / "r" / "cache" / "responses.jsonl"
+    deadline = time.monotonic() + 30
+    while not log.is_file() or log.read_bytes().count(b"\n") < 20:
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.01)
+    proc.send_signal(sig)
+    assert proc.wait(timeout=30) == code
+    endpoint.delay = 0.0
+    assert [p.name for p in (root / "r").iterdir()] == ["cache"]
+
+    cells = len(bench.cells())
+    cached = log.read_bytes().count(b"\n")  # a line torn by SIGKILL is a miss
+    assert 20 <= cached < cells
+    capsys.readouterr()
+    assert run_cli("run", cfg, "--run-dir", root / "r") == 0
+    out = capsys.readouterr().out
+    assert f"{cells} jobs: {cached} cached, {cells - cached} fetched" in out
+    assert _masked_replies(root / "r") == _masked_replies(root / "whole")

@@ -9,7 +9,7 @@ from oracles import oracle_cell_counts, oracle_prf, oracle_set_cell_counts, rand
 from zsner import corpus
 from zsner import evaluation as ev
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
-from zsner.parsing import Extraction
+from zsner.parsing import Extraction, normalize_surface
 
 
 def counts(tp, fp, fn):
@@ -81,9 +81,25 @@ def test_micro_f1_matches_oracle_formula():
 
 
 def _report_inputs(tmp_path, rng):
+    """(benchmark, gold map, gold extraction of each cell in cells() order)."""
     bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
     gold = ev.build_gold(bench, datasets)
-    return bench, datasets, gold
+    cells = [Extraction(d, t, gold[d].get(t, [])) for (d, t), _ in bench.cells()]
+    return bench, gold, cells
+
+
+def test_build_gold_maps_documents_to_normalized_surfaces(tmp_path, rng):
+    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    gold = ev.build_gold(bench, datasets)
+    tier_docs = [d for ds in ("wn_test", "fic_test", "mn_test") for d in datasets[ds]]
+    assert set(gold) == {d.doc_id for d in tier_docs}  # not the training set
+    for doc in tier_docs:
+        want: dict[str, list[str]] = {}
+        for m in doc.mentions:
+            want.setdefault(m.tag_id, []).append(normalize_surface(m.surface))
+        assert gold[doc.doc_id] == want
+    with pytest.raises(ConfigError):
+        ev.build_gold(bench, {"wn_test": datasets["wn_test"]})
 
 
 _SURFACES = ("roma", "po", "etna")
@@ -149,8 +165,8 @@ def test_tier_report_sums_oracle_cell_counts(data, docs_a, docs_b, semantics):
 
 
 def test_tier_report_gold_vs_itself_is_perfect(tmp_path, rng):
-    bench, _, gold = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in gold]
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in cells]
     report = ev.tier_report(bench, gold, preds, "with_dg")
     for tier in report.tiers.values():
         assert tier.micro.f1 == 1.0
@@ -159,8 +175,8 @@ def test_tier_report_gold_vs_itself_is_perfect(tmp_path, rng):
 
 
 def test_tier_report_empty_predictions_zero(tmp_path, rng):
-    bench, _, gold = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, []) for g in gold]
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    preds = [Extraction(g.doc_id, g.tag_id, []) for g in cells]
     report = ev.tier_report(bench, gold, preds, "without_dg")
     for tier in report.tiers.values():
         assert tier.micro.f1 == 0.0
@@ -171,18 +187,17 @@ def test_tier_report_empty_predictions_zero(tmp_path, rng):
 def test_tier_report_micro_pools_counts_not_averages(tmp_path, rng):
     """Micro-F1 must come from pooled counts; uneven per-tag sizes make the
     pooled value differ from the mean of per-tag F1 (that's the macro)."""
-    bench, _, gold = _report_inputs(tmp_path, rng)
-    by_cell = {(g.doc_id, g.tag_id): g for g in gold}
+    bench, gold, cells = _report_inputs(tmp_path, rng)
     preds = []
     flip = True
-    for g in gold:
+    for g in cells:
         if g.surfaces and flip:
             preds.append(Extraction(g.doc_id, g.tag_id, []))
         else:
             preds.append(Extraction(g.doc_id, g.tag_id, list(g.surfaces)))
         if g.surfaces:
             flip = not flip
-    report = ev.tier_report(bench, by_cell.values(), preds, "with_dg")
+    report = ev.tier_report(bench, gold, preds, "with_dg")
     for tier in report.tiers.values():
         pooled = ev.Counts()
         for s in tier.per_tag.values():
@@ -194,8 +209,8 @@ def test_tier_report_micro_pools_counts_not_averages(tmp_path, rng):
 
 
 def test_tier_report_coverage_missing_and_extra(tmp_path, rng):
-    bench, _, gold = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, []) for g in gold]
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    preds = [Extraction(g.doc_id, g.tag_id, []) for g in cells]
     with pytest.raises(CoverageError) as exc:
         ev.tier_report(bench, gold, preds[:-3], "with_dg")
     assert "missing" in str(exc.value)
@@ -206,15 +221,35 @@ def test_tier_report_coverage_missing_and_extra(tmp_path, rng):
 
 
 def test_tier_report_rejects_duplicate_cells(tmp_path, rng):
-    bench, _, gold = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, []) for g in gold]
-    with pytest.raises(PairingError):
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    preds = [Extraction(g.doc_id, g.tag_id, []) for g in cells]
+    with pytest.raises(PairingError):  # again after its cell has passed
         ev.tier_report(bench, gold, preds + [preds[0]], "with_dg")
+    with pytest.raises(PairingError):  # twice before its cell comes up
+        ev.tier_report(bench, gold, [preds[-1]] + preds, "with_dg")
+    with pytest.raises(PairingError):  # a duplicate outranks a missing cell
+        ev.tier_report(bench, gold, preds[1:] + [preds[2]], "with_dg")
+
+
+def test_tier_report_reads_a_one_shot_generator_in_any_order(tmp_path, rng):
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces[1:])) for g in cells]
+    want = ev.tier_report(bench, gold, preds, "with_dg").to_json()
+    read = []
+
+    def reversed_once():
+        for e in reversed(preds):
+            read.append(e)
+            yield e
+
+    got = ev.tier_report(bench, gold, reversed_once(), "with_dg")
+    assert got.to_json() == want
+    assert len(read) == len(preds)  # each prediction read exactly once
 
 
 def test_score_report_json_round_trip(tmp_path, rng):
-    bench, _, gold = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in gold]
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in cells]
     report = ev.tier_report(bench, gold, preds, "with_dg", run_manifest="m.json")
     back = ev.ScoreReport.from_json(report.to_json())
     assert back.benchmark_id == report.benchmark_id
@@ -275,8 +310,8 @@ def test_format_conventions():
 
 
 def test_render_report_mentions_all_tags(tmp_path, rng):
-    bench, _, gold = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in gold]
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in cells]
     report = ev.tier_report(bench, gold, preds, "with_dg")
     text = ev.render_report(report)
     for tier in bench.tiers:

@@ -1,7 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsner import guidelines as dg
 from zsner.errors import DGFormatError, GenerationError, StoreFormatError
@@ -66,6 +69,35 @@ def test_parse_dg_reply_deep_nesting_is_format_error(raw):
         dg.parse_dg_reply(raw)
     with pytest.raises(DGFormatError):  # the same nesting inside a balanced object
         dg.parse_dg_reply("Ecco: " + raw + "}" * raw.count("{"))
+
+
+_DG_PIECES = ["{", "}", '"', "\\", ":", ",", " ", "\n", "[", "]", "x",
+              '"definizione"', '"linee guida"', '"testo"', "Definizione:",
+              "Linee guida:", "**", "```"]
+
+
+@given(st.one_of(st.text(max_size=200),
+                 st.lists(st.sampled_from(_DG_PIECES), max_size=40).map("".join)))
+@settings(max_examples=300, deadline=None)
+def test_parse_dg_reply_returns_two_strings_or_format_error(raw):
+    try:
+        got = dg.parse_dg_reply(raw)
+    except DGFormatError:
+        return
+    assert isinstance(got, tuple) and len(got) == 2
+    assert all(isinstance(part, str) for part in got)
+
+
+@pytest.mark.parametrize("raw", [
+    ('Ecco: {"definizione": {"a": "b", ' * 4000)[:100_000],
+    '{"a": ' * 4000,
+    "{" * 5000 + "}" * 5000,
+], ids=["unclosed_100kB", "open_objects", "deep_balanced"])
+def test_parse_dg_reply_is_fast_on_hostile_nesting(raw):
+    started = time.perf_counter()
+    with pytest.raises(DGFormatError):
+        dg.parse_dg_reply(raw)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_generate_dg_retries_then_succeeds():

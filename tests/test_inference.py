@@ -636,7 +636,7 @@ def test_persist_run_refuses_overwrite_without_flag(tmp_path):
     with pytest.raises(RunDirectoryError):
         inf.persist_run(_records(), {}, run_dir)
     inf.persist_run(_records(1), {}, run_dir, overwrite=True)
-    records, _ = inf.load_run(run_dir)
+    records = list(inf.load_run(run_dir)[0])
     assert len(records) == 1
 
 
@@ -658,7 +658,7 @@ def test_persist_run_keeps_lone_surrogate(tmp_path):
     rec = _records(1)[0]
     rec.raw_text = json.loads('"Roma \\ud800"')
     inf.persist_run([rec], {}, tmp_path / "run")
-    records, _ = inf.load_run(tmp_path / "run")
+    records = list(inf.load_run(tmp_path / "run")[0])
     assert records == [rec]
 
 

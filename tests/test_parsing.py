@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_scan_balanced_array
+from oracles import oracle_extract_list, oracle_scan_balanced_array
 from zsner import parsing
 from zsner.errors import PairingError
 from zsner.inference import CompletionRecord
@@ -98,6 +98,26 @@ def test_scan_balanced_array_string_cases(text):
 @settings(max_examples=1000, deadline=None)
 def test_scan_balanced_array_matches_rescanning_oracle(text):
     assert parsing._scan_balanced_array(text) == oracle_scan_balanced_array(text)
+
+
+# whitespace JSON skips, whitespace only str.isspace knows, and a BOM
+_LEAD_PIECES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", "\u2003", "\ufeff"]
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(_LEAD_PIECES + _SCAN_PIECES + ["null", "1e5", '["a", 1]']),
+             max_size=40).map("".join),
+    st.text(max_size=80),
+))
+@settings(max_examples=500, deadline=None)
+def test_extract_list_classifies_as_before_its_fast_paths(text):
+    result = extract_list(text)
+    assert (result.status, result.surfaces, result.dropped) == oracle_extract_list(text)
+
+
+@pytest.mark.parametrize("value", [None, 0, 7, [], ["a"], {"a": 1}, True])
+def test_extract_list_non_text_is_failed(value):
+    assert extract_list(value) == parsing.ParseResult(PARSE_FAILED, [])
 
 
 @given(st.lists(st.text(max_size=40), max_size=10))

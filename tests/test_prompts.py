@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import build_benchmark_tree, make_document
+from conftest import build_benchmark_tree
 from zsner import prompts
 from zsner.corpus import Document
 from zsner.errors import ExpansionError, RenderError
@@ -166,29 +166,45 @@ def test_adapter_validation():
 # job expansion
 
 
-def test_job_id_is_stable_and_distinct(template, spec, doc):
+def test_job_id_is_stable_and_distinct(tmp_path, rng, template):
+    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
     a = load_adapter("openai_chat")
-    j1 = prompts.expand_jobs([doc], [spec], prompts.WITH_DG, template, a)[0]
-    j2 = prompts.expand_jobs([doc], [spec], prompts.WITH_DG, template, a)[0]
-    assert j1.job_id == j2.job_id
-    j3 = prompts.expand_jobs([doc], [spec], prompts.WITHOUT_DG, template, a)[0]
-    assert j3.job_id != j1.job_id
-    assert len(j1.job_id) == 16
+
+    def ids(variant):
+        grid = prompts.expand_benchmark_jobs(
+            bench, datasets, _grid_specs(bench), variant, template, a
+        )
+        return [j.job_id for j in grid]
+
+    with_dg = ids(prompts.WITH_DG)
+    assert with_dg == ids(prompts.WITH_DG)
+    assert len(set(with_dg)) == len(with_dg)
+    assert not set(with_dg) & set(ids(prompts.WITHOUT_DG))
+    assert all(len(i) == 16 for i in with_dg)
+    (doc_id, tag), _ = next(iter(bench.cells()))
+    assert with_dg[0] == prompts.job_id_for(
+        doc_id, tag, prompts.WITH_DG, template.template_id, a.adapter_id
+    )
+    key = ("d", "t", prompts.WITH_DG, "tpl", "adapter")
+    moved = {prompts.job_id_for(*key[:i], key[i] + "x", *key[i + 1:]) for i in range(5)}
+    assert len(moved) == 5 and prompts.job_id_for(*key) not in moved
 
 
-def test_expand_jobs_order_and_duplicate_ids(template, spec, rng):
+def test_benchmark_expansion_duplicate_document_ids(tmp_path, rng, template):
+    """A doc id in two tier datasets is one document while their texts agree."""
+    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
     a = load_adapter("openai_chat")
-    docs = [make_document(rng, f"d{i}", ["plant"]) for i in range(3)]
-    other = TagSpec(tag_id="animal", display_name="animale",
-                    definition="x", guidelines="y")
-    jobs = prompts.expand_jobs(docs, [spec, other], prompts.WITH_DG, template, a)
-    assert [(j.doc_id, j.tag_id) for j in jobs] == [
-        ("d0", "plant"), ("d0", "animal"),
-        ("d1", "plant"), ("d1", "animal"),
-        ("d2", "plant"), ("d2", "animal"),
-    ]
-    with pytest.raises(ExpansionError):
-        prompts.expand_jobs(docs + [docs[0]], [spec], prompts.WITH_DG, template, a)
+    twin = datasets["wn_test"][0]
+    datasets["mn_test"] = datasets["mn_test"] + [Document(twin.doc_id, twin.text)]
+    grid = prompts.expand_benchmark_jobs(
+        bench, datasets, _grid_specs(bench), prompts.WITH_DG, template, a
+    )
+    assert len(list(grid)) == len(bench.cells())
+    datasets["mn_test"][-1] = Document(twin.doc_id, twin.text + " altro")
+    with pytest.raises(ExpansionError, match=twin.doc_id):
+        prompts.expand_benchmark_jobs(
+            bench, datasets, _grid_specs(bench), prompts.WITH_DG, template, a
+        )
 
 
 def test_benchmark_expansion_covers_grid_once(tmp_path, rng, template):
