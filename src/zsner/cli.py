@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -250,20 +249,16 @@ def _http_backend(backend_cfg: inference.BackendConfig) -> inference.HttpBackend
         raise ConfigError(f"bad backend config: {e}")
 
 
-def _backend_client(backend_cfg: inference.BackendConfig):
-    backend = _http_backend(backend_cfg)
-
+def _backend_client(backend, backend_cfg: inference.BackendConfig):
     def client(payload: dict) -> str:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return backend.complete(SimpleNamespace(payload=payload))
-            except inference.BackendError as exc:
-                if exc.transient and attempts <= backend_cfg.max_retries:
-                    time.sleep(backend_cfg.retry_base_delay * 2 ** (attempts - 1))
-                    continue
-                raise GenerationError(f"generator backend failure: {exc}") from exc
+        job = SimpleNamespace(payload=payload)
+        try:
+            return inference.call_with_retries(
+                lambda: backend.complete(job),
+                backend_cfg.max_retries, backend_cfg.retry_base_delay,
+            )[0]
+        except inference.BackendError as exc:
+            raise GenerationError(f"generator backend failure: {exc}") from exc
 
     return client
 
@@ -293,17 +288,6 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
 
     if (mock is None) == (backend_path is None):
         raise ConfigError("give exactly one of --mock or --backend")
-    generator_model = ""
-    if mock is not None:
-        if mock != "canned":
-            raise ConfigError(f"unknown guideline mock {mock!r}; only 'canned'")
-        client = _canned_client(resources.load_canned_dg())
-        generator_model = "canned"
-    else:
-        backend_cfg = _backend_config(_load_json(Path(backend_path), "backend config"))
-        client = _backend_client(backend_cfg)
-        generator_model = backend_cfg.model_name
-
     store_file = Path(store_path)
     if store_file.is_file():
         store = dg.load_store(store_file)
@@ -312,16 +296,32 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
     if not store.meta_prompt_id:
         store.meta_prompt_id = meta_id
 
+    backend = None
+    if mock is not None:
+        if mock != "canned":
+            raise ConfigError(f"unknown guideline mock {mock!r}; only 'canned'")
+        client = _canned_client(resources.load_canned_dg())
+        generator_model = "canned"
+    else:
+        backend_cfg = _backend_config(_load_json(Path(backend_path), "backend config"))
+        backend = _http_backend(backend_cfg)
+        client = _backend_client(backend, backend_cfg)
+        generator_model = backend_cfg.model_name
+
     name_map = {t: names.get(t, t.replace("_", " ")) for t in required}
-    generated = dg.generate_missing(
-        store,
-        name_map,
-        client,
-        meta_text,
-        generator_model=generator_model,
-        max_attempts=max_attempts,
-        reply_archive=Path(str(store_file) + ".replies.jsonl"),
-    )
+    try:
+        generated = dg.generate_missing(
+            store,
+            name_map,
+            client,
+            meta_text,
+            generator_model=generator_model,
+            max_attempts=max_attempts,
+            reply_archive=Path(str(store_file) + ".replies.jsonl"),
+        )
+    finally:
+        if backend is not None:
+            backend.close()
     dg.save_store(store, store_file)
     skipped = len(required) - len(generated)
     click.echo(
@@ -364,41 +364,46 @@ def _backend_config(raw: dict) -> inference.BackendConfig:
         raise ConfigError(str(e))
 
 
+def _load_inputs(benchmark_path: Path, store_path, display_names: str,
+                 template: str, adapter: str):
+    """(benchmark, datasets, store, specs, template, adapter) of one grid."""
+    bench, datasets = corpus.load_benchmark(benchmark_path)
+    store = dg.load_store(store_path) if store_path else None
+    names = resources.load_display_names(display_names)
+    specs = _tag_specs(bench.all_tags(), store, names)
+    return (bench, datasets, store, specs, resources.load_template(template),
+            resources.load_adapter(adapter))
+
+
 def _load_run_inputs(cfg: dict, base: Path):
-    """(benchmark, datasets, store, specs, template, adapter, variant, system)."""
+    """(benchmark, datasets, specs, template, adapter, variant, system)."""
     if "benchmark" not in cfg:
         raise ConfigError("run config needs a 'benchmark' manifest path")
-    bench, datasets = corpus.load_benchmark(_resolve(cfg["benchmark"], base))
-
     variant = cfg.get("variant", prompts.WITH_DG)
     if variant not in prompts.VARIANTS:
         raise ConfigError(
             f"variant must be one of {prompts.VARIANTS}, got {variant!r}"
         )
-
-    store = None
-    if cfg.get("store"):
-        store = dg.load_store(_resolve(cfg["store"], base))
-    elif variant == prompts.WITH_DG:
+    if variant == prompts.WITH_DG and not cfg.get("store"):
         raise ConfigError("with_dg runs need a 'store' path in the run config")
+
+    bench, datasets, store, specs, template, adapter = _load_inputs(
+        _resolve(cfg["benchmark"], base),
+        _resolve(cfg["store"], base) if cfg.get("store") else None,
+        cfg.get("display_names", "it"),
+        cfg.get("template", "default_it"),
+        cfg.get("adapter", "openai_chat"),
+    )
     if variant == prompts.WITH_DG:
         report = dg.validate_store(store, bench.all_tags())
-        problems = sorted(
-            set(report["missing"]) | set(report["empty_fields"])
-        )
-        relevant = [t for t in problems if t in set(bench.all_tags())]
+        problems = set(report["missing"]) | set(report["empty_fields"])
+        relevant = sorted(problems & set(bench.all_tags()))
         if relevant:
             raise CoverageError(
                 f"store lacks usable definitions/guidelines for benchmark tags: "
                 f"{', '.join(relevant)}"
             )
-
-    names = resources.load_display_names(cfg.get("display_names", "it"))
-    specs = _tag_specs(bench.all_tags(), store, names)
-    template = resources.load_template(cfg.get("template", "default_it"))
-    adapter = resources.load_adapter(cfg.get("adapter", "openai_chat"))
-    system_text = cfg.get("system_text", "")
-    return bench, datasets, store, specs, template, adapter, variant, system_text
+    return bench, datasets, specs, template, adapter, variant, cfg.get("system_text", "")
 
 
 @cli.command()
@@ -413,7 +418,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     config_path = Path(config)
     cfg = _load_json(config_path, "run config")
     base = config_path.parent
-    bench, datasets, store, specs, template, adapter, variant, system_text = (
+    bench, datasets, specs, template, adapter, variant, system_text = (
         _load_run_inputs(cfg, base)
     )
 
@@ -424,10 +429,9 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     backend_raw = cfg.get("backend") or {}
     if mock is not None:
         kind, k = _parse_mock(mock)
-        all_docs = [d for docs in datasets.values() for d in docs]
-        backend = inference.MockBackend(
-            kind, inference.gold_surface_index(all_docs), k=k
-        )
+        backend = inference.MockBackend(kind, lambda: inference.gold_surface_index(
+            d for docs in datasets.values() for d in docs
+        ), k=k)
         model_name = f"mock:{mock}"
         knobs = inference.BackendConfig(
             endpoint_url="mock://", model_name=model_name,
@@ -456,42 +460,46 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         else None
     )
     stats = inference.RunStats()
+
+    def manifest() -> dict:  # read once every record is written
+        return {
+            "benchmark_id": bench.benchmark_id,
+            "benchmark_path": str(_resolve(cfg["benchmark"], base).resolve()),
+            "store_path": (str(_resolve(cfg["store"], base).resolve())
+                           if cfg.get("store") else ""),
+            "display_names": cfg.get("display_names", "it"),
+            "variant": variant,
+            "template_id": template.template_id,
+            "adapter_id": adapter.adapter_id,
+            "system_text": system_text,
+            "model_name": model_name,
+            "fingerprint": getattr(backend, "fingerprint", ""),
+            "mock": mock or "",
+            "counts": {
+                "jobs": len(jobs),
+                "cached": stats.cached,
+                "fetched": stats.fetched,
+                "failed": stats.failed,
+            },
+        }
+
+    records = inference.run(
+        jobs,
+        backend,
+        cache,
+        max_parallel=knobs.max_parallel,
+        max_retries=knobs.max_retries,
+        retry_base_delay=knobs.retry_base_delay,
+        limiter=limiter,
+        stats=stats,
+    )
     try:
-        records = inference.run(
-            jobs,
-            backend,
-            cache,
-            max_parallel=knobs.max_parallel,
-            max_retries=knobs.max_retries,
-            retry_base_delay=knobs.retry_base_delay,
-            limiter=limiter,
-            stats=stats,
-        )
+        inference.persist_run(records, manifest, run_path, overwrite=True)
     finally:
+        records.close()  # stops the pool before the cache closes
         cache.close()
         if mock is None:
             backend.close()
-
-    manifest = {
-        "benchmark_id": bench.benchmark_id,
-        "benchmark_path": str(_resolve(cfg["benchmark"], base).resolve()),
-        "store_path": str(_resolve(cfg["store"], base).resolve()) if cfg.get("store") else "",
-        "display_names": cfg.get("display_names", "it"),
-        "variant": variant,
-        "template_id": template.template_id,
-        "adapter_id": adapter.adapter_id,
-        "system_text": system_text,
-        "model_name": model_name,
-        "fingerprint": getattr(backend, "fingerprint", ""),
-        "mock": mock or "",
-        "counts": {
-            "jobs": len(jobs),
-            "cached": stats.cached,
-            "fetched": stats.fetched,
-            "failed": stats.failed,
-        },
-    }
-    inference.persist_run(records, manifest, run_path, overwrite=True)
     if not quiet:
         failed = f", {stats.failed} failed" if stats.failed else ""
         click.echo(
@@ -516,14 +524,11 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
 def render(benchmark_path, store_path, variant, template, adapter, display_names,
            system_text, doc_id, tag_id, output):
     """Inspect rendered prompts, or export the full payload grid."""
-    bench, datasets = corpus.load_benchmark(benchmark_path)
-    store = dg.load_store(store_path) if store_path else None
-    if variant == prompts.WITH_DG and store is None:
+    if variant == prompts.WITH_DG and not store_path:
         raise ConfigError("with_dg rendering needs --store")
-    names = resources.load_display_names(display_names)
-    specs = _tag_specs(bench.all_tags(), store, names)
-    template_obj = resources.load_template(template)
-    adapter_obj = resources.load_adapter(adapter)
+    bench, datasets, _, specs, template_obj, adapter_obj = _load_inputs(
+        benchmark_path, store_path, display_names, template, adapter
+    )
 
     if (doc_id is None) != (tag_id is None):
         raise ConfigError("--doc and --tag go together")

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from zsner.errors import (
     AssemblyError,
@@ -306,7 +306,6 @@ class Benchmark:
     min_support: int
     dataset_paths: dict[str, str] = field(default_factory=dict)
     doc_ids: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    segmentation: str = "source"
 
     def tier(self, name: str) -> BenchmarkTier:
         for t in self.tiers:
@@ -321,23 +320,62 @@ class Benchmark:
                 seen.setdefault(tag)
         return list(seen)
 
-    def cells(self) -> Iterable[tuple[tuple[str, str], tuple[str, ...]]]:
+    def cells(self) -> "Grid":
         """Each distinct (doc_id, tag) cell of the tier grids once, with the
         names of the tiers it counts in.
 
         Tier order, then dataset, document and tag order fix the sequence; a
-        cell that two tiers share comes where the first of them puts it.
+        cell that two tiers share comes where the first of them puts it. The
+        view holds an entry per document, a walk a set of one tier's
+        documents, and len() counts without walking the cells.
         """
-        grid: dict[tuple[str, str], tuple[str, ...]] = {}
-        for tier in self.tiers:
-            alone = (tier.name,)
+        tiers, doc_ids = self.tiers, self.doc_ids
+        held: dict[str, int] = {}  # doc_id -> bit set of the tiers it is in
+        for i, tier in enumerate(tiers):
             for ds in tier.dataset_ids:
-                for doc_id in self.doc_ids.get(ds, ()):
-                    for tag in tier.tag_ids:
-                        held = grid.setdefault((doc_id, tag), alone)
-                        if tier.name not in held:
-                            grid[doc_id, tag] = held + alone
-        return grid.items()
+                for doc_id in doc_ids.get(ds, ()):
+                    held[doc_id] = held.get(doc_id, 0) | 1 << i
+        # rows[i][bits]: (tag, tier names) of each cell tier i puts first for
+        # a document in the tiers of `bits`
+        rows: list[dict[int, list]] = [{} for _ in tiers]
+        size = 0
+        for bits, n_docs in Counter(held.values()).items():
+            first: dict[str, tuple[int, tuple[str, ...]]] = {}
+            for i, tier in enumerate(tiers):
+                for tag in tier.tag_ids if bits >> i & 1 else ():
+                    j, names = first.get(tag, (i, ()))
+                    if tier.name not in names:
+                        first[tag] = (j, names + (tier.name,))
+            for i, by_bits in enumerate(rows):
+                by_bits[bits] = [(tag, names) for tag, (j, names) in first.items() if j == i]
+            size += n_docs * len(first)
+
+        def walk() -> Iterator[tuple[tuple[str, str], tuple[str, ...]]]:
+            for tier, by_bits in zip(tiers, rows):
+                seen: set[str] = set()
+                for ds in tier.dataset_ids:
+                    for doc_id in doc_ids.get(ds, ()):
+                        if doc_id not in seen:
+                            seen.add(doc_id)
+                            for tag, names in by_bits[held[doc_id]]:
+                                yield (doc_id, tag), names
+
+        return Grid(size, walk)
+
+
+class Grid:
+    """A sized view of a benchmark grid, walked afresh on each pass: len()
+    is its size and iter() calls walk()."""
+
+    def __init__(self, size: int, walk: Callable[[], Iterator]):
+        self._size = size
+        self._walk = walk
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator:
+        return self._walk()
 
 
 def validate_benchmark(benchmark: Benchmark) -> None:
@@ -438,7 +476,6 @@ def assemble_benchmark(
         min_support=min_support,
         dataset_paths=dataset_paths,
         doc_ids={k: tuple(d.doc_id for d in datasets[k]) for k in sorted(referenced)},
-        segmentation=str(config.get("segmentation", "source")),
     )
     validate_benchmark(benchmark)
     return benchmark
@@ -461,7 +498,6 @@ def save_benchmark(benchmark: Benchmark, path: str | Path) -> None:
     manifest = {
         "benchmark_id": benchmark.benchmark_id,
         "min_support": benchmark.min_support,
-        "segmentation": benchmark.segmentation,
         "training": {
             "dataset": benchmark.training_dataset,
             "tags": list(benchmark.training_tags),
@@ -508,7 +544,6 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document
             tiers=tiers,
             min_support=int(manifest["min_support"]),
             dataset_paths={k: str(v) for k, v in dataset_paths.items()},
-            segmentation=manifest.get("segmentation", "source"),
         )
     except (KeyError, TypeError) as e:
         raise ConfigError(f"benchmark manifest {path} missing field: {e}")

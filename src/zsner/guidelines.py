@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from zsner.errors import DGFormatError, GenerationError, StoreFormatError
+from zsner.parsing import scan_balanced
 
 # chat_client: takes an OpenAI-style chat payload, returns the reply text
 ChatClient = Callable[[dict], str]
@@ -138,41 +139,6 @@ def validate_store(store: GuidelineStore, required_tags) -> dict:
 # generation
 
 
-def _find_balanced_object(text: str) -> dict | None:
-    """First backtick-free balanced {...} that parses as a JSON object."""
-    depth = 0
-    start = -1
-    in_string = False
-    escaped = False
-    for i, ch in enumerate(text):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "}":
-            if depth == 0:
-                continue
-            depth -= 1
-            if depth == 0:
-                try:
-                    obj = json.loads(text[start : i + 1])
-                except (json.JSONDecodeError, RecursionError):
-                    continue
-                if isinstance(obj, dict):
-                    return obj
-    return None
-
-
 def _from_object(obj: dict) -> tuple[str, str] | None:
     definition = ""
     guidelines = ""
@@ -210,24 +176,11 @@ def _from_sections(text: str) -> tuple[str, str] | None:
 def parse_dg_reply(raw_text: str) -> tuple[str, str]:
     """(definition, guidelines) from a generator reply.
 
-    Tries a JSON object first (exact, then first balanced object embedded
+    Tries the first balanced JSON object (the whole reply, or one embedded
     in prose), then labeled "Definizione:"/"Linee guida:" sections.
     """
-    stripped = raw_text.strip()
-    try:
-        obj = json.loads(stripped)
-    except (json.JSONDecodeError, RecursionError):
-        obj = None
-    if isinstance(obj, dict):
-        got = _from_object(obj)
-        if got:
-            return got
-    embedded = _find_balanced_object(raw_text)
-    if embedded is not None:
-        got = _from_object(embedded)
-        if got:
-            return got
-    got = _from_sections(raw_text)
+    obj = scan_balanced(raw_text, "{}") if "{" in raw_text else None
+    got = (_from_object(obj) if obj is not None else None) or _from_sections(raw_text)
     if got:
         return got
     raise DGFormatError(

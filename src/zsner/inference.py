@@ -1,7 +1,7 @@
 """Chat-completions inference with concurrency, retries, and caching.
 
 The runner takes prompt jobs, fans them out over a bounded thread pool,
-and returns one completion record per job in job order. Successful
+and yields one completion record per job in job order. Successful
 replies are cached on disk keyed by payload content plus a decoding
 fingerprint, so reruns and ablation reruns never repeat a request.
 """
@@ -14,7 +14,7 @@ import shutil
 import threading
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,6 +50,7 @@ class BackendError(Exception):
         super().__init__(message)
         self.kind = kind
         self.transient = transient
+        self.attempts = 1  # set by call_with_retries
 
 
 @dataclass
@@ -131,52 +132,64 @@ class ResponseCache:
     """Append-only log of successful completions, indexed in memory.
 
     One file, responses.jsonl, holds a line `<key>\t<record JSON>` per put.
-    It is read once on open; a later line for a key overrides an earlier
-    one, and a record is parsed only when its key is looked up.
+    It is scanned once on open; the index maps each key to the offset of its
+    latest line, and a record is read back and parsed only when its key is
+    looked up, so memory grows with the number of keys, not with replies.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self._lock = threading.Lock()
-        self._records: dict[str, str] = {}
+        self._offsets: dict[str, int] = {}
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.directory / "responses.jsonl", "a+b")
-            self._fh.seek(0)
+            # hits are read through a handle of their own, so reads leave
+            # the append position alone; the file only grows, so what this
+            # handle buffers never goes stale
+            self._reader = open(self._fh.name, "rb")
+            end = 0
             line = b"\n"  # an empty log needs no newline
-            for line in self._fh:
+            for line in self._reader:
                 # a torn line may end inside a multi-byte character
-                text = line.decode("utf-8", "surrogateescape").removesuffix("\n")
-                key, _, text = text.partition("\t")
+                key = line.partition(b"\t")[0].removesuffix(b"\n")
                 if key:
-                    self._records[key] = text
+                    self._offsets[key.decode("utf-8", "surrogateescape")] = end
+                end += len(line)
             if not line.endswith(b"\n"):
                 self._fh.write(b"\n")  # end the line torn by a killed run
                 self._fh.flush()
+                end += 1
+            self._end = end  # every write appends, so this is the next line's offset
         except OSError as exc:
             raise CacheError(f"cache directory {self.directory} not writable: {exc}")
 
     def get(self, key: str) -> dict | None:
-        text = self._records.get(key)
-        if text is None:
+        offset = self._offsets.get(key)
+        if offset is None:
             return None
+        self._reader.seek(offset)
         try:
-            return json.loads(text)
+            stored, _, text = self._reader.readline().decode("utf-8").partition("\t")
+            return json.loads(text) if stored == key else None
         except ValueError:
-            return None  # torn line from a killed run; treat as a miss
+            return None  # torn line from a killed run, maybe mid-character: a miss
 
     def put(self, key: str, record: dict) -> None:
-        text = json.dumps(record)  # ASCII escapes: even a lone surrogate encodes
+        # ASCII escapes: even a lone surrogate encodes
+        line = f"{key}\t{json.dumps(record)}\n".encode("utf-8", "surrogateescape")
         with self._lock:
-            self._fh.write(f"{key}\t{text}\n".encode("utf-8"))
+            self._fh.write(line)
             self._fh.flush()
-            self._records[key] = text
+            self._offsets[key] = self._end
+            self._end += len(line)
 
     def close(self) -> None:
         self._fh.close()
+        self._reader.close()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._offsets)
 
 
 # --------------------------------------------------------------------------
@@ -367,14 +380,17 @@ class MockBackend:
 
     gold_oracle replies with the exact gold surfaces for the job's cell,
     empty always replies [], drop_k omits the first k gold mentions, and
-    malformed replies with prose that carries no JSON array. Instrumented:
-    .calls counts backend invocations, .max_in_flight tracks concurrency.
+    malformed replies with prose that carries no JSON array. gold_surfaces
+    is a (doc_id, tag_id) -> surfaces map, or a function that builds one;
+    it is called on the first complete(), so a run of cache hits never
+    builds it. Instrumented: .calls counts backend invocations,
+    .max_in_flight tracks concurrency.
     """
 
     def __init__(
         self,
         kind: str,
-        gold_surfaces: dict[tuple[str, str], list[str]] | None = None,
+        gold_surfaces=None,
         *,
         k: int = 1,
         delay: float = 0.0,
@@ -398,6 +414,8 @@ class MockBackend:
 
     def complete(self, job) -> str:
         with self._lock:
+            if callable(self.gold_surfaces):
+                self.gold_surfaces = self.gold_surfaces()
             self.calls += 1
             self._in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self._in_flight)
@@ -442,13 +460,49 @@ class RunStats:
     failed: int = 0
 
 
-# How many misses may wait for a worker before the runner stops reading
-# jobs: W = max(MAX_PENDING, 16 * max_parallel). When W are pending it waits
-# for the older half, one wait per W/2 jobs rather than a thread handoff
-# per job, while the newer half keeps every worker busy. 16 jobs per worker
-# ride out a stretch of slow replies, and 1024 rendered jobs hold a few MB
-# whatever the size of the grid.
+# How many jobs may wait behind the oldest unfinished miss before the runner
+# stops reading: W = max(MAX_PENDING, 16 * max_parallel). When W wait it
+# waits for the older half, one wait per W/2 jobs rather than a thread
+# handoff per job, while the newer half keeps every worker busy. 16 jobs per
+# worker ride out a stretch of slow replies, and 1024 rendered jobs hold a
+# few MB whatever the size of the grid.
 MAX_PENDING = 1024
+
+JOURNAL = "replies.jsonl.partial"  # replies.jsonl while a run writes it
+
+
+def call_with_retries(call, max_retries: int, base_delay: float, sleep=time.sleep):
+    """(call(), attempts). A transient BackendError from attempt n is retried
+    after base_delay * 2^(n-1), at most max_retries times; the last
+    BackendError propagates with .attempts set."""
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            return call(), attempts
+        except BackendError as exc:
+            if not exc.transient or attempts > max_retries:
+                exc.attempts = attempts
+                raise
+        sleep(base_delay * 2 ** (attempts - 1))
+
+
+class RecordStream:
+    """inference.run's records, made as they are iterated, in one pass. len()
+    is the number of jobs; close() stops the run."""
+
+    def __init__(self, jobs, records: Iterator[CompletionRecord]):
+        self._jobs = jobs
+        self._records = records
+
+    def __iter__(self) -> Iterator[CompletionRecord]:
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def close(self) -> None:
+        self._records.close()
 
 
 def run(
@@ -462,110 +516,117 @@ def run(
     limiter: RateLimiter | None = None,
     sleep=time.sleep,
     stats: RunStats | None = None,
-) -> list[CompletionRecord]:
-    """Execute jobs, returning records aligned with the input order.
+) -> RecordStream:
+    """Execute jobs, yielding one record per job in job order.
 
     Jobs are read as the runner reaches them. Cache hits are served on the
     calling thread, at no backend call and no limiter slot, and come back
     with attempt_count 0; each miss goes to the thread pool as soon as it
-    is found, and at most max(MAX_PENDING, 16 * max_parallel) misses are
-    pending at once. Transient failures back off exponentially
-    (base * 2^n) up to max_retries extra attempts; a job that still fails
-    yields an error record and the rest of the batch proceeds. A rejected
-    credential (a non-transient `auth` error) stops the run instead: no
-    further job is read or sent, calls in flight finish (their replies
-    are cached), and AuthError is raised.
+    is found. Records wait in a reorder buffer behind the oldest unfinished
+    miss; once W = max(MAX_PENDING, 16 * max_parallel) misses and hits wait
+    there, no further job is read until the older half is out. With no miss
+    pending a hit is yielded at once. Transient failures back off
+    exponentially (base * 2^n) up to max_retries extra attempts; a job that
+    still fails yields an error record and the rest of the batch proceeds.
+    A rejected credential (a non-transient `auth` error) stops the run
+    instead: no further job is read or sent, calls in flight finish (their
+    replies are cached), and AuthError is raised.
     """
-    from concurrent.futures import Future, ThreadPoolExecutor
-
     if max_parallel < 1:
         raise ValueError("max_parallel must be >= 1")
     stats = stats if stats is not None else RunStats()
     fingerprint = getattr(backend, "fingerprint", "")
     rejected: list[BackendError] = []  # the run stops once this is not empty
+    lock = threading.Lock()
 
     def fetch(job, key) -> CompletionRecord | None:
-        attempts = 0
-        while not rejected:
-            attempts += 1
+        started = 0.0
+
+        def attempt() -> str | None:
+            nonlocal started
+            if rejected:
+                return None  # the run is stopping: nothing more is sent
             if limiter is not None:
                 limiter.acquire()
             started = time.monotonic()
-            try:
-                raw = backend.complete(job)
-            except BackendError as exc:
-                if exc.transient and attempts <= max_retries:
-                    sleep(retry_base_delay * (2 ** (attempts - 1)))
-                    continue
-                if exc.kind == KIND_AUTH:
-                    rejected.append(exc)
-                with lock:
-                    stats.failed += 1
-                return CompletionRecord(
-                    job_id=job.job_id,
-                    raw_text="",
-                    status=STATUS_ERROR,
-                    error_kind=exc.kind,
-                    latency_ms=int((time.monotonic() - started) * 1000),
-                    attempt_count=attempts,
-                    fingerprint=fingerprint,
-                    timestamp=_utc_now(),
-                )
-            rec = CompletionRecord(
-                job_id=job.job_id,
-                raw_text=raw,
-                status=STATUS_OK,
-                latency_ms=int((time.monotonic() - started) * 1000),
-                attempt_count=attempts,
-                fingerprint=fingerprint,
-                timestamp=_utc_now(),
-            )
-            if cache is not None:
-                cache.put(key, rec.to_record())
-            with lock:
-                stats.fetched += 1
-            return rec
-        return None  # the run is stopping: nothing more is sent
+            return backend.complete(job)
 
-    lock = threading.Lock()
-    window = max(MAX_PENDING, 16 * max_parallel)
-    records: list[CompletionRecord | None] = []
-    pending: deque[tuple[int, Future]] = deque()  # (index in records, miss)
-
-    def collect(n: int) -> None:
-        for _ in range(n):
-            i, fut = pending.popleft()
-            records[i] = fut.result()
-
-    pool = ThreadPoolExecutor(max_workers=max_parallel)
-    try:
-        for job in jobs:
-            if rejected:
-                break
-            key = cache_key(job.payload, fingerprint)
-            hit = cache.get(key) if cache is not None else None
-            if hit is None:
-                pending.append((len(records), pool.submit(fetch, job, key)))
-                records.append(None)
-                if len(pending) >= window:
-                    collect(window // 2)
-                continue
-            rec = CompletionRecord.from_record(hit)
-            rec.job_id = job.job_id
-            rec.attempt_count = 0
-            stats.cached += 1  # only this thread counts hits
-            records.append(rec)
-        if not rejected:
-            collect(len(pending))
-    finally:
-        # queued jobs are dropped; calls in flight finish and reach the cache
-        pool.shutdown(cancel_futures=True)
-    if rejected:
-        raise AuthError(
-            f"endpoint rejected the credentials: {rejected[0]}; replies received "
-            f"so far are cached, so a rerun does not repeat them"
+        try:
+            raw, attempts = call_with_retries(attempt, max_retries, retry_base_delay, sleep)
+            status, kind = STATUS_OK, ""
+        except BackendError as exc:
+            if exc.kind == KIND_AUTH:
+                rejected.append(exc)
+            raw, attempts, status, kind = "", exc.attempts, STATUS_ERROR, exc.kind
+        if raw is None:
+            return None
+        rec = CompletionRecord(
+            job_id=job.job_id,
+            raw_text=raw,
+            status=status,
+            error_kind=kind,
+            latency_ms=int((time.monotonic() - started) * 1000),
+            attempt_count=attempts,
+            fingerprint=fingerprint,
+            timestamp=_utc_now(),
         )
-    return records
+        if status == STATUS_OK and cache is not None:
+            cache.put(key, rec.to_record())
+        with lock:
+            if status == STATUS_OK:
+                stats.fetched += 1
+            else:
+                stats.failed += 1
+        return rec
+
+    def records() -> Iterator[CompletionRecord]:
+        from concurrent.futures import ThreadPoolExecutor
+
+        window = max(MAX_PENDING, 16 * max_parallel)
+        waiting: deque = deque()  # records and pending misses, in job order
+
+        def drain(keep: int) -> Iterator[CompletionRecord]:
+            """Yield from the front down to `keep` waiting, then every record
+            up to the next pending miss."""
+            while waiting and (len(waiting) > keep or type(waiting[0]) is CompletionRecord):
+                rec = waiting.popleft()
+                if type(rec) is not CompletionRecord:
+                    rec = rec.result()
+                if rejected:
+                    return
+                yield rec
+
+        pool = ThreadPoolExecutor(max_workers=max_parallel)
+        try:
+            for job in jobs:
+                if rejected:
+                    break
+                key = cache_key(job.payload, fingerprint)
+                hit = cache.get(key) if cache is not None else None
+                if hit is None:
+                    waiting.append(pool.submit(fetch, job, key))
+                else:
+                    rec = CompletionRecord.from_record(hit)
+                    rec.job_id = job.job_id
+                    rec.attempt_count = 0
+                    stats.cached += 1  # only this thread counts hits
+                    if not waiting:
+                        yield rec
+                        continue
+                    waiting.append(rec)
+                if len(waiting) >= window:
+                    yield from drain(window // 2)
+            yield from drain(0)
+        finally:
+            # queued jobs are dropped; calls in flight finish and reach the cache
+            pool.shutdown(cancel_futures=True)
+        if rejected:
+            raise AuthError(
+                f"endpoint rejected the credentials: {rejected[0]}; replies received "
+                f"so far are cached, so a rerun does not repeat them"
+            )
+
+    return RecordStream(jobs, records())
 
 
 # --------------------------------------------------------------------------
@@ -595,18 +656,33 @@ def prepare_run_dir(run_dir, overwrite: bool = False) -> Path:
     return run_dir
 
 
-def persist_run(records, manifest: dict, run_dir, overwrite: bool = False) -> None:
-    """Write replies.jsonl and manifest.json into run_dir."""
+def persist_run(
+    records, manifest: Callable[[], dict], run_dir, overwrite: bool = False
+) -> None:
+    """Write replies.jsonl and manifest.json into run_dir.
+
+    Records go to cache/JOURNAL as they are read; once all are written,
+    manifest() goes to manifest.json and the journal becomes replies.jsonl.
+    If the records raise, or the process is interrupted, the journal is
+    deleted; a killed process leaves it for the next run to truncate.
+    """
     run_dir = prepare_run_dir(run_dir, overwrite)
-    with open(run_dir / "replies.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            # ASCII escapes, as in the response log: even a lone surrogate encodes
-            fh.write(json.dumps(rec.to_record()) + "\n")
-    manifest = dict(manifest)
-    manifest.setdefault("written_at", _utc_now())
-    with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    journal = run_dir / "cache" / JOURNAL
+    journal.parent.mkdir(exist_ok=True)
+    try:
+        with open(journal, "w", encoding="utf-8") as fh:
+            for rec in records:
+                # ASCII escapes, as in the response log: even a lone surrogate encodes
+                fh.write(json.dumps(rec.to_record()) + "\n")
+        data = dict(manifest())
+        data.setdefault("written_at", _utc_now())
+        with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(data, fh, ensure_ascii=False, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(journal, run_dir / "replies.jsonl")
+    except BaseException:
+        journal.unlink(missing_ok=True)
+        raise
 
 
 def load_run(run_dir) -> tuple[Iterator[CompletionRecord], dict]:

@@ -59,7 +59,7 @@ def _coerce_elements(items: list) -> tuple[list[str], int]:
     return surfaces, dropped
 
 
-_SCAN_CHARS = re.compile(r'[\[\]"\\]')
+_SCAN_CHARS = {"[]": re.compile(r'[\[\]"\\]'), "{}": re.compile(r'[{}"\\]')}
 _OUT, _IN, _ESC = range(3)  # outside a string, inside one, just after a backslash
 _DECODER = json.JSONDecoder()
 
@@ -67,8 +67,8 @@ _DECODER = json.JSONDecoder()
 def _merge(a: list, b: list) -> list:
     """Join two stacks of open groups that from here on see the same brackets.
 
-    A group, [depth, start, ...], holds the starts that one ']' will close;
-    depth is a lower bound of the nesting inside their spans.
+    A group, [depth, start, ...], holds the starts that one closing bracket
+    will close; depth is a lower bound of the nesting inside their spans.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -78,18 +78,21 @@ def _merge(a: list, b: list) -> list:
     return a
 
 
-def _closed_spans(text: str) -> list[tuple[int, int]]:
-    """(start, depth) for each '[' whose own scan finds the ']' closing it.
+def _closed_spans(text: str, pair: str) -> list[tuple[int, int]]:
+    """(start, depth) for each opening bracket of `pair` ("[]" or "{}") whose
+    own scan finds the bracket closing it.
 
-    A scan from one '[' honours JSON string literals and escapes. Scans from different '[' differ only in their
-    string state, so one left-to-right pass runs them as at most three
-    lanes, one per state; lanes that reach the same state see the same
-    brackets from then on and merge. Linear in len(text).
+    A scan from one bracket honours JSON string literals and escapes. Scans
+    from different brackets differ only in their string state, so one
+    left-to-right pass runs them as at most three lanes, one per state;
+    lanes that reach the same state see the same brackets from then on and
+    merge. Linear in len(text).
     """
+    opening, closing = pair
     lanes: dict[int, list] = {}  # state -> stack of open groups, innermost last
     spans: list[tuple[int, int]] = []
     prev = -1
-    for m in _SCAN_CHARS.finditer(text):
+    for m in _SCAN_CHARS[pair].finditer(text):
         i, ch = m.start(), m.group()
         if _ESC in lanes and i > prev + 1:  # the escaped character was plain text
             esc = lanes.pop(_ESC)
@@ -103,30 +106,31 @@ def _closed_spans(text: str) -> list[tuple[int, int]]:
                 state = _ESC if ch == "\\" else _OUT if ch == '"' else _IN
             elif ch == '"':
                 state = _IN
-            elif ch == "[":
+            elif ch == opening:
                 stack.append([1, i])
-            elif ch == "]":
+            elif ch == closing:
                 group = stack.pop()
                 spans.extend((start, group[0]) for start in group[1:])
                 if not stack:
                     continue
                 stack[-1][0] = max(stack[-1][0], group[0] + 1)
             moved[state] = _merge(moved[state], stack) if state in moved else stack
-        if ch == "[" and _OUT not in moved:
+        if ch == opening and _OUT not in moved:
             moved[_OUT] = [[1, i]]
         lanes = moved
     return spans
 
 
-def _scan_balanced_array(text: str) -> list | None:
-    """Return the first substring, by start, that parses as a JSON array.
+def scan_balanced(text: str, pair: str = "[]") -> list | dict | None:
+    """Return the first substring, by start, that parses as a JSON array
+    (or, with pair "{}", a JSON object).
 
     Only spans whose brackets balance are parsed, each at most once. A span
     nested as deep as the recursion limit is skipped, since json gives up
     on it with RecursionError anyway.
     """
     limit = sys.getrecursionlimit()
-    for start, depth in sorted(_closed_spans(text)):
+    for start, depth in sorted(_closed_spans(text, pair)):
         if depth >= limit:
             continue
         try:
@@ -152,7 +156,7 @@ def extract_list(raw_text: str) -> ParseResult:
             surfaces, dropped = _coerce_elements(value)
             return ParseResult(PARSE_OK, surfaces, dropped)
 
-    embedded = _scan_balanced_array(raw_text) if "[" in raw_text else None
+    embedded = scan_balanced(raw_text) if "[" in raw_text else None
     if embedded is not None:
         surfaces, dropped = _coerce_elements(embedded)
         return ParseResult(PARSE_RECOVERED, surfaces, dropped)

@@ -9,10 +9,10 @@ inside document text or guideline text are never re-expanded.
 
 import hashlib
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from zsner.corpus import Benchmark, Document
+from zsner.corpus import Benchmark, Document, Grid
 from zsner.errors import ExpansionError, RenderError
 from zsner.guidelines import TagSpec
 
@@ -197,24 +197,6 @@ def _build_job(doc, spec, variant, template, adapter, system_text) -> PromptJob:
     )
 
 
-class JobGrid:
-    """The jobs of a benchmark grid, built one at a time as it is iterated.
-
-    len() is the number of cells. Each pass renders every job afresh, in
-    Benchmark.cells() order, so no payload outlives its consumer.
-    """
-
-    def __init__(self, size: int, build: Callable[[], Iterator[PromptJob]]):
-        self._size = size
-        self._build = build
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[PromptJob]:
-        return self._build()
-
-
 def expand_benchmark_jobs(
     benchmark: Benchmark,
     datasets: dict[str, list[Document]],
@@ -223,8 +205,9 @@ def expand_benchmark_jobs(
     template: PromptTemplate,
     adapter: ChatAdapter,
     system_text: str = "",
-) -> JobGrid:
-    """One job per cell of Benchmark.cells(), in its order, rendered lazily.
+) -> Grid:
+    """One job per cell of Benchmark.cells(), in its order, as a Grid: each
+    pass renders every job afresh, so no payload outlives its consumer.
 
     Every ExpansionError or RenderError a job could raise is raised here,
     before any job is built.
@@ -255,4 +238,4 @@ def expand_benchmark_jobs(
                 docs_by_id[doc_id], specs[tag], variant, template, adapter, system_text
             )
 
-    return JobGrid(len(cells), build)
+    return Grid(len(cells), build)

@@ -98,14 +98,16 @@ def random_cell(rng: random.Random, max_len: int = 8) -> tuple[list[str], list[s
     return draw(), draw()
 
 
-def oracle_scan_balanced_array(text: str):
-    """The first substring, by start, that parses as a JSON array, else None.
+def oracle_scan_balanced_array(text: str, pair: str = "[]"):
+    """The first substring, by start, that parses as a JSON array (or, with
+    pair "{}", a JSON object), else None.
 
-    Rescans from every '[' (quadratic): for each start, walk forward
-    honouring JSON strings and escapes to the ']' that balances it, and
-    parse that span once.
+    Rescans from every opening bracket (quadratic): for each start, walk
+    forward honouring JSON strings and escapes to the bracket that balances
+    it, and parse that span once.
     """
-    start = text.find("[")
+    opening, closing = pair
+    start = text.find(opening)
     while start != -1:
         depth = 0
         in_string = escaped = False
@@ -120,16 +122,16 @@ def oracle_scan_balanced_array(text: str):
                     in_string = False
             elif ch == '"':
                 in_string = True
-            elif ch == "[":
+            elif ch == opening:
                 depth += 1
-            elif ch == "]":
+            elif ch == closing:
                 depth -= 1
                 if depth == 0:
                     try:
                         return json.loads(text[start : i + 1])
                     except (ValueError, RecursionError):
                         break
-        start = text.find("[", start + 1)
+        start = text.find(opening, start + 1)
     return None
 
 
@@ -157,3 +159,19 @@ def oracle_extract_list(raw_text) -> tuple[str, list[str], int]:
     if embedded is not None:
         return ("recovered", *_oracle_coerce(embedded))
     return ("failed", [], 0)
+
+
+def oracle_cells(tiers, doc_ids: dict) -> dict:
+    """{(doc_id, tag): names of the tiers holding it}, in the order a cell is
+    first met walking tiers, datasets, documents and tags: the grid as
+    Benchmark.cells() built it when it held the whole grid in one dict."""
+    grid: dict = {}
+    for tier in tiers:
+        alone = (tier.name,)
+        for ds in tier.dataset_ids:
+            for doc_id in doc_ids.get(ds, ()):
+                for tag in tier.tag_ids:
+                    held = grid.setdefault((doc_id, tag), alone)
+                    if tier.name not in held:
+                        grid[doc_id, tag] = held + alone
+    return grid

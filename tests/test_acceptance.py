@@ -246,12 +246,12 @@ def test_criterion_7_concurrency_bound_and_warm_cache(tmp_path):
         ]
         backend = inf.MockBackend("gold_oracle", gold, delay=0.001)
         cache = inf.ResponseCache(tmp_path / "cache")
-        records = inf.run(jobs, backend, cache, max_parallel=16)
+        records = list(inf.run(jobs, backend, cache, max_parallel=16))
         assert backend.calls == 1000
         assert backend.max_in_flight <= 16, backend.max_in_flight
         assert all(r.status == "ok" for r in records)
 
-        again = inf.run(jobs, backend, cache, max_parallel=16)
+        again = list(inf.run(jobs, backend, cache, max_parallel=16))
         assert backend.calls == 1000  # not one more
         assert all(r.attempt_count == 0 for r in again)
         assert [r.raw_text for r in again] == [r.raw_text for r in records]

@@ -622,3 +622,67 @@ def test_killed_run_resumes_from_its_cache(tree, endpoint, capsys, sig, code):
     out = capsys.readouterr().out
     assert f"{cells} jobs: {cached} cached, {cells - cached} fetched" in out
     assert _masked_replies(root / "r") == _masked_replies(root / "whole")
+
+
+@pytest.mark.parametrize("fault, code", [("auth", 5), ("backend bug", None)])
+def test_run_failing_mid_stream_leaves_only_the_cache(tree, endpoint, monkeypatch,
+                                                      fault, code):
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    raw = json.loads(cfg.read_text(encoding="utf-8"))
+    raw["backend"] = {"endpoint_url": endpoint.url, "model_name": "m",
+                      "max_parallel": 1}
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    calls = []
+    complete = inference.HttpBackend.complete
+
+    def failing(self, job):
+        calls.append(job.job_id)
+        if len(calls) > 40:
+            if fault == "auth":
+                raise inference.BackendError("auth rejected (401)", "auth", False)
+            raise RuntimeError(fault)
+        return complete(self, job)
+
+    monkeypatch.setattr(inference.HttpBackend, "complete", failing)
+    if code is None:
+        with pytest.raises(RuntimeError, match=fault):
+            run_cli("run", cfg, "--run-dir", root / "r", "--quiet")
+    else:
+        assert run_cli("run", cfg, "--run-dir", root / "r", "--quiet") == code
+    assert [p.name for p in (root / "r").iterdir()] == ["cache"]
+    assert [p.name for p in (root / "r" / "cache").iterdir()] == ["responses.jsonl"]
+    assert (root / "r" / "cache" / "responses.jsonl").read_bytes().count(b"\n") == 40
+    assert endpoint.wait_all_closed()
+
+
+def test_warm_mock_run_builds_no_gold_index(tree, monkeypatch):
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    builds = []
+    index = inference.gold_surface_index
+    monkeypatch.setattr(inference, "gold_surface_index",
+                        lambda docs: builds.append(1) or index(docs))
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet") == 0
+    assert builds == [1]
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet", "--overwrite") == 0
+    assert builds == [1]  # every job a cache hit: no backend call, no index
+
+
+def test_guidelines_gen_backend_retries_then_fails(tmp_path, endpoint, capsys):
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({"endpoint_url": endpoint.url, "model_name": "m",
+                                   "max_retries": 2, "retry_base_delay": 0.0}),
+                       encoding="utf-8")
+    reply = completion(json.dumps({"definizione": "d", "linee guida": "g"}))
+    endpoint.script = [(503, {}), (503, {}), (200, reply)]
+    assert run_cli("guidelines", "gen", "--store", tmp_path / "store.json",
+                   "--tags", "plant", "--backend", backend) == 0
+    assert len(endpoint.requests) == 3
+    endpoint.script = [(503, {})] * 3
+    assert run_cli("guidelines", "gen", "--store", tmp_path / "other.json",
+                   "--tags", "plant", "--backend", backend, "--max-attempts", "1") == 1
+    assert "generator backend failure" in capsys.readouterr().err
+    assert len(endpoint.requests) == 6

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXTRA_TAGS, TRAINING_TAGS, build_benchmark_tree, make_dataset
+from oracles import oracle_cells
 from zsner import corpus
 from zsner.errors import (
     AssemblyError,
@@ -269,3 +272,43 @@ def test_load_benchmark_missing_dataset_file(tmp_path, rng):
     (tmp_path / "mn_test.jsonl").unlink()
     with pytest.raises(ConfigError):
         corpus.load_benchmark(tmp_path / "manifest.json")
+
+
+_TIER = st.tuples(
+    st.sampled_from(["t0", "t1", "t2"]),  # a name may repeat
+    st.lists(st.sampled_from("abcd"), min_size=1, max_size=3),  # "d" has no docs
+    st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=3),
+)
+_DOC_IDS = st.dictionaries(
+    st.sampled_from("abc"), st.lists(st.sampled_from([f"d{i}" for i in range(6)]),
+                                     max_size=5),
+)
+
+
+@given(tiers=st.lists(_TIER, min_size=1, max_size=4), doc_ids=_DOC_IDS)
+@example(  # d1 sits in datasets a and b; dataset b sits in tiers t0 and t1
+    tiers=[("t0", ["a", "b"], ["x", "y"]), ("t1", ["b", "c"], ["y", "z"])],
+    doc_ids={"a": ["d0", "d1"], "b": ["d1", "d2"], "c": ["d3"]},
+)
+@settings(max_examples=300, deadline=None)
+def test_cells_view_matches_the_dict_it_replaced(tiers, doc_ids):
+    bench = corpus.Benchmark(
+        benchmark_id="b", training_dataset="train", training_tags=(),
+        tiers=[corpus.BenchmarkTier(name, "in_domain", tuple(ds), tuple(tags))
+               for name, ds, tags in tiers],
+        min_support=1, doc_ids={k: tuple(v) for k, v in doc_ids.items()},
+    )
+    expected = list(oracle_cells(bench.tiers, bench.doc_ids).items())
+    view = bench.cells()
+    assert len(view) == len(expected)
+    assert list(view) == expected
+    assert list(view) == expected  # a second pass walks the grid again
+
+
+def test_cells_len_does_not_walk_the_grid(tmp_path, rng):
+    bench, _, _ = build_benchmark_tree(tmp_path, rng)
+    view = bench.cells()
+    walks = []
+    view._walk = lambda: walks.append(1) or iter(())
+    assert len(view) == len(oracle_cells(bench.tiers, bench.doc_ids)) > 0
+    assert walks == []

@@ -190,7 +190,7 @@ def test_run_order_and_stats(tmp_path):
     backend = inf.MockBackend("gold_oracle", gold)
     cache = inf.ResponseCache(tmp_path / "cache")
     stats = inf.RunStats()
-    records = inf.run(jobs, backend, cache, max_parallel=5, stats=stats)
+    records = list(inf.run(jobs, backend, cache, max_parallel=5, stats=stats))
     assert [r.job_id for r in records] == [j.job_id for j in jobs]
     assert all(r.status == "ok" and r.attempt_count == 1 for r in records)
     assert (stats.cached, stats.fetched) == (0, 20)
@@ -200,7 +200,7 @@ def test_run_order_and_stats(tmp_path):
     # warm rerun: all hits, no backend calls, attempt_count 0
     calls_before = backend.calls
     stats2 = inf.RunStats()
-    again = inf.run(jobs, backend, cache, max_parallel=5, stats=stats2)
+    again = list(inf.run(jobs, backend, cache, max_parallel=5, stats=stats2))
     assert backend.calls == calls_before
     assert (stats2.cached, stats2.fetched) == (20, 0)
     assert all(r.attempt_count == 0 for r in again)
@@ -213,13 +213,13 @@ def test_run_serves_hits_on_calling_thread(tmp_path):
     jobs = [job(f"j{i}", f"d{i}") for i in range(10)]
     backend = inf.MockBackend("gold_oracle", gold)
     cache = inf.ResponseCache(tmp_path / "cache")
-    inf.run(jobs[::2], backend, cache, max_parallel=3)  # fill every other cell
+    list(inf.run(jobs[::2], backend, cache, max_parallel=3))  # fill every other cell
 
     lookups = []
     get = cache.get
     cache.get = lambda key: lookups.append(threading.get_ident()) or get(key)
     stats = inf.RunStats()
-    records = inf.run(jobs, backend, cache, max_parallel=3, stats=stats)
+    records = list(inf.run(jobs, backend, cache, max_parallel=3, stats=stats))
     cache.close()
     assert set(lookups) == {threading.get_ident()} and len(lookups) == 10
     assert [r.job_id for r in records] == [j.job_id for j in jobs]
@@ -233,10 +233,10 @@ def test_run_retries_with_exponential_backoff():
     j = job()
     backend = inf.MockBackend("gold_oracle", gold, fail_plan={"j1": 2})
     sleeps = []
-    records = inf.run(
+    records = list(inf.run(
         [j], backend, None, max_parallel=1, max_retries=3,
         retry_base_delay=0.5, sleep=sleeps.append,
-    )
+    ))
     assert records[0].status == "ok"
     assert records[0].attempt_count == 3
     assert sleeps == [0.5, 1.0]
@@ -247,10 +247,10 @@ def test_run_partial_failure_continues():
     jobs = [job("j1", "d1"), job("j2", "d2")]
     backend = inf.MockBackend("gold_oracle", gold, fail_plan={"j1": 10})
     stats = inf.RunStats()
-    records = inf.run(
+    records = list(inf.run(
         [jobs[0], jobs[1]], backend, None, max_parallel=2, max_retries=2,
         sleep=lambda _: None, stats=stats,
-    )
+    ))
     assert records[0].status == "error"
     assert records[0].error_kind == "server"
     assert records[0].attempt_count == 3  # 1 try + 2 retries
@@ -262,12 +262,12 @@ def test_run_does_not_cache_failures(tmp_path):
     gold = {("d1", "plant"): ["x"]}
     backend = inf.MockBackend("gold_oracle", gold, fail_plan={"j1": 10})
     cache = inf.ResponseCache(tmp_path / "cache")
-    records = inf.run([job()], backend, cache, max_retries=0, sleep=lambda _: None)
+    records = list(inf.run([job()], backend, cache, max_retries=0, sleep=lambda _: None))
     assert records[0].status == "error"
     assert len(cache) == 0
     # next run hits the backend again, which has recovered by now
     backend.fail_plan.clear()
-    records = inf.run([job()], backend, cache, max_retries=0, sleep=lambda _: None)
+    records = list(inf.run([job()], backend, cache, max_retries=0, sleep=lambda _: None))
     assert records[0].status == "ok"
     assert len(cache) == 1
     cache.close()
@@ -283,7 +283,7 @@ def _run_in_thread(*args, **kwargs):
 
     def target():
         try:
-            out.append(inf.run(*args, **kwargs))
+            out.append(list(inf.run(*args, **kwargs)))
         except Exception as exc:
             out.append(exc)
 
@@ -368,7 +368,7 @@ def test_run_order_and_stats_under_frequent_thread_switches(tmp_path, monkeypatc
     gold = {(f"d{i}", "plant"): [f"s{i}"] for i in range(n)}
     jobs = [job(f"j{i}", f"d{i}") for i in range(n)]
     cache = inf.ResponseCache(tmp_path / "cache")
-    inf.run(jobs[::3], inf.MockBackend("gold_oracle", gold), cache, max_parallel=2)
+    list(inf.run(jobs[::3], inf.MockBackend("gold_oracle", gold), cache, max_parallel=2))
     backend = inf.MockBackend(
         "gold_oracle", gold,
         fail_plan={f"j{i}": 1 if i % 5 else 9 for i in range(1, n, 7)},
@@ -377,8 +377,8 @@ def test_run_order_and_stats_under_frequent_thread_switches(tmp_path, monkeypatc
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        records = inf.run(jobs, backend, cache, max_parallel=16, max_retries=2,
-                          sleep=lambda _: None, stats=stats)
+        records = list(inf.run(jobs, backend, cache, max_parallel=16, max_retries=2,
+                               sleep=lambda _: None, stats=stats))
     finally:
         sys.setswitchinterval(interval)
         cache.close()
@@ -408,7 +408,7 @@ def test_run_stops_on_rejected_credentials(tmp_path):
     jobs = [job(f"j{i}") for i in range(200)]
     cache = inf.ResponseCache(tmp_path / "cache")
     with pytest.raises(AuthError, match="401"):
-        inf.run(jobs, backend, cache, max_parallel=2)
+        list(inf.run(jobs, backend, cache, max_parallel=2))
     cache.close()
     # 401 from the second request on: at most one more per worker
     assert sorted(calls[:2]) == ["j0", "j1"]
@@ -432,7 +432,7 @@ def test_run_stops_reading_jobs_after_rejected_credentials():
         raise inf.BackendError("auth rejected (403)", "auth", transient=False)
 
     with pytest.raises(AuthError):
-        inf.run(jobs(), SimpleNamespace(complete=complete), None, max_parallel=2)
+        list(inf.run(jobs(), SimpleNamespace(complete=complete), None, max_parallel=2))
     assert len(read) <= window + 1
 
 
@@ -448,8 +448,137 @@ def test_run_drops_queued_jobs_when_a_call_raises():
 
     jobs = [job(f"j{i}") for i in range(50)]
     with pytest.raises(RuntimeError, match="backend bug"):
-        inf.run(jobs, SimpleNamespace(complete=complete), None, max_parallel=1)
+        list(inf.run(jobs, SimpleNamespace(complete=complete), None, max_parallel=1))
     assert len(calls) < 10  # not all 50: the queued ones were cancelled
+
+
+def _filled_cache(path, jobs, fingerprint):
+    """A cache holding an ok reply for each of `jobs`."""
+    cache = inf.ResponseCache(path)
+    for j in jobs:
+        cache.put(inf.cache_key(j.payload, fingerprint),
+                  {"job_id": j.job_id, "raw_text": f'["{j.job_id}"]', "status": "ok"})
+    return cache
+
+
+def test_run_reads_at_most_the_window_past_a_stuck_miss(tmp_path):
+    window = _window(2)
+    jobs = [job(f"j{i}") for i in range(5001)]
+    cache = _filled_cache(tmp_path / "cache", jobs[1:], "m:0")
+    release, unstuck = threading.Event(), threading.Event()
+    read_while_stuck = []
+
+    def job_source():
+        for i, j in enumerate(jobs):
+            if i and not unstuck.is_set():
+                read_while_stuck.append(i)
+            yield j
+
+    def complete(j):
+        assert release.wait(timeout=30)
+        unstuck.set()
+        return '["j0"]'
+
+    backend = SimpleNamespace(complete=complete, fingerprint="m:0")
+    records = inf.run(job_source(), backend, cache, max_parallel=2)
+    releaser = threading.Thread(target=lambda: (
+        _wait_until(lambda: len(read_while_stuck) >= window - 1),
+        time.sleep(0.2), release.set()))
+    releaser.start()
+    try:
+        out = list(records)
+    finally:
+        release.set()
+        releaser.join(timeout=30)
+        cache.close()
+    assert len(read_while_stuck) <= window
+    assert [r.job_id for r in out] == [j.job_id for j in jobs]
+    assert [r.raw_text for r in out] == [f'["{j.job_id}"]' for j in jobs]
+    assert [r.attempt_count for r in out] == [1] + [0] * 5000
+
+
+def test_warm_run_yields_a_record_per_job_read(tmp_path):
+    jobs = [job(f"j{i}") for i in range(50)]
+    cache = _filled_cache(tmp_path / "cache", jobs, "m:0")
+    events = []
+
+    def job_source():
+        for j in jobs:
+            events.append(("read", j.job_id))
+            yield j
+
+    backend = SimpleNamespace(complete=None, fingerprint="m:0")
+    for rec in inf.run(job_source(), backend, cache, max_parallel=2):
+        events.append(("yield", rec.job_id))
+    cache.close()
+    assert events == [(e, j.job_id) for j in jobs for e in ("read", "yield")]
+
+
+def test_response_cache_serves_lines_from_before_and_after_a_reopen(tmp_path):
+    cache = inf.ResponseCache(tmp_path / "cache")
+    long_text = "Città " * 2000  # a line longer than one read
+    cache.put("old", {"raw_text": "before"})
+    cache.put("long", {"raw_text": long_text})
+    cache.close()
+    log = tmp_path / "cache" / "responses.jsonl"
+    log.write_bytes(log.read_bytes() + b'torn\t{"raw_text": "cut')
+    cache = inf.ResponseCache(tmp_path / "cache")
+    for i in range(3):  # a put, then gets that must leave the append position
+        cache.put(f"new{i}", {"raw_text": f"after {i}"})
+        assert cache.get(f"new{i}") == {"raw_text": f"after {i}"}
+        assert cache.get("old") == {"raw_text": "before"}
+        assert cache.get("long") == {"raw_text": long_text}
+        assert cache.get("torn") is None
+    cache.put("old", {"raw_text": "replaced"})
+    assert cache.get("old") == {"raw_text": "replaced"}
+    cache.close()
+    keys = [line.split(b"\t")[0] for line in log.read_bytes().splitlines()]
+    assert keys == [b"old", b"long", b"torn", b"new0", b"new1", b"new2", b"old"]
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    assert reopened.get("old") == {"raw_text": "replaced"}
+    assert reopened.get("new2") == {"raw_text": "after 2"}
+    assert len(reopened) == 6
+    reopened.close()
+
+
+def test_call_with_retries_backs_off_then_raises():
+    sleeps, outcomes = [], iter([True, True, False])
+
+    def call():
+        if next(outcomes):
+            raise inf.BackendError("busy", "server", transient=True)
+        return "ok"
+
+    assert inf.call_with_retries(call, 3, 0.5, sleeps.append) == ("ok", 3)
+    assert sleeps == [0.5, 1.0]
+
+    def failing():
+        raise inf.BackendError("busy", "server", transient=True)
+
+    with pytest.raises(inf.BackendError) as exc:
+        inf.call_with_retries(failing, 2, 0.5, sleeps.append)
+    assert exc.value.attempts == 3 and sleeps == [0.5, 1.0, 0.5, 1.0]
+
+    def rejected():
+        raise inf.BackendError("no", "auth", transient=False)
+
+    with pytest.raises(inf.BackendError) as exc:
+        inf.call_with_retries(rejected, 5, 0.5, sleeps.append)
+    assert exc.value.attempts == 1 and len(sleeps) == 4
+
+
+def test_mock_backend_builds_its_gold_index_on_first_call():
+    built = []
+
+    def build():
+        built.append(1)
+        return {("d1", "plant"): ["quercia"]}
+
+    backend = inf.MockBackend("gold_oracle", build)
+    assert built == []
+    assert backend.complete(job()) == '["quercia"]'
+    assert backend.complete(job()) == '["quercia"]'
+    assert built == [1]
 
 
 # --------------------------------------------------------------------------
@@ -498,7 +627,7 @@ def test_http_backend_pool_matches_max_parallel(endpoint, backends):
     endpoint.delay = 0.005
     backend = backends(_config(endpoint.url, auth_env=""))
     jobs = [job(f"j{i}") for i in range(40)]
-    records = inf.run(jobs, backend, None, max_parallel=4)
+    records = list(inf.run(jobs, backend, None, max_parallel=4))
     assert [r.status for r in records] == ["ok"] * 40
     assert len(endpoint.requests) == 40
     assert 1 <= endpoint.connections <= 4
@@ -560,8 +689,8 @@ def test_http_backend_reconnects_when_server_closed_idle_connection(endpoint, ba
     jobs = [job(f"j{i}") for i in range(5)]
     # before each attempt, wait until the server has closed the last socket
     limiter = SimpleNamespace(acquire=lambda: endpoint.wait_all_closed())
-    records = inf.run(jobs, backend, None, max_parallel=1, limiter=limiter,
-                      retry_base_delay=0.0)
+    records = list(inf.run(jobs, backend, None, max_parallel=1, limiter=limiter,
+                           retry_base_delay=0.0))
     assert [(r.status, r.attempt_count) for r in records] == [("ok", 1)] * 5
     assert len(endpoint.requests) == 5
     assert endpoint.connections == 5
@@ -623,7 +752,7 @@ def _records(n=3):
 
 def test_persist_and_load_run(tmp_path):
     run_dir = tmp_path / "run"
-    inf.persist_run(_records(), {"variant": "with_dg"}, run_dir)
+    inf.persist_run(_records(), lambda: {"variant": "with_dg"}, run_dir)
     records, manifest = inf.load_run(run_dir)
     assert [r.job_id for r in records] == ["j0", "j1", "j2"]
     assert manifest["variant"] == "with_dg"
@@ -632,17 +761,17 @@ def test_persist_and_load_run(tmp_path):
 
 def test_persist_run_refuses_overwrite_without_flag(tmp_path):
     run_dir = tmp_path / "run"
-    inf.persist_run(_records(), {}, run_dir)
+    inf.persist_run(_records(), dict, run_dir)
     with pytest.raises(RunDirectoryError):
-        inf.persist_run(_records(), {}, run_dir)
-    inf.persist_run(_records(1), {}, run_dir, overwrite=True)
+        inf.persist_run(_records(), dict, run_dir)
+    inf.persist_run(_records(1), dict, run_dir, overwrite=True)
     records = list(inf.load_run(run_dir)[0])
     assert len(records) == 1
 
 
 def test_overwrite_preserves_cache(tmp_path):
     run_dir = tmp_path / "run"
-    inf.persist_run(_records(), {}, run_dir)
+    inf.persist_run(_records(), dict, run_dir)
     cache = inf.ResponseCache(run_dir / "cache")
     cache.put("k", {"raw_text": "kept"})
     (run_dir / "extra.txt").write_text("old", encoding="utf-8")
@@ -657,9 +786,39 @@ def test_persist_run_keeps_lone_surrogate(tmp_path):
     """An endpoint can send "\\ud800"; the reply must survive the run dir."""
     rec = _records(1)[0]
     rec.raw_text = json.loads('"Roma \\ud800"')
-    inf.persist_run([rec], {}, tmp_path / "run")
+    inf.persist_run([rec], dict, tmp_path / "run")
     records = list(inf.load_run(tmp_path / "run")[0])
     assert records == [rec]
+
+
+@pytest.mark.parametrize("fault", ["auth", "backend bug"])
+def test_failed_stream_leaves_no_replies_manifest_or_journal(tmp_path, fault):
+    def complete(j):
+        if j.job_id == "j30":
+            if fault == "auth":
+                raise inf.BackendError("auth rejected (401)", "auth", transient=False)
+            raise RuntimeError(fault)
+        return "[]"
+
+    run_dir = tmp_path / "run"
+    jobs = [job(f"j{i}") for i in range(60)]
+    cache = _filled_cache(tmp_path / "cache", jobs[:30], "m:0")  # hits come first
+    written = []
+    backend = SimpleNamespace(complete=complete, fingerprint="m:0")
+    records = inf.run(jobs, backend, cache, max_parallel=1)
+    journal = run_dir / "cache" / inf.JOURNAL
+
+    def watched():
+        for rec in records:
+            written.append(journal.is_file())
+            yield rec
+
+    with pytest.raises(AuthError if fault == "auth" else RuntimeError):
+        inf.persist_run(watched(), dict, run_dir)
+    cache.close()
+    assert written == [True] * 30  # the journal was being written
+    assert [p.name for p in run_dir.iterdir()] == ["cache"]
+    assert list((run_dir / "cache").iterdir()) == []
 
 
 def test_load_run_rejects_non_run_dir(tmp_path):
@@ -671,6 +830,6 @@ def test_mock_backend_tracks_concurrency(tmp_path):
     gold = {(f"d{i}", "plant"): ["x"] for i in range(40)}
     jobs = [job(f"j{i}", f"d{i}") for i in range(40)]
     backend = inf.MockBackend("gold_oracle", gold, delay=0.005)
-    inf.run(jobs, backend, None, max_parallel=4)
+    list(inf.run(jobs, backend, None, max_parallel=4))
     assert 1 <= backend.max_in_flight <= 4
     assert backend.calls == 40

@@ -91,13 +91,34 @@ _SCAN_PIECES = [
 def test_scan_balanced_array_string_cases(text):
     expected = oracle_scan_balanced_array(text)
     assert expected is not None
-    assert parsing._scan_balanced_array(text) == expected
+    assert parsing.scan_balanced(text) == expected
 
 
 @given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=40).map("".join))
 @settings(max_examples=1000, deadline=None)
 def test_scan_balanced_array_matches_rescanning_oracle(text):
-    assert parsing._scan_balanced_array(text) == oracle_scan_balanced_array(text)
+    assert parsing.scan_balanced(text) == oracle_scan_balanced_array(text)
+
+
+@pytest.mark.parametrize("text", [
+    r'{"k": "\""}',  # an escaped quote does not end the string
+    r'{"k": "\\"}',  # an escaped backslash escapes nothing after it
+    '"{" {"a": 1}',  # a '{' inside prose quotes still starts a scan
+    '{x "} {"a": 1}',  # a later '{' inside the first scan's string
+    '{"k": "Mil ... {"a": 1}',  # a truncated object, then a whole one
+    'Ecco: {"a": {"b": {"c": "}"}}}',  # the outermost of nested objects
+])
+def test_scan_balanced_object_string_cases(text):
+    expected = oracle_scan_balanced_array(text, "{}")
+    assert isinstance(expected, dict)
+    assert parsing.scan_balanced(text, "{}") == expected
+
+
+@given(st.lists(st.sampled_from(_SCAN_PIECES + [":", '"v"', '{"d": "x", ']),
+                max_size=40).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_scan_balanced_object_matches_rescanning_oracle(text):
+    assert parsing.scan_balanced(text, "{}") == oracle_scan_balanced_array(text, "{}")
 
 
 # whitespace JSON skips, whitespace only str.isspace knows, and a BOM
