@@ -414,7 +414,8 @@ def _digest(path, mask=False) -> dict:
 
 def grid_outputs(root) -> dict:
     """Digests of what a seeded tree gives: replies.jsonl of a cold and a
-    warm mock run, and the render -o export of each variant."""
+    warm mock run, the sorted cache keys the cold run wrote, and the
+    render -o export of each variant."""
     import random
 
     build_benchmark_tree(root, random.Random(5150))
@@ -425,6 +426,12 @@ def grid_outputs(root) -> dict:
         assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
                        "--max-parallel", "3", "--quiet", *extra) == 0
         out[name] = _digest(root / "r" / "replies.jsonl", mask=True)
+        if name == "replies_cold":  # a changed key would orphan every cache
+            log = (root / "r" / "cache" / "responses.jsonl").read_text(encoding="utf-8")
+            keys = "".join(sorted(line.partition("\t")[0] + "\n"
+                                  for line in log.splitlines()))
+            out["cache_keys"] = {"lines": keys.count("\n"), "sha256":
+                                 hashlib.sha256(keys.encode("utf-8")).hexdigest()}
     assert run_cli("render", "--benchmark", root / "manifest.json", "--store",
                    root / "store.json", "-o", root / "with_dg.jsonl") == 0
     assert run_cli("render", "--benchmark", root / "manifest.json", "--variant",
