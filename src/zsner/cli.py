@@ -551,23 +551,11 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
         raise ConfigError("give -o to export jobs, or --doc/--tag to preview one")
     out = Path(output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    fields = ("job_id", "doc_id", "tag_id", "variant", "template_id", "adapter_id", "payload")
+    # a lone surrogate (from --system, say) is written as a JSON escape
+    with open(out, "w", encoding="utf-8", errors="backslashreplace") as fh:
         for job in jobs:
-            fh.write(
-                json.dumps(
-                    {
-                        "job_id": job.job_id,
-                        "doc_id": job.doc_id,
-                        "tag_id": job.tag_id,
-                        "variant": job.variant,
-                        "template_id": job.template_id,
-                        "adapter_id": job.adapter_id,
-                        "payload": job.payload,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({f: getattr(job, f) for f in fields}, ensure_ascii=False) + "\n")
     click.echo(f"wrote {len(jobs)} jobs to {out}")
 
 

@@ -9,6 +9,7 @@ fingerprint, so reruns and ablation reruns never repeat a request.
 import hashlib
 import json
 import os
+import re
 import select
 import shutil
 import threading
@@ -17,6 +18,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from zsner.errors import AuthError, CacheError, RunDirectoryError
@@ -82,17 +84,11 @@ class CompletionRecord:
     fingerprint: str = ""
     timestamp: str = ""
 
+    def to_json(self) -> str:  # ASCII escapes, as in the response log
+        return json.dumps(self.to_record())
+
     def to_record(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "raw_text": self.raw_text,
-            "status": self.status,
-            "error_kind": self.error_kind,
-            "latency_ms": self.latency_ms,
-            "attempt_count": self.attempt_count,
-            "fingerprint": self.fingerprint,
-            "timestamp": self.timestamp,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}  # field order
 
     @classmethod
     def from_record(cls, rec: dict) -> "CompletionRecord":
@@ -115,9 +111,23 @@ def decoding_fingerprint(model_name: str, params: dict) -> str:
     return f"{model_name}:{digest}"
 
 
-def cache_key(payload: dict, fingerprint: str) -> str:
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\x1e" + fingerprint
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+class CachedRecord(str):
+    """A cache hit as its replies.jsonl line; a field read parses the line."""
+
+    def __getattr__(self, name):
+        return getattr(CompletionRecord.from_record(json.loads(self)), name)
+
+    def to_json(self) -> str:
+        return self
+
+
+def payload_json(payload: dict) -> str:  # the text a cache key hashes
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False)
+
+
+def cache_key(key_json: str, fingerprint: str) -> str:
+    blob = key_json + "\x1e" + fingerprint  # a lone surrogate hashes as surrogatepass
+    return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _utc_now() -> str:
@@ -164,16 +174,17 @@ class ResponseCache:
         except OSError as exc:
             raise CacheError(f"cache directory {self.directory} not writable: {exc}")
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> str | None:
+        """The record JSON last put under key; a torn line cut after a "}" does not parse."""
         offset = self._offsets.get(key)
         if offset is None:
             return None
         self._reader.seek(offset)
         try:
             stored, _, text = self._reader.readline().decode("utf-8").partition("\t")
-            return json.loads(text) if stored == key else None
         except ValueError:
-            return None  # torn line from a killed run, maybe mid-character: a miss
+            return None  # torn mid-character
+        return text[:-1] if stored == key and text.endswith("}\n") else None
 
     def put(self, key: str, record: dict) -> None:
         # ASCII escapes: even a lone surrogate encodes
@@ -470,6 +481,13 @@ MAX_PENDING = 1024
 
 JOURNAL = "replies.jsonl.partial"  # replies.jsonl while a run writes it
 
+# A record line as put writes it (to_record's keys, json.dumps's escapes, %s for
+# the fingerprint): a hit on one is served with job_id and attempt_count swapped.
+_STR, _INT = r'"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*)*"', "(?:0|[1-9][0-9]*)"
+_PUT_LINE = (rf'\{{"job_id": {_STR}(, "raw_text": {_STR}, "status": {_STR}, "error_kind": {_STR}'
+             rf', "latency_ms": {_INT}, "attempt_count": ){_INT}(, "fingerprint": %s'
+             rf', "timestamp": {_STR}\}})')
+
 
 def call_with_retries(call, max_retries: int, base_delay: float, sleep=time.sleep):
     """(call(), attempts). A transient BackendError from attempt n is retried
@@ -536,6 +554,18 @@ def run(
         raise ValueError("max_parallel must be >= 1")
     stats = stats if stats is not None else RunStats()
     fingerprint = getattr(backend, "fingerprint", "")
+    put_line = re.compile(_PUT_LINE % re.escape(encode_basestring_ascii(fingerprint)))
+
+    def hit(text: str, job_id: str):
+        """The record a cached line serves for job_id; None if it is torn."""
+        if m := put_line.fullmatch(text):
+            return CachedRecord(f'{{"job_id": {encode_basestring_ascii(job_id)}{m[1]}0{m[2]}')
+        try:
+            rec = CompletionRecord.from_record(json.loads(text))
+        except ValueError:
+            return None
+        rec.job_id, rec.attempt_count = job_id, 0
+        return rec
     rejected: list[BackendError] = []  # the run stops once this is not empty
     lock = threading.Lock()
 
@@ -580,7 +610,7 @@ def run(
         return rec
 
     def records() -> Iterator[CompletionRecord]:
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import Future, ThreadPoolExecutor
 
         window = max(MAX_PENDING, 16 * max_parallel)
         waiting: deque = deque()  # records and pending misses, in job order
@@ -588,9 +618,9 @@ def run(
         def drain(keep: int) -> Iterator[CompletionRecord]:
             """Yield from the front down to `keep` waiting, then every record
             up to the next pending miss."""
-            while waiting and (len(waiting) > keep or type(waiting[0]) is CompletionRecord):
+            while waiting and (len(waiting) > keep or not isinstance(waiting[0], Future)):
                 rec = waiting.popleft()
-                if type(rec) is not CompletionRecord:
+                if isinstance(rec, Future):
                     rec = rec.result()
                 if rejected:
                     return
@@ -601,14 +631,13 @@ def run(
             for job in jobs:
                 if rejected:
                     break
-                key = cache_key(job.payload, fingerprint)
-                hit = cache.get(key) if cache is not None else None
-                if hit is None:
+                key = cache_key(getattr(job, "key_json", None) or payload_json(job.payload),
+                                fingerprint)
+                text = cache.get(key) if cache is not None else None
+                rec = hit(text, job.job_id) if text is not None else None
+                if rec is None:
                     waiting.append(pool.submit(fetch, job, key))
                 else:
-                    rec = CompletionRecord.from_record(hit)
-                    rec.job_id = job.job_id
-                    rec.attempt_count = 0
                     stats.cached += 1  # only this thread counts hits
                     if not waiting:
                         yield rec
@@ -672,11 +701,12 @@ def persist_run(
     try:
         with open(journal, "w", encoding="utf-8") as fh:
             for rec in records:
-                # ASCII escapes, as in the response log: even a lone surrogate encodes
-                fh.write(json.dumps(rec.to_record()) + "\n")
+                fh.write(rec.to_json() + "\n")
         data = dict(manifest())
         data.setdefault("written_at", _utc_now())
-        with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        # a lone surrogate (in system_text, say) is written as a JSON escape
+        with open(run_dir / "manifest.json", "w", encoding="utf-8",
+                  errors="backslashreplace") as fh:
             json.dump(data, fh, ensure_ascii=False, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(journal, run_dir / "replies.jsonl")

@@ -11,10 +11,12 @@ import hashlib
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 from zsner.corpus import Benchmark, Document, Grid
 from zsner.errors import ExpansionError, RenderError
 from zsner.guidelines import TagSpec
+from zsner.inference import payload_json
 
 WITH_DG = "with_dg"
 WITHOUT_DG = "without_dg"
@@ -91,14 +93,18 @@ def render(
     doc: Document, spec: TagSpec, variant: str, template: PromptTemplate
 ) -> str:
     """The user-turn prompt text for one (document, tag) cell."""
-    body = _variant_body(spec, variant, template)
-    values = {
-        "text": doc.text,
-        "display_name": spec.display_name,
-        "definition": spec.definition,
-        "guidelines": spec.guidelines,
-    }
-    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], body)
+    return doc.text.join(_segments(spec, variant, template))
+
+
+def _segments(spec: TagSpec, variant: str, template: PromptTemplate) -> list[str]:
+    """The prompt of `spec` split at each {text}: a document's is doc.text.join(segments)."""
+    segments = [""]
+    for i, part in enumerate(_PLACEHOLDER_RE.split(_variant_body(spec, variant, template))):
+        if i % 2 and part == "text":
+            segments.append("")
+        else:  # template text, or a placeholder other than {text}
+            segments[-1] += getattr(spec, part) if i % 2 else part
+    return segments
 
 
 def _variant_body(spec: TagSpec, variant: str, template: PromptTemplate) -> str:
@@ -173,6 +179,13 @@ class PromptJob:
     template_id: str
     adapter_id: str
     payload: dict = field(hash=False, compare=False, default_factory=dict)
+    # (escaped document text, key JSON pieces) from expansion: see _key_pieces
+    key_parts: tuple = field(default=(), repr=False, compare=False)
+
+    @property
+    def key_json(self) -> str:  # payload_json(self.payload)
+        parts = self.key_parts
+        return parts[0].join(parts[1]) if parts else payload_json(self.payload)
 
 
 def job_id_for(
@@ -182,19 +195,18 @@ def job_id_for(
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
-def _build_job(doc, spec, variant, template, adapter, system_text) -> PromptJob:
-    user_text = render(doc, spec, variant, template)
-    return PromptJob(
-        job_id=job_id_for(
-            doc.doc_id, spec.tag_id, variant, template.template_id, adapter.adapter_id
-        ),
-        doc_id=doc.doc_id,
-        tag_id=spec.tag_id,
-        variant=variant,
-        template_id=template.template_id,
-        adapter_id=adapter.adapter_id,
-        payload=wrap(user_text, adapter, system_text),
-    )
+# Stands for the document text while a tag's key JSON is cut into pieces. JSON
+# escapes each character alone and leaves these as they are; the first occurs
+# once, so no two occurrences overlap.
+_TEXT_MARK = "\ue000text\ue001"
+
+
+def _key_pieces(segments, adapter, system_text) -> list[str] | None:
+    """`segments`' key JSON split where the document text goes, or None if the
+    template, spec or system text hold _TEXT_MARK (the joined pieces differ)."""
+    pieces = payload_json(wrap(_TEXT_MARK.join(segments), adapter, system_text)).split(_TEXT_MARK)
+    empty = payload_json(wrap("".join(segments), adapter, system_text))
+    return pieces if "".join(pieces) == empty else None
 
 
 def expand_benchmark_jobs(
@@ -226,16 +238,26 @@ def expand_benchmark_jobs(
                         f"duplicate document id {doc.doc_id!r} with differing text"
                     )
     cells = benchmark.cells()
+    plans: dict[str, tuple] = {}  # tag -> (segments, key pieces or None)
     for tag in dict.fromkeys(tag for (_, tag), _ in cells):  # first-use order
         spec = specs.get(tag)
         if spec is None:
             raise ExpansionError(f"no tag spec for {tag!r}")
-        _variant_body(spec, variant, template)
+        segments = _segments(spec, variant, template)
+        plans[tag] = segments, _key_pieces(segments, adapter, system_text)
+    ids = (variant, template.template_id, adapter.adapter_id)
 
     def build() -> Iterator[PromptJob]:
+        last = None
         for (doc_id, tag), _ in cells:
-            yield _build_job(
-                docs_by_id[doc_id], specs[tag], variant, template, adapter, system_text
+            doc = docs_by_id[doc_id]
+            if doc is not last:  # a document's cells come together
+                last, escaped = doc, encode_basestring(doc.text)[1:-1]
+            segments, pieces = plans[tag]
+            yield PromptJob(
+                job_id_for(doc_id, tag, *ids), doc_id, tag, *ids,
+                payload=wrap(doc.text.join(segments), adapter, system_text),
+                key_parts=(escaped, pieces) if pieces else (),
             )
 
     return Grid(len(cells), build)

@@ -7,6 +7,7 @@ Counter arithmetic), so agreement between the two is meaningful.
 
 import json
 import random
+import re
 import string
 
 
@@ -175,3 +176,16 @@ def oracle_cells(tiers, doc_ids: dict) -> dict:
                     if tier.name not in held:
                         grid[doc_id, tag] = held + alone
     return grid
+
+
+_ORACLE_PLACEHOLDER_RE = re.compile(r"\{(text|display_name|definition|guidelines)\}")
+
+
+def oracle_render(body: str, text: str, display_name: str, definition: str,
+                  guidelines: str) -> str:
+    """A variant's template body with every placeholder filled in one regex
+    pass, as prompts.render did before it joined per-tag segments: text a
+    placeholder brings in is never scanned again."""
+    values = {"text": text, "display_name": display_name,
+              "definition": definition, "guidelines": guidelines}
+    return _ORACLE_PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], body)

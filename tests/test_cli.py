@@ -150,6 +150,32 @@ def test_render_preview_and_export(tree, capsys):
                    "--store", root / "store.json") == 2
 
 
+# A lone surrogate reaches the payload from a run config's system_text (JSON
+# "\ud800") or from --system (a byte that is not UTF-8 in argv).
+def test_run_with_a_lone_surrogate_in_system_text(tree, capsys):
+    root, _ = tree
+    cfg = root / "run_surrogate.json"
+    cfg.write_text(json.dumps({"benchmark": "manifest.json", "variant": "without_dg",
+                               "system_text": "Sei un esperto \ud800"}), encoding="utf-8")
+    for extra in ((), ("--overwrite",)):
+        assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "empty",
+                       "--quiet", *extra) == 0
+    manifest = json.loads((root / "r" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["system_text"] == "Sei un esperto \ud800"
+    counts = manifest["counts"]
+    assert counts["cached"] == counts["jobs"] > 0  # the keys held on the rerun
+
+
+def test_render_export_with_a_lone_surrogate_in_system_text(tree):
+    root, _ = tree
+    assert run_cli("render", "--benchmark", root / "manifest.json", "--variant",
+                   "without_dg", "--system", "x\udcff", "-o", root / "jobs.jsonl") == 0
+    lines = (root / "jobs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines and all(
+        json.loads(line)["payload"]["messages"][0] == {"role": "system", "content": "x\udcff"}
+        for line in lines)
+
+
 def run_and_score(root, variant, mock, run_name, with_store=True):
     cfg = _write_run_config(root, variant, with_store)
     code = run_cli("run", cfg, "--run-dir", root / run_name, "--mock", mock)

@@ -28,17 +28,17 @@ def test_fingerprint_and_cache_key():
     same = inf.decoding_fingerprint("m1", {"max_tokens": 64, "temperature": 0.0})
     assert fp == same  # key order must not matter
 
-    k1 = inf.cache_key({"messages": []}, fp)
-    assert k1 == inf.cache_key({"messages": []}, fp)
-    assert k1 != inf.cache_key({"messages": [1]}, fp)
-    assert k1 != inf.cache_key({"messages": []}, "other:ffffffff")
+    k1 = inf.cache_key(inf.payload_json({"messages": []}), fp)
+    assert k1 == inf.cache_key(inf.payload_json({"messages": []}), fp)
+    assert k1 != inf.cache_key(inf.payload_json({"messages": [1]}), fp)
+    assert k1 != inf.cache_key(inf.payload_json({"messages": []}), "other:ffffffff")
 
 
 def test_response_cache_round_trip(tmp_path):
     cache = inf.ResponseCache(tmp_path / "cache")
     assert cache.get("k") is None
     cache.put("k", {"raw_text": "x"})
-    assert cache.get("k") == {"raw_text": "x"}
+    assert cache.get("k") == json.dumps({"raw_text": "x"})
     assert len(cache) == 1
     # each put reaches the file at once, so a killed run keeps it
     log = tmp_path / "cache" / "responses.jsonl"
@@ -49,7 +49,7 @@ def test_response_cache_round_trip(tmp_path):
         fh.write("torn\t{not json\n")
     cache = inf.ResponseCache(tmp_path / "cache")
     assert cache.get("torn") is None
-    assert cache.get("k") == {"raw_text": "x"}
+    assert cache.get("k") == json.dumps({"raw_text": "x"})
     cache.close()
 
 
@@ -60,8 +60,8 @@ def test_response_cache_survives_reopen(tmp_path):
     cache.close()
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.jsonl"]
     reopened = inf.ResponseCache(tmp_path / "cache")
-    assert reopened.get("k1") == {"raw_text": "Città\tdi \"Roma\"\n", "status": "ok"}
-    assert reopened.get("k2") == {"raw_text": "[]"}
+    assert reopened.get("k1") == json.dumps({"raw_text": "Città\tdi \"Roma\"\n", "status": "ok"})
+    assert reopened.get("k2") == json.dumps({"raw_text": "[]"})
     assert reopened.get("k3") is None
     assert len(reopened) == 2
     reopened.close()
@@ -71,10 +71,10 @@ def test_response_cache_last_write_wins(tmp_path):
     cache = inf.ResponseCache(tmp_path / "cache")
     cache.put("k", {"raw_text": "old"})
     cache.put("k", {"raw_text": "new"})
-    assert cache.get("k") == {"raw_text": "new"}
+    assert cache.get("k") == json.dumps({"raw_text": "new"})
     cache.close()
     reopened = inf.ResponseCache(tmp_path / "cache")
-    assert reopened.get("k") == {"raw_text": "new"}
+    assert reopened.get("k") == json.dumps({"raw_text": "new"})
     assert len(reopened) == 1
     reopened.close()
 
@@ -100,12 +100,12 @@ def test_response_cache_torn_last_line(tmp_path):
     log.write_bytes(log.read_bytes() + torn)
     reopened = inf.ResponseCache(tmp_path / "cache")
     assert reopened.get("torn") is None
-    assert reopened.get("whole") == {"raw_text": "kept"}
+    assert reopened.get("whole") == json.dumps({"raw_text": "kept"})
     reopened.put("after", {"raw_text": "intact"})
     reopened.close()
     again = inf.ResponseCache(tmp_path / "cache")
-    assert again.get("after") == {"raw_text": "intact"}
-    assert again.get("whole") == {"raw_text": "kept"}
+    assert again.get("after") == json.dumps({"raw_text": "intact"})
+    assert again.get("whole") == json.dumps({"raw_text": "kept"})
     assert again.get("torn") is None
     again.close()
 
@@ -131,7 +131,7 @@ def test_response_cache_concurrent_puts(tmp_path):
     cache.close()
     reopened = inf.ResponseCache(tmp_path / "cache")
     assert len(reopened) == 8 * 200
-    assert all(reopened.get(f"{w}-{i}") == {"raw_text": "x" * (i % 50)}
+    assert all(reopened.get(f"{w}-{i}") == json.dumps({"raw_text": "x" * (i % 50)})
                for w in range(8) for i in range(200))
     reopened.close()
 
@@ -415,7 +415,8 @@ def test_run_stops_on_rejected_credentials(tmp_path):
     assert len(calls) <= 1 + 2
     reopened = inf.ResponseCache(tmp_path / "cache")
     assert len(reopened) == 1
-    assert reopened.get(inf.cache_key(jobs[0].payload, "m:0"))["raw_text"] == '["Roma"]'
+    key = inf.cache_key(inf.payload_json(jobs[0].payload), "m:0")
+    assert json.loads(reopened.get(key))["raw_text"] == '["Roma"]'
     reopened.close()
 
 
@@ -456,7 +457,7 @@ def _filled_cache(path, jobs, fingerprint):
     """A cache holding an ok reply for each of `jobs`."""
     cache = inf.ResponseCache(path)
     for j in jobs:
-        cache.put(inf.cache_key(j.payload, fingerprint),
+        cache.put(inf.cache_key(inf.payload_json(j.payload), fingerprint),
                   {"job_id": j.job_id, "raw_text": f'["{j.job_id}"]', "status": "ok"})
     return cache
 
@@ -514,6 +515,71 @@ def test_warm_run_yields_a_record_per_job_read(tmp_path):
     assert events == [(e, j.job_id) for j in jobs for e in ("read", "yield")]
 
 
+def _serve_one(cache_dir, j):
+    """(record, replies.jsonl text) of a run of `j` over the cache in
+    cache_dir; a miss is fetched as "fetched"."""
+    backend = SimpleNamespace(complete=lambda job: "fetched", fingerprint="m:0")
+    cache = inf.ResponseCache(cache_dir)
+    try:
+        records = list(inf.run([j], backend, cache, max_parallel=1))
+    finally:
+        cache.close()
+    inf.persist_run(records, dict, cache_dir.parent / "run", overwrite=True)
+    return records[0], (cache_dir.parent / "run" / "replies.jsonl").read_text(encoding="utf-8")
+
+
+# A hit whose line is laid out as put writes it is served by copying the
+# line with job_id and attempt_count swapped in; anything else is parsed.
+def test_a_cache_line_cut_anywhere_is_a_miss_or_the_whole_record(tmp_path):
+    j = job("j1", payload={"messages": [{"role": "user", "content": "Città \"1\"\n"}]})
+    key = inf.cache_key(inf.payload_json(j.payload), "m:0")
+    # "}" inside the reply: a line cut there ends like a whole one
+    cached = inf.CompletionRecord("0123abcd", '[{"a": "Città}"}, "b\\\\c\\"}"]', "ok",
+                                  latency_ms=12, attempt_count=2, fingerprint="m:0",
+                                  timestamp="2026-01-01T00:00:00Z")
+    line = f"{key}\t{cached.to_json()}\n".encode("utf-8")
+    cached.job_id, cached.attempt_count = "j1", 0
+    whole = cached.to_json() + "\n"
+    for cut in range(len(line) + 1):  # a killed run leaves line[:cut]
+        cache_dir = tmp_path / str(cut) / "cache"
+        cache_dir.mkdir(parents=True)
+        (cache_dir / "responses.jsonl").write_bytes(line[:cut])
+        rec, replies = _serve_one(cache_dir, j)
+        if cut >= len(line) - 1:
+            assert replies == whole and type(rec) is inf.CachedRecord
+            assert (rec.job_id, rec.raw_text, rec.attempt_count) == ("j1", cached.raw_text, 0)
+        else:
+            assert json.loads(replies)["raw_text"] == "fetched", cut
+            assert rec.attempt_count == 1
+
+
+def test_partial_and_foreign_cache_lines_are_parsed(tmp_path):
+    j = job("j1")
+    key = inf.cache_key(inf.payload_json(j.payload), "m:0")
+    partial = tmp_path / "a" / "cache"
+    cache = inf.ResponseCache(partial)
+    cache.put(key, {"job_id": "x", "raw_text": "Città", "status": "ok"})
+    cache.close()
+    rec, replies = _serve_one(partial, j)
+    assert type(rec) is inf.CompletionRecord
+    assert replies == json.dumps({
+        "job_id": "j1", "raw_text": "Città", "status": "ok", "error_kind": "",
+        "latency_ms": 0, "attempt_count": 0, "fingerprint": "", "timestamp": ""}) + "\n"
+    # put's layout under another fingerprint, with an escape json.dumps would
+    # not write: parsed and written afresh, not copied
+    foreign = tmp_path / "b" / "cache"
+    foreign.mkdir(parents=True)
+    (foreign / "responses.jsonl").write_text(
+        f'{key}\t{{"job_id": "x", "raw_text": "\\u0041", "status": "ok", '
+        '"error_kind": "", "latency_ms": 5, "attempt_count": 1, '
+        '"fingerprint": "other:1", "timestamp": "t"}\n', encoding="utf-8")
+    rec, replies = _serve_one(foreign, j)
+    assert replies == json.dumps({
+        "job_id": "j1", "raw_text": "A", "status": "ok", "error_kind": "",
+        "latency_ms": 5, "attempt_count": 0, "fingerprint": "other:1",
+        "timestamp": "t"}) + "\n"
+
+
 def test_response_cache_serves_lines_from_before_and_after_a_reopen(tmp_path):
     cache = inf.ResponseCache(tmp_path / "cache")
     long_text = "Città " * 2000  # a line longer than one read
@@ -525,18 +591,18 @@ def test_response_cache_serves_lines_from_before_and_after_a_reopen(tmp_path):
     cache = inf.ResponseCache(tmp_path / "cache")
     for i in range(3):  # a put, then gets that must leave the append position
         cache.put(f"new{i}", {"raw_text": f"after {i}"})
-        assert cache.get(f"new{i}") == {"raw_text": f"after {i}"}
-        assert cache.get("old") == {"raw_text": "before"}
-        assert cache.get("long") == {"raw_text": long_text}
+        assert cache.get(f"new{i}") == json.dumps({"raw_text": f"after {i}"})
+        assert cache.get("old") == json.dumps({"raw_text": "before"})
+        assert cache.get("long") == json.dumps({"raw_text": long_text})
         assert cache.get("torn") is None
     cache.put("old", {"raw_text": "replaced"})
-    assert cache.get("old") == {"raw_text": "replaced"}
+    assert cache.get("old") == json.dumps({"raw_text": "replaced"})
     cache.close()
     keys = [line.split(b"\t")[0] for line in log.read_bytes().splitlines()]
     assert keys == [b"old", b"long", b"torn", b"new0", b"new1", b"new2", b"old"]
     reopened = inf.ResponseCache(tmp_path / "cache")
-    assert reopened.get("old") == {"raw_text": "replaced"}
-    assert reopened.get("new2") == {"raw_text": "after 2"}
+    assert reopened.get("old") == json.dumps({"raw_text": "replaced"})
+    assert reopened.get("new2") == json.dumps({"raw_text": "after 2"})
     assert len(reopened) == 6
     reopened.close()
 
@@ -776,7 +842,7 @@ def test_overwrite_preserves_cache(tmp_path):
     cache.put("k", {"raw_text": "kept"})
     (run_dir / "extra.txt").write_text("old", encoding="utf-8")
     inf.prepare_run_dir(run_dir, overwrite=True)
-    assert cache.get("k") == {"raw_text": "kept"}
+    assert cache.get("k") == json.dumps({"raw_text": "kept"})
     assert not (run_dir / "extra.txt").exists()
     assert not (run_dir / "replies.jsonl").exists()
     cache.close()

@@ -1,8 +1,13 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_benchmark_tree
+from oracles import oracle_render
 from zsner import prompts
-from zsner.corpus import Document
+from zsner.corpus import Benchmark, BenchmarkTier, Document
 from zsner.errors import ExpansionError, RenderError
 from zsner.guidelines import TagSpec
 from zsner.resources import load_adapter, load_template
@@ -328,3 +333,61 @@ def test_default_template_renders_pinned_text():
     assert prompts.render(doc, spec, prompts.WITHOUT_DG, template) == (
         _PIN_HEAD + _PIN_TAIL
     )
+
+
+# Expansion renders each tag once into segments around {text} and builds
+# each job's key JSON from the tag's serialized payload and the document's
+# escaped text. Both must equal the one-pass render and json.dumps on text
+# that JSON escapes, that holds placeholders, or that holds the marker the
+# key pieces are split at.
+_PIECES = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "à", "\U0001f600",
+           "\ud800", "\udcff", prompts._TEXT_MARK, "\ue000", "text\ue001",
+           "{text}", "{guidelines}", "{system}", "{user}", " "]
+_TEXT = st.lists(st.sampled_from(_PIECES) | st.text(max_size=3), max_size=10).map("".join)
+_TWO_SLOTS = prompts.PromptTemplate("t2", "\n".join([
+    "Testo: {text}", "{dg:begin}", "{definition} / {guidelines}", "{dg:end}",
+    "Tipo {display_name}, di nuovo: {text}"]))
+
+
+@given(texts=st.lists(_TEXT, min_size=1, max_size=3), name=_TEXT, definition=_TEXT,
+       guidelines=_TEXT, system=st.just("") | _TEXT,
+       adapter_id=st.sampled_from(["openai_chat", "llama3_headers"]),
+       variant=st.sampled_from(prompts.VARIANTS), two_slots=st.booleans())
+@example(texts=["a"], name="n", definition="d", guidelines="{text} e " + prompts._TEXT_MARK,
+         system="", adapter_id="openai_chat", variant=prompts.WITH_DG, two_slots=False)
+@example(texts=["\ud800\"" + prompts._TEXT_MARK], name="n", definition="d",
+         guidelines="g", system="s\udcff", adapter_id="llama3_headers",
+         variant=prompts.WITH_DG, two_slots=True)
+@settings(max_examples=300, deadline=None)
+def test_expanded_jobs_match_one_pass_render_and_json_dumps(
+        texts, name, definition, guidelines, system, adapter_id, variant, two_slots):
+    template = _TWO_SLOTS if two_slots else load_template("default_it")
+    adapter = load_adapter(adapter_id)
+    definition, guidelines = definition + ".", guidelines + "."  # with_dg needs both
+    specs = {tag: TagSpec(tag, name + suffix, definition, guidelines)
+             for tag, suffix in (("plant", ""), ("animal", "2"))}
+    docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
+    bench = Benchmark("b", "train", (), [BenchmarkTier(
+        "t", "in_domain", ("a",), tuple(specs))], 1, doc_ids={"a": tuple(d.doc_id for d in docs)})
+    jobs = list(prompts.expand_benchmark_jobs(
+        bench, {"a": docs}, specs, variant, template, adapter, system))
+    body = template.with_dg_body if variant == prompts.WITH_DG else template.without_dg_body
+    assert len(jobs) == 2 * len(docs)
+    for job, (doc, spec) in zip(jobs, [(d, s) for d in docs for s in specs.values()]):
+        prompt = oracle_render(body, doc.text, spec.display_name, definition, guidelines)
+        assert prompts.render(doc, spec, variant, template) == prompt
+        assert job.payload == prompts.wrap(prompt, adapter, system)
+        assert job.key_json == json.dumps(job.payload, sort_keys=True, ensure_ascii=False)
+
+
+def test_key_pieces_fall_back_when_the_marker_is_not_the_text(template, spec, doc):
+    adapter = load_adapter("openai_chat")
+    segments = prompts._segments(spec, prompts.WITH_DG, template)
+    assert prompts._key_pieces(segments, adapter, "") is not None
+    assert prompts._key_pieces(segments, adapter, "x" + prompts._TEXT_MARK) is None
+    marked = TagSpec("plant", "pianta", "def.", "linee " + prompts._TEXT_MARK)
+    segments = prompts._segments(marked, prompts.WITH_DG, template)
+    assert prompts._key_pieces(segments, adapter, "") is None
+    # without_dg leaves the guidelines out, and the marker with them
+    segments = prompts._segments(marked, prompts.WITHOUT_DG, template)
+    assert prompts._key_pieces(segments, adapter, "") is not None
