@@ -126,7 +126,7 @@ def payload_json(payload: dict) -> str:  # the text a cache key hashes
 
 
 def cache_key(key_json: str, fingerprint: str) -> str:
-    blob = key_json + "\x1e" + fingerprint  # a lone surrogate hashes as surrogatepass
+    blob = key_json + "\x1e" + fingerprint  # surrogatepass: a lone surrogate hashes too
     return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
 
 
@@ -175,7 +175,7 @@ class ResponseCache:
             raise CacheError(f"cache directory {self.directory} not writable: {exc}")
 
     def get(self, key: str) -> str | None:
-        """The record JSON last put under key; a torn line cut after a "}" does not parse."""
+        """The record JSON last put under key, or None; a torn line cut after "}" won't parse."""
         offset = self._offsets.get(key)
         if offset is None:
             return None
@@ -554,6 +554,8 @@ def run(
         raise ValueError("max_parallel must be >= 1")
     stats = stats if stats is not None else RunStats()
     fingerprint = getattr(backend, "fingerprint", "")
+    rejected: list[BackendError] = []  # the run stops once this is not empty
+    lock = threading.Lock()
     put_line = re.compile(_PUT_LINE % re.escape(encode_basestring_ascii(fingerprint)))
 
     def hit(text: str, job_id: str):
@@ -566,8 +568,6 @@ def run(
             return None
         rec.job_id, rec.attempt_count = job_id, 0
         return rec
-    rejected: list[BackendError] = []  # the run stops once this is not empty
-    lock = threading.Lock()
 
     def fetch(job, key) -> CompletionRecord | None:
         started = 0.0

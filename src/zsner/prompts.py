@@ -196,8 +196,8 @@ def job_id_for(
 
 
 # Stands for the document text while a tag's key JSON is cut into pieces. JSON
-# escapes each character alone and leaves these as they are; the first occurs
-# once, so no two occurrences overlap.
+# escapes each character alone and leaves this one's characters as they are;
+# its first character occurs once in it, so no two occurrences overlap.
 _TEXT_MARK = "\ue000text\ue001"
 
 

@@ -380,7 +380,7 @@ def test_expanded_jobs_match_one_pass_render_and_json_dumps(
         assert job.key_json == json.dumps(job.payload, sort_keys=True, ensure_ascii=False)
 
 
-def test_key_pieces_fall_back_when_the_marker_is_not_the_text(template, spec, doc):
+def test_key_pieces_fall_back_when_the_marker_occurs_outside_the_text(template, spec, doc):
     adapter = load_adapter("openai_chat")
     segments = prompts._segments(spec, prompts.WITH_DG, template)
     assert prompts._key_pieces(segments, adapter, "") is not None
