@@ -429,25 +429,29 @@ def test_score_json_matches_golden_bytes(tmp_path, semantics, capsys):
     assert _masked(out) == golden.read_text(encoding="utf-8")
 
 
-def _digest(path, mask=False) -> dict:
+def _digest(path, mask=False, fields=()) -> dict:
     text = path.read_text(encoding="utf-8")
     if mask:  # the only fields that vary from run to run
         text = re.sub(r'"latency_ms": \d+', '"latency_ms": 0', text)
         text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+    for name in fields:  # clock times and absolute paths
+        text = re.sub(f'"{name}": "[^"]*"', f'"{name}": ""', text)
     return {"lines": text.count("\n"),
             "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
 def grid_outputs(root) -> dict:
-    """Digests of what a seeded tree gives: replies.jsonl of a cold and a
-    warm mock run, the sorted cache keys the cold run wrote, and the
-    render -o export of each variant."""
+    """Digests of what a seeded tree gives: the benchmark manifest and the
+    store, replies.jsonl of a cold and a warm mock run, the sorted cache
+    keys the cold run wrote, the run manifest, the render -o export of each
+    variant and the delta report of two scored runs."""
     import random
 
     build_benchmark_tree(root, random.Random(5150))
     _gen_store(root)
+    out = {"benchmark_manifest": _digest(root / "manifest.json"),
+           "store": _digest(root / "store.json", fields=("created_at",))}
     cfg = _write_run_config(root, "with_dg")
-    out = {}
     for name, extra in (("replies_cold", ()), ("replies_warm", ("--overwrite",))):
         assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
                        "--max-parallel", "3", "--quiet", *extra) == 0
@@ -458,6 +462,8 @@ def grid_outputs(root) -> dict:
                                   for line in log.splitlines()))
             out["cache_keys"] = {"lines": keys.count("\n"), "sha256":
                                  hashlib.sha256(keys.encode("utf-8")).hexdigest()}
+    out["run_manifest"] = _digest(root / "r" / "manifest.json", fields=(
+        "written_at", "benchmark_path", "store_path"))
     assert run_cli("render", "--benchmark", root / "manifest.json", "--store",
                    root / "store.json", "-o", root / "with_dg.jsonl") == 0
     assert run_cli("render", "--benchmark", root / "manifest.json", "--variant",
@@ -465,6 +471,12 @@ def grid_outputs(root) -> dict:
                    "Sei un annotatore.", "-o", root / "without_dg.jsonl") == 0
     for variant in ("with_dg", "without_dg"):
         out[f"render_{variant}"] = _digest(root / f"{variant}.jsonl")
+    assert run_and_score(root, "without_dg", "drop_k:1", "r_wo", with_store=False) == 0
+    assert run_cli("score", root / "r", "--quiet") == 0
+    assert run_cli("report", "--with-report", root / "r" / "score.json",
+                   "--without-report", root / "r_wo" / "score.json",
+                   "-o", root / "delta.json", "--quiet") == 0
+    out["delta"] = _digest(root / "delta.json")
     return out
 
 
