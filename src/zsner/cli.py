@@ -26,6 +26,8 @@ from zsner.errors import (
     GenerationError,
     RunDirectoryError,
     ZsnerError,
+    read_json,
+    write_json,
 )
 
 MOCK_SYNTAX = "gold_oracle | empty | malformed | drop_k:N"
@@ -34,18 +36,6 @@ MOCK_SYNTAX = "gold_oracle | empty | malformed | drop_k:N"
 def _resolve(path_str: str, base: Path) -> Path:
     p = Path(path_str)
     return p if p.is_absolute() else base / p
-
-
-def _load_json(path: Path, what: str) -> dict:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{what} {path} is not valid JSON: {e}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} {path} must be a JSON object")
-    return data
 
 
 def _tag_specs(
@@ -164,7 +154,7 @@ def benchmark(config, output):
     the data and written into the manifest.
     """
     config_path = Path(config)
-    cfg = _load_json(config_path, "benchmark config")
+    cfg = read_json(config_path, "benchmark config")
     dataset_paths = cfg.get("datasets")
     if not isinstance(dataset_paths, dict) or not dataset_paths:
         raise ConfigError("benchmark config needs a non-empty 'datasets' object")
@@ -303,7 +293,7 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
         client = _canned_client(resources.load_canned_dg())
         generator_model = "canned"
     else:
-        backend_cfg = _backend_config(_load_json(Path(backend_path), "backend config"))
+        backend_cfg = _backend_config(read_json(backend_path, "backend config"))
         backend = _http_backend(backend_cfg)
         client = _backend_client(backend, backend_cfg)
         generator_model = backend_cfg.model_name
@@ -416,7 +406,7 @@ def _load_run_inputs(cfg: dict, base: Path):
 def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     """Execute one prompt variant over the benchmark grid into a run directory."""
     config_path = Path(config)
-    cfg = _load_json(config_path, "run config")
+    cfg = read_json(config_path, "run config")
     base = config_path.parent
     bench, datasets, specs, template, adapter, variant, system_text = (
         _load_run_inputs(cfg, base)
@@ -619,7 +609,7 @@ def score(run_dir, output, semantics, quiet):
         run_manifest=str(run_path / "manifest.json"),
     )
     out = Path(output) if output else run_path / "score.json"
-    evaluation.save_report_json(report.to_json(), out)
+    write_json(report.to_json(), out)
     if not quiet:
         click.echo(
             f"replies: {statuses.get(parsing.PARSE_OK, 0)} ok, "
@@ -630,6 +620,13 @@ def score(run_dir, output, semantics, quiet):
         click.echo(f"report written to {out}")
 
 
+def _load_report(path: str) -> evaluation.ScoreReport:
+    try:
+        return evaluation.ScoreReport.from_json(read_json(path, "score report"))
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise ConfigError(f"score report {path} is malformed: {e!r}")
+
+
 @cli.command()
 @click.option("--with-report", "with_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--without-report", "without_path", required=True, type=click.Path(dir_okay=False))
@@ -637,15 +634,9 @@ def score(run_dir, output, semantics, quiet):
 @click.option("--quiet", is_flag=True)
 def report(with_path, without_path, output, quiet):
     """Per-tag and per-tier F1 deltas between the two prompt variants."""
-    with_report = evaluation.ScoreReport.from_json(
-        _load_json(Path(with_path), "score report")
-    )
-    without_report = evaluation.ScoreReport.from_json(
-        _load_json(Path(without_path), "score report")
-    )
-    delta = evaluation.delta_report(with_report, without_report)
+    delta = evaluation.delta_report(_load_report(with_path), _load_report(without_path))
     if output:
-        evaluation.save_report_json(delta.to_json(), output)
+        write_json(delta.to_json(), output)
     if not quiet:
         click.echo(evaluation.render_delta(delta), nl=False)
     if output and not quiet:

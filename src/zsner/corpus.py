@@ -20,6 +20,8 @@ from zsner.errors import (
     ConfigError,
     DatasetFormatError,
     EncodingAlignmentError,
+    read_json,
+    write_json,
 )
 
 TIER_IN_DOMAIN = "in_domain"
@@ -513,11 +515,7 @@ def save_benchmark(benchmark: Benchmark, path: str | Path) -> None:
             for t in benchmark.tiers
         ],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, path)
 
 
 def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document]]]:
@@ -525,10 +523,7 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document
     resolved relative to the manifest's directory). The training dataset
     is needed only for assembly and is not read."""
     path = Path(path)
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read benchmark manifest {path}: {e}")
+    manifest = read_json(path, "benchmark manifest")
     try:
         dataset_paths = manifest["datasets"]
         tiers = [
@@ -545,8 +540,8 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document
             min_support=int(manifest["min_support"]),
             dataset_paths={k: str(v) for k, v in dataset_paths.items()},
         )
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"benchmark manifest {path} missing field: {e}")
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise ConfigError(f"benchmark manifest {path} missing or bad field: {e!r}")
 
     tier_datasets = {ds for t in benchmark.tiers for ds in t.dataset_ids}
     datasets: dict[str, list[Document]] = {}

@@ -1,4 +1,8 @@
-"""Exception hierarchy. Each failure class carries the CLI exit code."""
+"""Exception hierarchy, each failure class carrying the CLI exit code, and
+the one reader and writer of whole-file JSON objects."""
+
+import json
+from pathlib import Path
 
 
 class ZsnerError(Exception):
@@ -91,3 +95,27 @@ class AuthError(ZsnerError):
 
 class GenerationError(ZsnerError):
     """Definition/guidelines generation failed after retries."""
+
+
+def read_json(path, what: str, error=ConfigError) -> dict:
+    """The JSON object in a UTF-8 file or packaged resource; error, naming what
+    and the path, if it is missing, unreadable, not JSON or not an object."""
+    path = Path(path) if isinstance(path, str) else path
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e.strerror}") from None
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise error(f"{what} {path} must be a JSON object")
+    return data
+
+
+def write_json(data: dict, path) -> None:
+    """Write data with sorted keys, a 2-space indent, non-ASCII kept and a final
+    newline, creating the parent directory; a lone surrogate becomes a JSON escape."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
+        fh.write(json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n")

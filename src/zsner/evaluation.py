@@ -6,7 +6,6 @@ gold mention; extras count as false positives). Tier headline numbers pool
 counts across documents and tags; macro-F1 is reported alongside.
 """
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -413,12 +412,3 @@ def render_delta(report: DeltaReport) -> str:
             )
     return "\n".join(lines) + "\n"
 
-
-def save_report_json(data: dict, path) -> None:
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from zsner.errors import DGFormatError, GenerationError, StoreFormatError
+from zsner.errors import DGFormatError, GenerationError, StoreFormatError, read_json, write_json
 from zsner.parsing import scan_balanced
 
 # chat_client: takes an OpenAI-style chat payload, returns the reply text
@@ -51,7 +51,7 @@ class TagSpec:
 
     @classmethod
     def from_record(cls, tag_id: str, rec: dict) -> "TagSpec":
-        missing = [f for f in STORE_FIELDS if f not in rec]
+        missing = [f for f in STORE_FIELDS if not isinstance(rec, dict) or f not in rec]
         if missing:
             raise StoreFormatError(f"tag {tag_id!r}: missing fields {missing}")
         return cls(
@@ -80,29 +80,17 @@ def _utc_now() -> str:
 
 
 def save_store(store: GuidelineStore, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = {
+    write_json({
         "language": store.language,
         "meta_prompt_id": store.meta_prompt_id,
         "created_at": store.created_at or _utc_now(),
         "records": {tag: spec.to_record() for tag, spec in store.records.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def load_store(path) -> GuidelineStore:
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise StoreFormatError(f"guideline store not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise StoreFormatError(f"guideline store {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict) or not isinstance(data.get("records"), dict):
+    data = read_json(path, "guideline store", StoreFormatError)
+    if not isinstance(data.get("records"), dict):
         raise StoreFormatError(f"guideline store {path}: expected a records object")
     records = {
         tag: TagSpec.from_record(tag, rec) for tag, rec in data["records"].items()

@@ -21,7 +21,8 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from zsner.errors import AuthError, CacheError, RunDirectoryError
+from zsner.errors import AuthError, CacheError, InputFormatError, RunDirectoryError
+from zsner.errors import read_json, write_json
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -704,11 +705,7 @@ def persist_run(
                 fh.write(rec.to_json() + "\n")
         data = dict(manifest())
         data.setdefault("written_at", _utc_now())
-        # a lone surrogate (in system_text, say) is written as a JSON escape
-        with open(run_dir / "manifest.json", "w", encoding="utf-8",
-                  errors="backslashreplace") as fh:
-            json.dump(data, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(data, run_dir / "manifest.json")
         os.replace(journal, run_dir / "replies.jsonl")
     except BaseException:
         journal.unlink(missing_ok=True)
@@ -720,18 +717,21 @@ def load_run(run_dir) -> tuple[Iterator[CompletionRecord], dict]:
     records are read one line at a time as they are iterated, in file order."""
     run_dir = Path(run_dir)
     replies = run_dir / "replies.jsonl"
-    manifest_path = run_dir / "manifest.json"
-    if not replies.is_file() or not manifest_path.is_file():
-        raise RunDirectoryError(
-            f"{run_dir} is not a run directory (need replies.jsonl and manifest.json)"
-        )
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    if not replies.is_file():
+        raise RunDirectoryError(f"{run_dir} is not a run directory (no replies.jsonl)")
+    manifest = read_json(run_dir / "manifest.json", "run manifest", RunDirectoryError)
     return _read_records(replies), manifest
 
 
 def _read_records(path: Path) -> Iterator[CompletionRecord]:
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield CompletionRecord.from_record(json.loads(line))
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        rec = CompletionRecord.from_record(json.loads(line))
+                    except (ValueError, TypeError, KeyError, RecursionError) as e:
+                        raise InputFormatError(f"{path}:{line_no}: bad record ({e!r})")
+                    yield rec
+        except UnicodeDecodeError as e:  # raised while reading, not by json.loads
+            raise InputFormatError(f"{path} is not UTF-8: {e}")

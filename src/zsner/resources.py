@@ -4,11 +4,10 @@ Every loader takes either a filesystem path or the name of a packaged
 asset; a path that exists on disk wins.
 """
 
-import json
 from importlib import resources
 from pathlib import Path
 
-from zsner.errors import ConfigError
+from zsner.errors import ConfigError, read_json
 from zsner.prompts import ChatAdapter, PromptTemplate
 
 
@@ -16,23 +15,32 @@ def _asset_root():
     return resources.files("zsner") / "assets"
 
 
-def _read_asset(kind: str, name_or_path: str, suffix: str) -> str:
+def _read_asset(kind: str, name_or_path: str, suffix: str):
+    """The file a path or a packaged asset name resolves to."""
     path = Path(name_or_path)
     if path.is_file():
-        return path.read_text(encoding="utf-8")
+        return path
     candidate = _asset_root() / kind / f"{name_or_path}{suffix}"
-    try:
-        return candidate.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
-        builtin = sorted(
-            p.name.removesuffix(suffix)
-            for p in (_asset_root() / kind).iterdir()
-            if p.name.endswith(suffix)
-        )
-        raise ConfigError(
-            f"no such {kind.rstrip('s')} {name_or_path!r}: not a file, and not a "
-            f"built-in (available: {', '.join(builtin)})"
-        )
+    if candidate.is_file():
+        return candidate
+    builtin = sorted(
+        p.name.removesuffix(suffix)
+        for p in (_asset_root() / kind).iterdir()
+        if p.name.endswith(suffix)
+    )
+    raise ConfigError(
+        f"no such {kind} asset {name_or_path!r}: not a file, and not a "
+        f"built-in (available: {', '.join(builtin)})"
+    )
+
+
+def _read_object(kind: str, name_or_path: str, required=()) -> dict:
+    path = _read_asset(kind, name_or_path, ".json")
+    data = read_json(path, f"{kind} asset")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigError(f"{kind} asset {path} lacks {', '.join(missing)}")
+    return data
 
 
 def _body_text(value) -> str:
@@ -43,7 +51,7 @@ def _body_text(value) -> str:
 
 
 def load_template(name_or_path: str) -> PromptTemplate:
-    data = json.loads(_read_asset("templates", name_or_path, ".json"))
+    data = _read_object("templates", name_or_path, ("template_id", "body"))
     return PromptTemplate(
         template_id=data["template_id"],
         body=_body_text(data["body"]),
@@ -52,7 +60,7 @@ def load_template(name_or_path: str) -> PromptTemplate:
 
 
 def load_adapter(name_or_path: str) -> ChatAdapter:
-    data = json.loads(_read_asset("adapters", name_or_path, ".json"))
+    data = _read_object("adapters", name_or_path, ("adapter_id", "kind"))
     return ChatAdapter(
         adapter_id=data["adapter_id"],
         kind=data["kind"],
@@ -62,10 +70,8 @@ def load_adapter(name_or_path: str) -> ChatAdapter:
 
 
 def _load_string_map(kind: str, name_or_path: str) -> dict[str, str]:
-    data = json.loads(_read_asset(kind, name_or_path, ".json"))
-    if not isinstance(data, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in data.items()
-    ):
+    data = _read_object(kind, name_or_path)
+    if not all(isinstance(k, str) and isinstance(v, str) for k, v in data.items()):
         raise ConfigError(f"{kind} asset {name_or_path!r} must map strings to strings")
     return data
 
@@ -82,7 +88,7 @@ def load_display_names(name_or_path: str) -> dict[str, str]:
 
 def load_meta_prompt(name_or_path: str) -> tuple[str, str]:
     """(meta_prompt_id, text) for guideline generation."""
-    text = _read_asset("meta_prompts", name_or_path, ".txt")
+    text = _read_asset("meta_prompts", name_or_path, ".txt").read_text(encoding="utf-8")
     path = Path(name_or_path)
     meta_id = path.stem if path.is_file() else name_or_path
     return meta_id, text
@@ -90,7 +96,4 @@ def load_meta_prompt(name_or_path: str) -> tuple[str, str]:
 
 def load_canned_dg(name_or_path: str = "canned_dg_it") -> dict[str, dict]:
     """Display name -> canned definition/guidelines, for the mock generator."""
-    data = json.loads(_read_asset("canned", name_or_path, ".json"))
-    if not isinstance(data, dict):
-        raise ConfigError(f"canned D&G asset {name_or_path!r} must be an object")
-    return data
+    return _read_object("canned", name_or_path)

@@ -731,3 +731,125 @@ def test_guidelines_gen_backend_retries_then_fails(tmp_path, endpoint, capsys):
                    "--tags", "plant", "--backend", backend, "--max-attempts", "1") == 1
     assert "generator backend failure" in capsys.readouterr().err
     assert len(endpoint.requests) == 6
+
+
+@pytest.fixture(scope="module")
+def shared_tree(tmp_path_factory):
+    """A seeded benchmark tree and a BIO file that the tests below only read."""
+    import random
+
+    root = tmp_path_factory.mktemp("shared")
+    build_benchmark_tree(root, random.Random(31))
+    (root / "sample.bio").write_text(BIO, encoding="utf-8")
+    return root
+
+
+def _render_args(root, tmp, *extra):
+    return ("render", "--benchmark", root / "manifest.json", "--variant", "without_dg",
+            *extra, "-o", tmp / "jobs.jsonl")
+
+
+# Every input the CLI reads as a JSON object: its exit code and the command
+# that reads bad, in a scratch directory tmp beside a seeded tree at root.
+_JSON_INPUTS = {
+    "run_config": (2, lambda root, tmp, bad: (
+        "run", bad, "--run-dir", tmp / "r", "--mock", "empty")),
+    "benchmark_config": (2, lambda root, tmp, bad: (
+        "benchmark", bad, "-o", tmp / "manifest.json")),
+    "backend_config": (2, lambda root, tmp, bad: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
+        "--backend", bad)),
+    "benchmark_manifest": (2, lambda root, tmp, bad: (
+        "render", "--benchmark", bad, "--variant", "without_dg", "-o", tmp / "j.jsonl")),
+    "guideline_store": (3, lambda root, tmp, bad: (
+        "guidelines", "validate", "--store", bad, "--tags", "person")),
+    "run_manifest": (2, lambda root, tmp, bad: ("score", bad.parent)),
+    "score_report": (2, lambda root, tmp, bad: (
+        "report", "--with-report", bad, "--without-report", bad)),
+    "template": (2, lambda root, tmp, bad: _render_args(root, tmp, "--template", bad)),
+    "adapter": (2, lambda root, tmp, bad: _render_args(root, tmp, "--adapter", bad)),
+    "display_names": (2, lambda root, tmp, bad: _render_args(
+        root, tmp, "--display-names", bad)),
+    "alias_table": (2, lambda root, tmp, bad: (
+        "ingest", root / "sample.bio", "--aliases", bad, "-o", tmp / "d.jsonl")),
+}
+
+
+@pytest.mark.parametrize("content", [None, b'{"benchmark": ', b"[]", b'{"\xff": 1}',
+                                     b"[" * 100_000],
+                         ids=["missing", "invalid_json", "list", "not_utf8", "deep"])
+@pytest.mark.parametrize("name", list(_JSON_INPUTS))
+def test_bad_json_input_exits_with_its_code(shared_tree, tmp_path, capsys, name, content):
+    code, command = _JSON_INPUTS[name]
+    (tmp_path / "run").mkdir()  # a run directory whose manifest is the bad input
+    (tmp_path / "run" / "replies.jsonl").write_text("", encoding="utf-8")
+    bad = tmp_path / "run" / "manifest.json" if name == "run_manifest" else tmp_path / "in.json"
+    if content is not None:
+        bad.write_bytes(content)
+    capsys.readouterr()
+    assert run_cli(*command(shared_tree, tmp_path, bad)) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+
+
+def test_json_files_are_read_and_written_only_in_errors():
+    src = Path(__file__).parents[1] / "src" / "zsner"
+    calls = [f"{path.name}:{n}" for path in sorted(src.glob("*.py")) if path.name != "errors.py"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "json.load(" in line or "json.dump(" in line]
+    assert calls == []
+
+
+@pytest.mark.parametrize("line, where", [
+    ("{not json", ":3:"), ("[1, 2]", ":3:"), ('{"raw_text": "[]"}', ":3:"),
+    ('{"job_id": "\xff"}', " is not UTF-8"),
+], ids=["not_json", "not_object", "no_job_id", "not_utf8"])
+def test_score_malformed_reply_line_is_input_error(tree, capsys, line, where):
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "empty",
+                   "--quiet") == 0
+    replies = root / "r" / "replies.jsonl"
+    lines = replies.read_text(encoding="utf-8").splitlines(keepends=True)
+    replies.write_bytes("".join(lines[:2] + [line + "\n"] + lines[2:]).encode("latin-1"))
+    capsys.readouterr()
+    assert run_cli("score", root / "r", "--quiet") == 3
+    assert f"{replies}{where}" in capsys.readouterr().err
+    assert not (root / "r" / "score.json").exists()
+
+
+def test_report_on_score_json_with_missing_fields_is_config_error(tree, capsys):
+    root, _ = tree
+    assert run_and_score(root, "without_dg", "empty", "r", with_store=False) == 0
+    good = root / "r" / "score.json"
+    for field in ("benchmark_id", "tiers", "tp", "fp", "fn", "precision", "recall", "f1"):
+        data = json.loads(good.read_text(encoding="utf-8"))
+        if field in data:
+            del data[field]
+        else:
+            tier = next(iter(data["tiers"].values()))
+            del next(iter(tier["per_tag"].values()))[field]
+        bad = root / f"score_no_{field}.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("report", "--with-report", bad, "--without-report", good) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(field) in err
+
+
+def test_template_or_adapter_without_a_key_is_config_error(shared_tree, tmp_path, capsys):
+    from importlib import resources as assets
+
+    for kind, name, option, key in [("templates", "default_it", "--template", "template_id"),
+                                    ("templates", "default_it", "--template", "body"),
+                                    ("adapters", "openai_chat", "--adapter", "adapter_id"),
+                                    ("adapters", "openai_chat", "--adapter", "kind")]:
+        asset = assets.files("zsner") / "assets" / kind / f"{name}.json"
+        data = json.loads(asset.read_text(encoding="utf-8"))
+        del data[key]
+        bad = tmp_path / f"{name}_no_{key}.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(*_render_args(shared_tree, tmp_path, option, bad)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -272,6 +273,19 @@ def test_load_benchmark_missing_dataset_file(tmp_path, rng):
     (tmp_path / "mn_test.jsonl").unlink()
     with pytest.raises(ConfigError):
         corpus.load_benchmark(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("key, value", [("datasets", ["wn_test.jsonl"]),
+                                        ("min_support", "five")])
+def test_load_benchmark_bad_field_is_config_error(tmp_path, rng, key, value):
+    build_benchmark_tree(tmp_path, rng)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest[key] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        corpus.load_benchmark(path)
+    assert str(path) in str(exc.value)
 
 
 _TIER = st.tuples(

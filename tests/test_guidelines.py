@@ -202,6 +202,19 @@ def test_store_rejects_missing_required_field(tmp_path):
     assert "guidelines" in str(exc.value)
 
 
+def test_store_keeps_a_lone_surrogate_and_rejects_a_record_that_is_no_object(tmp_path):
+    store = dg.GuidelineStore()
+    store.records["plant"] = dg.TagSpec("plant", "pianta \ud800", "def", "guide")
+    path = tmp_path / "store.json"
+    dg.save_store(store, path)
+    assert '"pianta \\ud800"' in path.read_text(encoding="utf-8")
+    assert dg.load_store(path).records["plant"] == store.records["plant"]
+    path.write_text('{"records": {"plant": "display_name definition guidelines"}}',
+                    encoding="utf-8")
+    with pytest.raises(StoreFormatError, match="plant"):
+        dg.load_store(path)
+
+
 def test_validate_store_reports_problems():
     store = dg.GuidelineStore()
     store.records["plant"] = dg.TagSpec("plant", "pianta", "def", "")
