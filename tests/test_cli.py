@@ -482,7 +482,8 @@ def grid_outputs(root) -> dict:
 
 # The fixture holds the digests these outputs had while jobs were still
 # expanded into a list before the first call; rendering jobs as the runner
-# reaches them must not change a byte.
+# reaches them must not change a byte. The manifest, store and delta digests
+# are those of the code before errors.write_json wrote every JSON file.
 def test_run_and_render_outputs_match_eager_expansion(tmp_path, capsys, monkeypatch):
     # the smallest window, 16 jobs per worker, so the runner waits on its
     # pending misses several times over the cold run
