@@ -356,17 +356,17 @@ def _backend_config(raw: dict) -> inference.BackendConfig:
 
 def _load_inputs(benchmark_path: Path, store_path, display_names: str,
                  template: str, adapter: str):
-    """(benchmark, datasets, store, specs, template, adapter) of one grid."""
-    bench, datasets = corpus.load_benchmark(benchmark_path)
+    """(benchmark, docs, store, specs, template, adapter) of one grid."""
+    bench, docs = corpus.load_benchmark(benchmark_path)
     store = dg.load_store(store_path) if store_path else None
     names = resources.load_display_names(display_names)
     specs = _tag_specs(bench.all_tags(), store, names)
-    return (bench, datasets, store, specs, resources.load_template(template),
+    return (bench, docs, store, specs, resources.load_template(template),
             resources.load_adapter(adapter))
 
 
 def _load_run_inputs(cfg: dict, base: Path):
-    """(benchmark, datasets, specs, template, adapter, variant, system)."""
+    """(benchmark, docs, specs, template, adapter, variant, system)."""
     if "benchmark" not in cfg:
         raise ConfigError("run config needs a 'benchmark' manifest path")
     variant = cfg.get("variant", prompts.WITH_DG)
@@ -377,7 +377,7 @@ def _load_run_inputs(cfg: dict, base: Path):
     if variant == prompts.WITH_DG and not cfg.get("store"):
         raise ConfigError("with_dg runs need a 'store' path in the run config")
 
-    bench, datasets, store, specs, template, adapter = _load_inputs(
+    bench, docs, store, specs, template, adapter = _load_inputs(
         _resolve(cfg["benchmark"], base),
         _resolve(cfg["store"], base) if cfg.get("store") else None,
         cfg.get("display_names", "it"),
@@ -393,7 +393,7 @@ def _load_run_inputs(cfg: dict, base: Path):
                 f"store lacks usable definitions/guidelines for benchmark tags: "
                 f"{', '.join(relevant)}"
             )
-    return bench, datasets, specs, template, adapter, variant, cfg.get("system_text", "")
+    return bench, docs, specs, template, adapter, variant, cfg.get("system_text", "")
 
 
 @cli.command()
@@ -408,20 +408,19 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     config_path = Path(config)
     cfg = read_json(config_path, "run config")
     base = config_path.parent
-    bench, datasets, specs, template, adapter, variant, system_text = (
+    bench, docs, specs, template, adapter, variant, system_text = (
         _load_run_inputs(cfg, base)
     )
 
     jobs = prompts.expand_benchmark_jobs(
-        bench, datasets, specs, variant, template, adapter, system_text
+        bench, docs, specs, variant, template, adapter, system_text
     )
 
     backend_raw = cfg.get("backend") or {}
     if mock is not None:
         kind, k = _parse_mock(mock)
-        backend = inference.MockBackend(kind, lambda: inference.gold_surface_index(
-            d for docs in datasets.values() for d in docs
-        ), k=k)
+        backend = inference.MockBackend(
+            kind, lambda: inference.gold_surface_index(docs.values()), k=k)
         model_name = f"mock:{mock}"
         knobs = inference.BackendConfig(
             endpoint_url="mock://", model_name=model_name,
@@ -516,17 +515,14 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
     """Inspect rendered prompts, or export the full payload grid."""
     if variant == prompts.WITH_DG and not store_path:
         raise ConfigError("with_dg rendering needs --store")
-    bench, datasets, _, specs, template_obj, adapter_obj = _load_inputs(
+    bench, docs, _, specs, template_obj, adapter_obj = _load_inputs(
         benchmark_path, store_path, display_names, template, adapter
     )
 
     if (doc_id is None) != (tag_id is None):
         raise ConfigError("--doc and --tag go together")
     if doc_id is not None:
-        match = next(
-            (d for docs in datasets.values() for d in docs if d.doc_id == doc_id),
-            None,
-        )
+        match = docs.get(doc_id)
         if match is None:
             raise ConfigError(f"no document {doc_id!r} in the benchmark datasets")
         if tag_id not in specs:
@@ -535,7 +531,7 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
         return
 
     jobs = prompts.expand_benchmark_jobs(
-        bench, datasets, specs, variant, template_obj, adapter_obj, system_text
+        bench, docs, specs, variant, template_obj, adapter_obj, system_text
     )
     if output is None:
         raise ConfigError("give -o to export jobs, or --doc/--tag to preview one")
@@ -574,15 +570,15 @@ def score(run_dir, output, semantics, quiet):
     for key in ("benchmark_path", "variant", "template_id", "adapter_id"):
         if key not in manifest:
             raise RunDirectoryError(f"run manifest lacks {key!r}")
-    bench, datasets = corpus.load_benchmark(manifest["benchmark_path"])
+    bench, docs = corpus.load_benchmark(manifest["benchmark_path"])
     if manifest.get("benchmark_id") and manifest["benchmark_id"] != bench.benchmark_id:
         raise CoverageError(
             f"benchmark changed since the run: manifest has "
             f"{manifest['benchmark_id']}, file has {bench.benchmark_id}"
         )
 
-    gold = evaluation.build_gold(bench, datasets)
-    del datasets  # from here on memory holds the gold map, not the documents
+    gold = evaluation.build_gold(docs.values())
+    del docs  # from here on memory holds the gold map, not the documents
     grid = (manifest["variant"], manifest["template_id"], manifest["adapter_id"])
     statuses: Counter[str] = Counter()
 

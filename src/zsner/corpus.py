@@ -518,10 +518,11 @@ def save_benchmark(benchmark: Benchmark, path: str | Path) -> None:
     write_json(manifest, path)
 
 
-def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document]]]:
-    """Read a manifest and the dataset files its tiers evaluate (paths are
-    resolved relative to the manifest's directory). The training dataset
-    is needed only for assembly and is not read."""
+def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
+    """Read a manifest and the documents of the dataset files its tiers
+    evaluate, by doc_id (paths are resolved relative to the manifest's
+    directory). A doc_id in two tier datasets is one document if the texts
+    agree. The training dataset is needed only for assembly and is not read."""
     path = Path(path)
     manifest = read_json(path, "benchmark manifest")
     try:
@@ -543,19 +544,21 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, list[Document
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise ConfigError(f"benchmark manifest {path} missing or bad field: {e!r}")
 
-    tier_datasets = {ds for t in benchmark.tiers for ds in t.dataset_ids}
-    datasets: dict[str, list[Document]] = {}
-    for key, rel in benchmark.dataset_paths.items():
-        if key not in tier_datasets:
-            continue
-        ds_path = Path(rel)
+    docs: dict[str, Document] = {}
+    for key in dict.fromkeys(ds for t in benchmark.tiers for ds in t.dataset_ids):
+        if key not in benchmark.dataset_paths:
+            continue  # validate_benchmark names it
+        ds_path = Path(benchmark.dataset_paths[key])
         if not ds_path.is_absolute():
             ds_path = path.parent / ds_path
         if not ds_path.exists():
             raise ConfigError(f"dataset {key!r}: file not found: {ds_path}")
-        datasets[key] = load_dataset(ds_path)
-    benchmark.doc_ids = {
-        k: tuple(d.doc_id for d in docs) for k, docs in datasets.items()
-    }
+        loaded = load_dataset(ds_path)
+        for doc in loaded:
+            if docs.setdefault(doc.doc_id, doc).text != doc.text:
+                raise DatasetFormatError(
+                    f"{ds_path}: doc_id {doc.doc_id!r} has other text in another tier dataset"
+                )
+        benchmark.doc_ids[key] = tuple(d.doc_id for d in loaded)
     validate_benchmark(benchmark)
-    return benchmark, datasets
+    return benchmark, docs

@@ -84,7 +84,7 @@ class PairingError(ZsnerError):
 
 
 class ExpansionError(ZsnerError):
-    """Job expansion failed (duplicate document ids)."""
+    """Job expansion failed (a benchmark tag without a spec)."""
 
 
 class AuthError(ZsnerError):

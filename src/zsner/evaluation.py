@@ -40,27 +40,19 @@ def micro_f1(counts: Counts) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def build_gold(
-    benchmark: Benchmark, datasets: dict[str, list[Document]]
-) -> dict[str, dict[str, list[str]]]:
-    """Normalized gold surfaces of every tier document: {doc_id: {tag: [surface]}}.
+def build_gold(docs: Iterable[Document]) -> dict[str, dict[str, list[str]]]:
+    """Normalized gold surfaces of the given documents: {doc_id: {tag: [surface]}}.
 
     A document with no mention of a tag has no entry for it.
     """
     by_doc: dict[str, dict[str, list[str]]] = {}
-    for tier in benchmark.tiers:
-        for ds in tier.dataset_ids:
-            if ds not in datasets:
-                raise ConfigError(f"tier {tier.name!r}: dataset {ds!r} not loaded")
-            for doc in datasets[ds]:
-                if doc.doc_id in by_doc:
-                    continue
-                # the gold-side mirror of the reply parser, once per document
-                by_tag = by_doc[doc.doc_id] = {}
-                for m in doc.mentions:
-                    surface = normalize_surface(m.surface)
-                    if surface:
-                        by_tag.setdefault(m.tag_id, []).append(surface)
+    for doc in docs:
+        # the gold-side mirror of the reply parser, once per document
+        by_tag = by_doc[doc.doc_id] = {}
+        for m in doc.mentions:
+            surface = normalize_surface(m.surface)
+            if surface:
+                by_tag.setdefault(m.tag_id, []).append(surface)
     return by_doc
 
 

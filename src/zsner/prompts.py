@@ -211,7 +211,7 @@ def _key_pieces(segments, adapter, system_text) -> list[str] | None:
 
 def expand_benchmark_jobs(
     benchmark: Benchmark,
-    datasets: dict[str, list[Document]],
+    docs: dict[str, Document],
     specs: dict[str, TagSpec],
     variant: str,
     template: PromptTemplate,
@@ -220,23 +220,11 @@ def expand_benchmark_jobs(
 ) -> Grid:
     """One job per cell of Benchmark.cells(), in its order, as a Grid: each
     pass renders every job afresh, so no payload outlives its consumer.
+    `docs` maps each doc_id of the cells to its document (load_benchmark).
 
     Every ExpansionError or RenderError a job could raise is raised here,
     before any job is built.
     """
-    docs_by_id: dict[str, Document] = {}
-    for tier in benchmark.tiers:
-        for ds in tier.dataset_ids:
-            if ds not in datasets:
-                raise ExpansionError(
-                    f"tier {tier.name!r}: dataset {ds!r} not loaded"
-                )
-            for doc in datasets[ds]:
-                prev = docs_by_id.setdefault(doc.doc_id, doc)
-                if prev is not doc and prev.text != doc.text:
-                    raise ExpansionError(
-                        f"duplicate document id {doc.doc_id!r} with differing text"
-                    )
     cells = benchmark.cells()
     plans: dict[str, tuple] = {}  # tag -> (segments, key pieces or None)
     for tag in dict.fromkeys(tag for (_, tag), _ in cells):  # first-use order
@@ -250,7 +238,7 @@ def expand_benchmark_jobs(
     def build() -> Iterator[PromptJob]:
         last = None
         for (doc_id, tag), _ in cells:
-            doc = docs_by_id[doc_id]
+            doc = docs[doc_id]
             if doc is not last:  # a document's cells come together
                 last, escaped = doc, encode_basestring(doc.text)[1:-1]
             segments, pieces = plans[tag]

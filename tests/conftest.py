@@ -133,6 +133,22 @@ def build_benchmark_tree(tmp_path, rng: random.Random, *, min_support: int = 5):
     return bench, datasets, config
 
 
+def load_benchmark_tree(tmp_path, rng: random.Random, **kwargs):
+    """build_benchmark_tree, then its manifest read back: (benchmark, docs by id)."""
+    build_benchmark_tree(tmp_path, rng, **kwargs)
+    return corpus.load_benchmark(tmp_path / "manifest.json")
+
+
+def add_twin(root, suffix: str = "") -> str:
+    """Put at the end of mn_test.jsonl a document with the doc_id of wn_test's
+    first one and its text followed by `suffix`; return the doc_id."""
+    twin = corpus.load_dataset(root / "wn_test.jsonl")[0]
+    docs = [d for d in corpus.load_dataset(root / "mn_test.jsonl") if d.doc_id != twin.doc_id]
+    corpus.save_dataset(docs + [corpus.Document(twin.doc_id, twin.text + suffix)],
+                        root / "mn_test.jsonl")
+    return twin.doc_id
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -158,8 +158,7 @@ def test_criterion_4_drop_one_closed_form(pipeline_root):
         scores = _run_and_score(
             pipeline_root, "run_with.json", "run_drop", "drop_k:1"
         )
-        bench, datasets = corpus.load_benchmark(pipeline_root / "manifest.json")
-        docs = {d.doc_id: d for ds in datasets.values() for d in ds}
+        bench, docs = corpus.load_benchmark(pipeline_root / "manifest.json")
         for tier in bench.tiers:
             G = 0
             C = 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXTRA_TAGS, TRAINING_TAGS, build_benchmark_tree, make_dataset
+from conftest import EXTRA_TAGS, TRAINING_TAGS, add_twin, build_benchmark_tree, make_dataset
 from oracles import oracle_cells
 from zsner import corpus
 from zsner.errors import (
@@ -256,16 +256,33 @@ def build_benchmark_tree_id(rng):
 
 def test_benchmark_manifest_round_trip(tmp_path, rng):
     bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
-    loaded, loaded_datasets = corpus.load_benchmark(tmp_path / "manifest.json")
+    loaded, loaded_docs = corpus.load_benchmark(tmp_path / "manifest.json")
     assert loaded.benchmark_id == bench.benchmark_id
     assert loaded.training_tags == bench.training_tags
     assert [t.tag_ids for t in loaded.tiers] == [t.tag_ids for t in bench.tiers]
     # only the tier datasets are read back; training is for assembly alone
     tier_keys = {"wn_test", "fic_test", "mn_test"}
-    assert set(loaded.doc_ids) == set(loaded_datasets) == tier_keys
-    assert "train" not in loaded.doc_ids and "train" not in loaded_datasets
+    assert set(loaded.doc_ids) == tier_keys
+    assert "train" not in loaded.doc_ids
+    assert not set(loaded_docs) & set(bench.doc_ids["train"])
     assert loaded.doc_ids == {k: bench.doc_ids[k] for k in tier_keys}
-    assert loaded_datasets == {k: datasets[k] for k in tier_keys}
+    assert loaded_docs == {d.doc_id: d for k in tier_keys for d in datasets[k]}
+
+
+def test_load_benchmark_reads_a_twin_document_once(tmp_path, rng):
+    """A doc_id in two tier datasets is one document if the texts agree,
+    and a DatasetFormatError naming the file and the id if they differ."""
+    build_benchmark_tree(tmp_path, rng)
+    twin = add_twin(tmp_path)
+    bench, docs = corpus.load_benchmark(tmp_path / "manifest.json")
+    assert twin in bench.doc_ids["wn_test"] and twin in bench.doc_ids["mn_test"]
+    assert docs[twin].mentions  # wn_test's copy, the first the tiers name
+    assert len(docs) == len({d for ids in bench.doc_ids.values() for d in ids})
+    add_twin(tmp_path, " altro")
+    with pytest.raises(DatasetFormatError) as exc:
+        corpus.load_benchmark(tmp_path / "manifest.json")
+    assert str(tmp_path / "mn_test.jsonl") in str(exc.value)
+    assert repr(twin) in str(exc.value)
 
 
 def test_load_benchmark_missing_dataset_file(tmp_path, rng):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_benchmark_tree
+from conftest import build_benchmark_tree, load_benchmark_tree
 from oracles import oracle_cell_counts, oracle_prf, oracle_set_cell_counts, random_cell
 from zsner import corpus
 from zsner import evaluation as ev
@@ -82,15 +82,16 @@ def test_micro_f1_matches_oracle_formula():
 
 def _report_inputs(tmp_path, rng):
     """(benchmark, gold map, gold extraction of each cell in cells() order)."""
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
-    gold = ev.build_gold(bench, datasets)
+    bench, docs = load_benchmark_tree(tmp_path, rng)
+    gold = ev.build_gold(docs.values())
     cells = [Extraction(d, t, gold[d].get(t, [])) for (d, t), _ in bench.cells()]
     return bench, gold, cells
 
 
 def test_build_gold_maps_documents_to_normalized_surfaces(tmp_path, rng):
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
-    gold = ev.build_gold(bench, datasets)
+    _, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    _, docs = corpus.load_benchmark(tmp_path / "manifest.json")
+    gold = ev.build_gold(docs.values())
     tier_docs = [d for ds in ("wn_test", "fic_test", "mn_test") for d in datasets[ds]]
     assert set(gold) == {d.doc_id for d in tier_docs}  # not the training set
     for doc in tier_docs:
@@ -98,8 +99,6 @@ def test_build_gold_maps_documents_to_normalized_surfaces(tmp_path, rng):
         for m in doc.mentions:
             want.setdefault(m.tag_id, []).append(normalize_surface(m.surface))
         assert gold[doc.doc_id] == want
-    with pytest.raises(ConfigError):
-        ev.build_gold(bench, {"wn_test": datasets["wn_test"]})
 
 
 _SURFACES = ("roma", "po", "etna")
@@ -146,7 +145,7 @@ def test_tier_report_sums_oracle_cell_counts(data, docs_a, docs_b, semantics):
     }
     report = ev.tier_report(
         bench,
-        ev.build_gold(bench, datasets),
+        ev.build_gold(d for docs in datasets.values() for d in docs),
         [Extraction(d, t, surfaces) for (d, t), surfaces in pred.items()],
         "with_dg",
         semantics=semantics,

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_benchmark_tree
+from conftest import add_twin, build_benchmark_tree, load_benchmark_tree
 from oracles import oracle_render
-from zsner import prompts
+from zsner import corpus, prompts
 from zsner.corpus import Benchmark, BenchmarkTier, Document
-from zsner.errors import ExpansionError, RenderError
+from zsner.errors import DatasetFormatError, ExpansionError, RenderError
 from zsner.guidelines import TagSpec
 from zsner.resources import load_adapter, load_template
 
@@ -172,12 +172,12 @@ def test_adapter_validation():
 
 
 def test_job_id_is_stable_and_distinct(tmp_path, rng, template):
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    bench, docs = load_benchmark_tree(tmp_path, rng)
     a = load_adapter("openai_chat")
 
     def ids(variant):
         grid = prompts.expand_benchmark_jobs(
-            bench, datasets, _grid_specs(bench), variant, template, a
+            bench, docs, _grid_specs(bench), variant, template, a
         )
         return [j.job_id for j in grid]
 
@@ -196,31 +196,28 @@ def test_job_id_is_stable_and_distinct(tmp_path, rng, template):
 
 
 def test_benchmark_expansion_duplicate_document_ids(tmp_path, rng, template):
-    """A doc id in two tier datasets is one document while their texts agree."""
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
-    a = load_adapter("openai_chat")
-    twin = datasets["wn_test"][0]
-    datasets["mn_test"] = datasets["mn_test"] + [Document(twin.doc_id, twin.text)]
+    """A doc id in two tier datasets is one document while their texts agree
+    (a differing twin fails in load_benchmark: see test_corpus)."""
+    build_benchmark_tree(tmp_path, rng)
+    twin = add_twin(tmp_path)
+    bench, docs = corpus.load_benchmark(tmp_path / "manifest.json")
+    assert twin in bench.doc_ids["wn_test"] and twin in bench.doc_ids["mn_test"]
     grid = prompts.expand_benchmark_jobs(
-        bench, datasets, _grid_specs(bench), prompts.WITH_DG, template, a
+        bench, docs, _grid_specs(bench), prompts.WITH_DG, template,
+        load_adapter("openai_chat"),
     )
     assert len(list(grid)) == len(bench.cells())
-    datasets["mn_test"][-1] = Document(twin.doc_id, twin.text + " altro")
-    with pytest.raises(ExpansionError, match=twin.doc_id):
-        prompts.expand_benchmark_jobs(
-            bench, datasets, _grid_specs(bench), prompts.WITH_DG, template, a
-        )
 
 
 def test_benchmark_expansion_covers_grid_once(tmp_path, rng, template):
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    bench, docs = load_benchmark_tree(tmp_path, rng)
     a = load_adapter("openai_chat")
     specs = {
         tag: TagSpec(tag_id=tag, display_name=tag, definition="d", guidelines="g")
         for tag in bench.all_tags()
     }
     jobs = prompts.expand_benchmark_jobs(
-        bench, datasets, specs, prompts.WITH_DG, template, a
+        bench, docs, specs, prompts.WITH_DG, template, a
     )
     cells = [(j.doc_id, j.tag_id) for j in jobs]
     assert len(cells) == len(set(cells))
@@ -242,9 +239,9 @@ def _grid_specs(bench):
 
 
 def test_benchmark_grid_is_sized_and_iterates_again(tmp_path, rng, template):
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    bench, docs = load_benchmark_tree(tmp_path, rng)
     grid = prompts.expand_benchmark_jobs(
-        bench, datasets, _grid_specs(bench), prompts.WITH_DG, template,
+        bench, docs, _grid_specs(bench), prompts.WITH_DG, template,
         load_adapter("openai_chat"),
     )
     assert len(grid) == len(bench.cells())
@@ -255,23 +252,19 @@ def test_benchmark_grid_is_sized_and_iterates_again(tmp_path, rng, template):
     assert first[0] is not second[0]  # built afresh on each pass
 
 
-@pytest.mark.parametrize("fault", ["missing_spec", "unloaded_dataset",
-                                   "differing_duplicate", "empty_guidelines"])
+@pytest.mark.parametrize("fault", ["missing_spec", "differing_duplicate",
+                                   "empty_guidelines"])
 def test_benchmark_expansion_fails_before_rendering(tmp_path, rng, template,
                                                    monkeypatch, fault):
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    bench, _, _ = build_benchmark_tree(tmp_path, rng)
     specs = _grid_specs(bench)
     last_tag = bench.tiers[-1].tag_ids[-1]  # its first cell comes late
     error = ExpansionError
     if fault == "missing_spec":
         del specs[last_tag]
-    elif fault == "unloaded_dataset":
-        del datasets["mn_test"]
-    elif fault == "differing_duplicate":
-        twin = datasets["wn_test"][0]
-        datasets["mn_test"] = datasets["mn_test"] + [
-            Document(twin.doc_id, twin.text + " altro")
-        ]
+    elif fault == "differing_duplicate":  # fails as the benchmark loads
+        add_twin(tmp_path, " altro")
+        error = DatasetFormatError
     else:
         specs[last_tag] = TagSpec(last_tag, last_tag, definition="d", guidelines=" ")
         error = RenderError
@@ -281,18 +274,18 @@ def test_benchmark_expansion_fails_before_rendering(tmp_path, rng, template,
                         lambda *args: rendered.append(args) or real_render(*args))
     with pytest.raises(error):
         prompts.expand_benchmark_jobs(
-            bench, datasets, specs, prompts.WITH_DG, template,
-            load_adapter("openai_chat"),
+            *corpus.load_benchmark(tmp_path / "manifest.json"), specs,
+            prompts.WITH_DG, template, load_adapter("openai_chat"),
         )
     assert rendered == []
 
 
 def test_benchmark_expansion_missing_spec(tmp_path, rng, template):
-    bench, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    bench, docs = load_benchmark_tree(tmp_path, rng)
     a = load_adapter("openai_chat")
     with pytest.raises(ExpansionError):
         prompts.expand_benchmark_jobs(
-            bench, datasets, {}, prompts.WITH_DG, template, a
+            bench, docs, {}, prompts.WITH_DG, template, a
         )
 
 
@@ -370,7 +363,7 @@ def test_expanded_jobs_match_one_pass_render_and_json_dumps(
     bench = Benchmark("b", "train", (), [BenchmarkTier(
         "t", "in_domain", ("a",), tuple(specs))], 1, doc_ids={"a": tuple(d.doc_id for d in docs)})
     jobs = list(prompts.expand_benchmark_jobs(
-        bench, {"a": docs}, specs, variant, template, adapter, system))
+        bench, {d.doc_id: d for d in docs}, specs, variant, template, adapter, system))
     body = template.with_dg_body if variant == prompts.WITH_DG else template.without_dg_body
     assert len(jobs) == 2 * len(docs)
     for job, (doc, spec) in zip(jobs, [(d, s) for d in docs for s in specs.values()]):
