@@ -21,6 +21,7 @@ import click
 from zsner import __version__, corpus, evaluation, inference, parsing, prompts, resources
 from zsner import guidelines as dg
 from zsner.errors import (
+    BioParseError,
     ConfigError,
     CoverageError,
     GenerationError,
@@ -97,13 +98,16 @@ def ingest(inputs, output, aliases, domain, doc_id_prefix, strict):
         if not path.is_file():
             raise ConfigError(f"input file not found: {path}")
         with open(path, encoding="utf-8") as fh:
-            parsed = corpus.parse_bio(
-                fh,
-                aliases=alias_map,
-                domain=domain,
-                doc_id_prefix=doc_id_prefix or path.stem,
-                strict=strict,
-            )
+            try:
+                parsed = corpus.parse_bio(
+                    fh,
+                    aliases=alias_map,
+                    domain=domain,
+                    doc_id_prefix=doc_id_prefix or path.stem,
+                    strict=strict,
+                )
+            except UnicodeDecodeError as e:
+                raise BioParseError(f"{path} is not UTF-8: {e}")
         for d in parsed:
             if d.doc_id in seen:
                 raise ConfigError(
@@ -417,29 +421,25 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     )
 
     backend_raw = cfg.get("backend") or {}
+    if not isinstance(backend_raw, dict):
+        raise ConfigError("run config 'backend' must be an object")
     if mock is not None:
         kind, k = _parse_mock(mock)
-        backend = inference.MockBackend(
-            kind, lambda: inference.gold_surface_index(docs.values()), k=k)
-        model_name = f"mock:{mock}"
-        knobs = inference.BackendConfig(
-            endpoint_url="mock://", model_name=model_name,
-            **{k_: v for k_, v in backend_raw.items()
-               if k_ in ("max_parallel", "max_retries", "retry_base_delay",
-                         "requests_per_minute")},
-        )
-    else:
-        if not backend_raw:
-            raise ConfigError("run config needs a 'backend' object (or pass --mock)")
-        knobs = _backend_config(backend_raw)
-        model_name = knobs.model_name
-
+        # a mock honours only the runner settings of the backend object
+        backend_raw = {k_: v for k_, v in backend_raw.items()
+                       if k_ in ("max_parallel", "max_retries", "retry_base_delay",
+                                 "requests_per_minute")}
+        backend_raw.update(endpoint_url="mock://", model_name=f"mock:{mock}")
+    elif not backend_raw:
+        raise ConfigError("run config needs a 'backend' object (or pass --mock)")
     if max_parallel is not None:
-        if max_parallel < 1:
-            raise ConfigError("--max-parallel must be >= 1")
-        knobs.max_parallel = max_parallel
+        backend_raw = {**backend_raw, "max_parallel": max_parallel}
+    knobs = _backend_config(backend_raw)
     if mock is None:
         backend = _http_backend(knobs)
+    else:
+        backend = inference.MockBackend(
+            kind, lambda: inference.gold_surface_index(docs.values()), k=k)
 
     run_path = inference.prepare_run_dir(run_dir, overwrite=overwrite)
     cache = inference.ResponseCache(run_path / "cache")
@@ -461,7 +461,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
             "template_id": template.template_id,
             "adapter_id": adapter.adapter_id,
             "system_text": system_text,
-            "model_name": model_name,
+            "model_name": knobs.model_name,
             "fingerprint": getattr(backend, "fingerprint", ""),
             "mock": mock or "",
             "counts": {

@@ -108,7 +108,6 @@ def parse_bio(
     domain: str = "",
     doc_id_prefix: str = "doc",
     strict: bool = False,
-    detok: Callable[[Sequence[str]], tuple[str, list[Token]]] = default_detok,
 ) -> list[Document]:
     """Decode a BIO token/label stream into offset-annotated documents.
 
@@ -124,7 +123,7 @@ def parse_bio(
     def flush():
         if not tokens:
             return
-        text, offsets = detok(tokens)
+        text, offsets = default_detok(tokens)
         mentions: list[Mention] = []
         open_tag: str | None = None
         span_start = span_end = 0
@@ -195,16 +194,9 @@ def parse_bio(
     return docs
 
 
-def whitespace_tokens(text: str) -> list[Token]:
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-
-
-def encode_bio(
-    doc: Document,
-    tokenizer: Callable[[str], list[Token]] = whitespace_tokens,
-) -> list[tuple[str, str]]:
+def encode_bio(doc: Document) -> list[tuple[str, str]]:
     """Inverse of parse_bio for documents whose mentions align to tokens."""
-    tokens = tokenizer(doc.text)
+    tokens = [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(doc.text)]
     labels = ["O"] * len(tokens)
     for m in sorted(doc.mentions, key=lambda m: m.start):
         covered = [i for i, t in enumerate(tokens) if t.start < m.end and t.end > m.start]
@@ -259,31 +251,36 @@ def load_dataset(path: str | Path) -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({e})")
-            try:
-                doc = Document(
-                    rec["doc_id"],
-                    rec["text"],
-                    rec.get("domain", ""),
-                    [
-                        Mention(m["tag"], m["surface"], m["start"], m["end"])
-                        for m in rec.get("mentions", [])
-                    ],
-                )
-            except (KeyError, TypeError) as e:
-                raise DatasetFormatError(f"{path}:{line_no}: missing field ({e})")
-            except DatasetFormatError as e:
-                raise DatasetFormatError(f"{path}:{line_no}: {e}")
-            if doc.doc_id in seen:
-                raise DatasetFormatError(f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            docs.append(doc)
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({e})")
+                try:
+                    doc = Document(
+                        rec["doc_id"],
+                        rec["text"],
+                        rec.get("domain", ""),
+                        [
+                            Mention(m["tag"], m["surface"], m["start"], m["end"])
+                            for m in rec.get("mentions", [])
+                        ],
+                    )
+                except (KeyError, TypeError) as e:
+                    raise DatasetFormatError(f"{path}:{line_no}: missing field ({e})")
+                except DatasetFormatError as e:
+                    raise DatasetFormatError(f"{path}:{line_no}: {e}")
+                if doc.doc_id in seen:
+                    raise DatasetFormatError(
+                        f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}"
+                    )
+                seen.add(doc.doc_id)
+                docs.append(doc)
+        except UnicodeDecodeError as e:  # raised while reading, not by json.loads
+            raise DatasetFormatError(f"{path} is not UTF-8: {e}")
     return docs
 
 

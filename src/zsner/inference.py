@@ -70,8 +70,12 @@ class BackendConfig:
     retry_base_delay: float = 0.5
 
     def __post_init__(self):
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
+        if not isinstance(self.max_parallel, int) or self.max_parallel < 1:
+            raise ValueError(f"max_parallel must be an integer >= 1, got {self.max_parallel!r}")
+        rpm = self.requests_per_minute
+        if rpm is not None and (not isinstance(rpm, int) or rpm < 0):
+            raise ValueError(f"requests_per_minute must be an integer >= 0 "
+                             f"(0 or null: no limit), got {rpm!r}")
 
 
 @dataclass(slots=True)

@@ -43,10 +43,13 @@ def _read_object(kind: str, name_or_path: str, required=()) -> dict:
     return data
 
 
-def _body_text(value) -> str:
+def _body_text(data: dict, key: str, name_or_path: str) -> str:
     # JSON assets may store multi-line text as a list of lines
-    if isinstance(value, list):
+    value = data.get(key, "")
+    if isinstance(value, list) and all(isinstance(line, str) for line in value):
         return "\n".join(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"asset {name_or_path}: {key!r} must be a string or a list of strings")
     return value
 
 
@@ -54,7 +57,7 @@ def load_template(name_or_path: str) -> PromptTemplate:
     data = _read_object("templates", name_or_path, ("template_id", "body"))
     return PromptTemplate(
         template_id=data["template_id"],
-        body=_body_text(data["body"]),
+        body=_body_text(data, "body", name_or_path),
         language=data.get("language", "it"),
     )
 
@@ -64,8 +67,8 @@ def load_adapter(name_or_path: str) -> ChatAdapter:
     return ChatAdapter(
         adapter_id=data["adapter_id"],
         kind=data["kind"],
-        with_system=_body_text(data.get("with_system", "")),
-        without_system=_body_text(data.get("without_system", "")),
+        with_system=_body_text(data, "with_system", name_or_path),
+        without_system=_body_text(data, "without_system", name_or_path),
     )
 
 
@@ -88,7 +91,11 @@ def load_display_names(name_or_path: str) -> dict[str, str]:
 
 def load_meta_prompt(name_or_path: str) -> tuple[str, str]:
     """(meta_prompt_id, text) for guideline generation."""
-    text = _read_asset("meta_prompts", name_or_path, ".txt").read_text(encoding="utf-8")
+    asset = _read_asset("meta_prompts", name_or_path, ".txt")
+    try:
+        text = asset.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"meta prompt {asset} is not UTF-8: {e}") from None
     path = Path(name_or_path)
     meta_id = path.stem if path.is_file() else name_or_path
     return meta_id, text

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_benchmark_tree, completion
+from conftest import add_twin, build_benchmark_tree, closed_port, completion
 from zsner import inference
 from zsner.cli import main
 
@@ -791,6 +791,118 @@ def test_bad_json_input_exits_with_its_code(shared_tree, tmp_path, capsys, name,
     assert run_cli(*command(shared_tree, tmp_path, bad)) == code
     err = capsys.readouterr().err
     assert str(bad) in err and "Traceback" not in err
+
+
+def _write(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    return path
+
+
+def _asset_with(kind: str, name: str, **fields) -> bytes:
+    """A packaged JSON asset with `fields` set."""
+    from importlib import resources as assets
+
+    asset = assets.files("zsner") / "assets" / kind / f"{name}.json"
+    return json.dumps({**json.loads(asset.read_text(encoding="utf-8")), **fields}).encode()
+
+
+def _run_with_backend(root, tmp, backend, *extra):
+    cfg = {"benchmark": str(root / "manifest.json"), "variant": "without_dg",
+           "backend": backend}
+    return ("run", _write(tmp / "run.json", json.dumps(cfg).encode()),
+            "--run-dir", tmp / "r", *extra)
+
+
+def _manifest_reading(root, tmp, dataset: Path) -> Path:
+    """A copy of root's benchmark manifest whose mn_test dataset is `dataset`."""
+    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    manifest["datasets"] = {k: str(root / v) for k, v in manifest["datasets"].items()}
+    manifest["datasets"]["mn_test"] = str(dataset)
+    return _write(tmp / "manifest.json", json.dumps(manifest).encode())
+
+
+_NOT_UTF8_DATASET = b'{"doc_id": "d\xff", "text": "Roma"}\n'
+
+# Bad inputs beyond the JSON objects above: its exit code, the command that
+# reads it once written under tmp beside a seeded tree at root, and a piece
+# of the error message.
+_BAD_INPUTS = {
+    "bio_not_utf8": (3, lambda root, tmp: (
+        "ingest", _write(tmp / "in.bio", b"Roma\tB-LOC\xff\n"), "-o", tmp / "d.jsonl"),
+        "in.bio"),
+    "dataset_not_utf8": (3, lambda root, tmp: (
+        "inventory", _write(tmp / "in.jsonl", _NOT_UTF8_DATASET)), "in.jsonl"),
+    "benchmark_dataset_not_utf8": (3, lambda root, tmp: (
+        "render", "--benchmark",
+        _manifest_reading(root, tmp, _write(tmp / "in.jsonl", _NOT_UTF8_DATASET)),
+        "--variant", "without_dg", "-o", tmp / "j.jsonl"), "in.jsonl"),
+    "meta_prompt_not_utf8": (2, lambda root, tmp: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
+        "--mock", "canned", "--meta-prompt", _write(tmp / "in.txt", b"Definisci \xff")),
+        "in.txt"),
+    "template_body_number": (2, lambda root, tmp: _render_args(
+        root, tmp, "--template", _write(tmp / "t.json", _asset_with(
+            "templates", "default_it", body=5))), "'body'"),
+    "template_body_list_of_numbers": (2, lambda root, tmp: _render_args(
+        root, tmp, "--template", _write(tmp / "t.json", _asset_with(
+            "templates", "default_it", body=["{text}", 5]))), "'body'"),
+    "adapter_with_system_number": (2, lambda root, tmp: _render_args(
+        root, tmp, "--adapter", _write(tmp / "a.json", _asset_with(
+            "adapters", "openai_chat", with_system=5))), "'with_system'"),
+    "mock_max_parallel_zero": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {"max_parallel": 0}, "--mock", "empty"), "max_parallel"),
+    "mock_max_parallel_text": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {"max_parallel": "x"}, "--mock", "empty"), "max_parallel"),
+    "mock_requests_per_minute_negative": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {"requests_per_minute": -1}, "--mock", "empty"), "requests_per_minute"),
+    "http_requests_per_minute_negative": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {"endpoint_url": f"http://127.0.0.1:{closed_port()}/v1",
+                    "model_name": "m", "requests_per_minute": -1}), "requests_per_minute"),
+    "max_parallel_option_zero": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {}, "--mock", "empty", "--max-parallel", "0"), "max_parallel"),
+    "backend_not_an_object": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, [4], "--mock", "empty"), "'backend'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUTS))
+def test_bad_input_exits_with_its_code(shared_tree, tmp_path, capsys, name):
+    code, command, needle = _BAD_INPUTS[name]
+    args = command(shared_tree, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*args) == code
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()  # refused before the run directory
+
+
+@pytest.mark.parametrize("rpm", [0, None])
+def test_zero_or_null_requests_per_minute_is_no_limit(shared_tree, tmp_path, rpm):
+    args = _run_with_backend(shared_tree, tmp_path, {"requests_per_minute": rpm},
+                             "--mock", "empty", "--quiet")
+    assert run_cli(*args) == 0
+
+
+def test_differing_twin_document_exits_3_at_load(tree, capsys):
+    """A doc_id in two tier datasets with differing text stops every command
+    that loads the benchmark, naming the dataset file and the id."""
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "empty", "--quiet") == 0
+    twin = add_twin(root, " altro")
+    manifest = root / "manifest.json"
+    for args in [("run", cfg, "--run-dir", root / "r2", "--mock", "empty"),
+                 ("render", "--benchmark", manifest, "--variant", "without_dg",
+                  "-o", root / "j.jsonl"),
+                 ("score", root / "r"),
+                 ("guidelines", "validate", "--store", root / "store.json",
+                  "--benchmark", manifest)]:
+        capsys.readouterr()
+        assert run_cli(*args) == 3, args
+        err = capsys.readouterr().err
+        assert str(root / "mn_test.jsonl") in err and repr(twin) in err
+        assert "Traceback" not in err
+    assert not (root / "r2").exists() and not (root / "r" / "score.json").exists()
 
 
 def test_json_files_are_read_and_written_only_in_errors():

@@ -290,6 +290,13 @@ def test_load_benchmark_missing_dataset_file(tmp_path, rng):
     (tmp_path / "mn_test.jsonl").unlink()
     with pytest.raises(ConfigError):
         corpus.load_benchmark(tmp_path / "manifest.json")
+    # a tier dataset the manifest gives no file for is never loaded
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["datasets"]["mn_test"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(AssemblyError, match="unloaded datasets.*mn_test"):
+        corpus.load_benchmark(path)
 
 
 @pytest.mark.parametrize("key, value", [("datasets", ["wn_test.jsonl"]),
