@@ -24,7 +24,6 @@ from zsner.errors import (
     BioParseError,
     ConfigError,
     CoverageError,
-    GenerationError,
     RunDirectoryError,
     ZsnerError,
     read_json,
@@ -205,10 +204,16 @@ def _required_tags(benchmark_path, tags, base: Path) -> list[str]:
     raise ConfigError("one of --benchmark or --tags is required")
 
 
-def _canned_client(table: dict[str, dict]):
-    def client(payload: dict) -> str:
-        content = payload["messages"][-1]["content"]
-        for name, entry in table.items():
+class _CannedBackend:
+    """The offline generator: the canned entry for the quoted display name in
+    the meta prompt, or one built from that name."""
+
+    def __init__(self, table: dict[str, dict]):
+        self.table = table
+
+    def complete(self, job) -> str:
+        content = job.payload["messages"][-1]["content"]
+        for name, entry in self.table.items():
             if f'"{name}"' in content:
                 return json.dumps(
                     {
@@ -233,8 +238,6 @@ def _canned_client(table: dict[str, dict]):
             ensure_ascii=False,
         )
 
-    return client
-
 
 def _http_backend(backend_cfg: inference.BackendConfig) -> inference.HttpBackend:
     try:
@@ -243,18 +246,15 @@ def _http_backend(backend_cfg: inference.BackendConfig) -> inference.HttpBackend
         raise ConfigError(f"bad backend config: {e}")
 
 
-def _backend_client(backend, backend_cfg: inference.BackendConfig):
-    def client(payload: dict) -> str:
-        job = SimpleNamespace(payload=payload)
-        try:
-            return inference.call_with_retries(
-                lambda: backend.complete(job),
-                backend_cfg.max_retries, backend_cfg.retry_base_delay,
-            )[0]
-        except inference.BackendError as exc:
-            raise GenerationError(f"generator backend failure: {exc}") from exc
-
-    return client
+def _runner_settings(knobs: inference.BackendConfig) -> dict:
+    """inference.run's keyword arguments for a backend config's runner settings."""
+    return {
+        "max_parallel": knobs.max_parallel,
+        "max_retries": knobs.max_retries,
+        "retry_base_delay": knobs.retry_base_delay,
+        "limiter": (inference.RateLimiter(knobs.requests_per_minute)
+                    if knobs.requests_per_minute else None),
+    }
 
 
 @cli.group("guidelines")
@@ -272,7 +272,7 @@ def guidelines_group():
 @click.option("--mock", default=None, help="Offline generator: 'canned'.")
 @click.option("--backend", "backend_path", default=None, type=click.Path(dir_okay=False),
               help="Backend config JSON (endpoint_url, model_name, auth_env, ...).")
-@click.option("--max-attempts", default=3, show_default=True)
+@click.option("--max-attempts", default=3, show_default=True, type=click.IntRange(min=1))
 def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
                    language, mock, backend_path, max_attempts):
     """Fill in definition/guideline records for tags missing from the store."""
@@ -290,33 +290,36 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
     if not store.meta_prompt_id:
         store.meta_prompt_id = meta_id
 
-    backend = None
     if mock is not None:
         if mock != "canned":
             raise ConfigError(f"unknown guideline mock {mock!r}; only 'canned'")
-        client = _canned_client(resources.load_canned_dg())
+        backend = _CannedBackend(resources.load_canned_dg())
         generator_model = "canned"
+        runner = {}
     else:
         backend_cfg = _backend_config(read_json(backend_path, "backend config"))
         backend = _http_backend(backend_cfg)
-        client = _backend_client(backend, backend_cfg)
         generator_model = backend_cfg.model_name
+        runner = _runner_settings(backend_cfg)
 
     name_map = {t: names.get(t, t.replace("_", " ")) for t in required}
+    known = len(store.records)
     try:
         generated = dg.generate_missing(
             store,
             name_map,
-            client,
+            backend,
             meta_text,
             generator_model=generator_model,
             max_attempts=max_attempts,
             reply_archive=Path(str(store_file) + ".replies.jsonl"),
+            **runner,
         )
     finally:
-        if backend is not None:
+        if mock is None:
             backend.close()
-    dg.save_store(store, store_file)
+        if len(store.records) > known:  # the tags parsed so far, also on failure
+            dg.save_store(store, store_file)
     skipped = len(required) - len(generated)
     click.echo(
         f"store {store_file}: {len(generated)} generated, {skipped} already present"
@@ -443,11 +446,6 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
 
     run_path = inference.prepare_run_dir(run_dir, overwrite=overwrite)
     cache = inference.ResponseCache(run_path / "cache")
-    limiter = (
-        inference.RateLimiter(knobs.requests_per_minute)
-        if knobs.requests_per_minute
-        else None
-    )
     stats = inference.RunStats()
 
     def manifest() -> dict:  # read once every record is written
@@ -472,16 +470,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
             },
         }
 
-    records = inference.run(
-        jobs,
-        backend,
-        cache,
-        max_parallel=knobs.max_parallel,
-        max_retries=knobs.max_retries,
-        retry_base_delay=knobs.retry_base_delay,
-        limiter=limiter,
-        stats=stats,
-    )
+    records = inference.run(jobs, backend, cache, stats=stats, **_runner_settings(knobs))
     try:
         inference.persist_run(records, manifest, run_path, overwrite=True)
     finally:

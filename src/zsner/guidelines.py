@@ -8,16 +8,14 @@ in a JSON store so inference runs never regenerate them.
 
 import json
 import re
+from contextlib import closing
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from types import SimpleNamespace
 
+from zsner import inference
 from zsner.errors import DGFormatError, GenerationError, StoreFormatError, read_json, write_json
 from zsner.parsing import scan_balanced
-
-# chat_client: takes an OpenAI-style chat payload, returns the reply text
-ChatClient = Callable[[dict], str]
 
 STORE_FIELDS = ("display_name", "definition", "guidelines")
 
@@ -75,15 +73,11 @@ class GuidelineStore:
         return self.records.get(tag_id)
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def save_store(store: GuidelineStore, path) -> None:
     write_json({
         "language": store.language,
         "meta_prompt_id": store.meta_prompt_id,
-        "created_at": store.created_at or _utc_now(),
+        "created_at": store.created_at or inference._utc_now(),
         "records": {tag: spec.to_record() for tag, spec in store.records.items()},
     }, path)
 
@@ -182,84 +176,66 @@ def build_meta_payload(meta_prompt: str, display_name: str) -> dict:
     return {"messages": [{"role": "user", "content": content}]}
 
 
-def generate_dg(
-    tag_id: str,
-    display_name: str,
-    chat_client: ChatClient,
-    meta_prompt: str,
-    *,
-    generator_model: str = "",
-    max_attempts: int = 3,
-    reply_log: list | None = None,
-) -> TagSpec:
-    """One tag's definition and guidelines via the meta prompt.
-
-    Malformed replies are retried with a fresh call; after max_attempts the
-    last parse failure is surfaced as GenerationError.
-    """
-    payload = build_meta_payload(meta_prompt, display_name)
-    last: DGFormatError | None = None
-    for attempt in range(1, max_attempts + 1):
-        raw = chat_client(payload)
-        if reply_log is not None:
-            reply_log.append(
-                {"tag_id": tag_id, "attempt": attempt, "raw_text": raw}
-            )
-        try:
-            definition, guidelines = parse_dg_reply(raw)
-        except DGFormatError as exc:
-            last = exc
-            continue
-        return TagSpec(
-            tag_id=tag_id,
-            display_name=display_name,
-            definition=definition,
-            guidelines=guidelines,
-            provenance="generated",
-            generator_model=generator_model,
-        )
-    raise GenerationError(
-        f"tag {tag_id!r}: no parseable reply after {max_attempts} attempts "
-        f"(last reply: {(last.raw_reply if last else '')[:200]!r})"
-    )
-
-
 def generate_missing(
     store: GuidelineStore,
     display_names: dict[str, str],
-    chat_client: ChatClient,
+    backend,
     meta_prompt: str,
     *,
     generator_model: str = "",
     max_attempts: int = 3,
     reply_archive=None,
+    **runner,
 ) -> list[str]:
     """Fill store entries for tags that lack one; warm tags cost no calls.
 
-    Returns the tag ids that were generated this invocation.
+    Round a = 1..max_attempts runs the tags still missing as jobs through
+    inference.run, uncached, with `runner` (max_parallel, max_retries,
+    retry_base_delay, limiter). Each reply is archived as it arrives and each
+    tag stored as soon as its reply parses. A failed call raises
+    GenerationError after its round, as do tags unparsed after the last one;
+    a rejected credential raises AuthError. Returns the tags generated here.
     """
-    reply_log: list[dict] = []
+    missing = {t: display_names[t] for t in sorted(display_names) if t not in store.records}
+    if reply_archive is not None and missing:
+        Path(reply_archive).parent.mkdir(parents=True, exist_ok=True)
+    last: dict[str, str] = {}  # tag -> its latest unparseable reply
     generated = []
-    for tag_id in sorted(display_names):
-        if tag_id in store.records:
-            continue
-        spec = generate_dg(
-            tag_id,
-            display_names[tag_id],
-            chat_client,
-            meta_prompt,
-            generator_model=generator_model,
-            max_attempts=max_attempts,
-            reply_log=reply_log,
+    for attempt in range(1, max_attempts + 1):
+        if not missing:
+            break
+        jobs = [SimpleNamespace(job_id=tag, payload=build_meta_payload(meta_prompt, name))
+                for tag, name in missing.items()]
+        failed = []
+        with closing(inference.run(jobs, backend, None, **runner)) as records:
+            for rec in records:
+                if rec.status != inference.STATUS_OK:
+                    failed.append(rec)
+                    continue
+                if reply_archive is not None:
+                    with open(reply_archive, "a", encoding="utf-8",
+                              errors="backslashreplace") as fh:
+                        fh.write(json.dumps({"tag_id": rec.job_id, "attempt": attempt,
+                                             "raw_text": rec.raw_text},
+                                            ensure_ascii=False) + "\n")
+                try:
+                    definition, guidelines = parse_dg_reply(rec.raw_text)
+                except DGFormatError:
+                    last[rec.job_id] = rec.raw_text
+                    continue
+                store.records[rec.job_id] = TagSpec(rec.job_id, missing.pop(rec.job_id), definition,
+                                                    guidelines, generator_model=generator_model)
+                generated.append(rec.job_id)
+        if failed:
+            rec = failed[0]
+            raise GenerationError(
+                f"generator backend failure: tag {rec.job_id!r}: {rec.error_kind} error "
+                f"after {rec.attempt_count} calls ({len(failed)} tags failed)"
+            )
+    if missing:
+        tag = next(iter(missing))
+        raise GenerationError(
+            f"tag {tag!r}: no parseable reply after {max_attempts} attempts "
+            f"(last reply: {last.get(tag, '')[:200]!r}; {len(missing)} tags unparsed)"
         )
-        store.records[tag_id] = spec
-        generated.append(tag_id)
-    if not store.created_at:
-        store.created_at = _utc_now()
-    if reply_archive is not None and reply_log:
-        path = Path(reply_archive)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            for entry in reply_log:
-                fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
     return generated

@@ -56,6 +56,22 @@ class BackendError(Exception):
         self.attempts = 1  # set by call_with_retries
 
 
+# (field, type, minimum) of each BackendConfig field, checked on construction;
+# a timeout under 1 ms could never see a reply
+_CONFIG_CHECKS = (
+    ("endpoint_url", str, None),
+    ("model_name", str, None),
+    ("auth_env", str, None),
+    ("max_parallel", int, 1),
+    ("requests_per_minute", int, 0),
+    ("timeout", (int, float), 0.001),
+    ("max_retries", int, 0),
+    ("temperature", (int, float), 0),
+    ("max_tokens", int, 1),
+    ("retry_base_delay", (int, float), 0),
+)
+
+
 @dataclass
 class BackendConfig:
     endpoint_url: str
@@ -70,12 +86,15 @@ class BackendConfig:
     retry_base_delay: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.max_parallel, int) or self.max_parallel < 1:
-            raise ValueError(f"max_parallel must be an integer >= 1, got {self.max_parallel!r}")
-        rpm = self.requests_per_minute
-        if rpm is not None and (not isinstance(rpm, int) or rpm < 0):
-            raise ValueError(f"requests_per_minute must be an integer >= 0 "
-                             f"(0 or null: no limit), got {rpm!r}")
+        for name, kind, minimum in _CONFIG_CHECKS:
+            value = getattr(self, name)
+            if name == "requests_per_minute" and value is None:
+                continue  # as 0: no limit
+            if (not isinstance(value, kind) or isinstance(value, bool)
+                    or not (minimum is None or value >= minimum)):  # NaN too
+                what = {str: "a string", int: "an integer"}.get(kind, "a number")
+                bound = f" >= {minimum}" if minimum is not None else ""
+                raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -552,8 +571,8 @@ def run(
     exponentially (base * 2^n) up to max_retries extra attempts; a job that
     still fails yields an error record and the rest of the batch proceeds.
     A rejected credential (a non-transient `auth` error) stops the run
-    instead: no further job is read or sent, calls in flight finish (their
-    replies are cached), and AuthError is raised.
+    instead: no further job is read or sent, calls in flight finish (a
+    cache keeps their replies), and AuthError is raised.
     """
     if max_parallel < 1:
         raise ValueError("max_parallel must be >= 1")
@@ -657,7 +676,7 @@ def run(
         if rejected:
             raise AuthError(
                 f"endpoint rejected the credentials: {rejected[0]}; replies received "
-                f"so far are cached, so a rerun does not repeat them"
+                f"so far are kept, so a rerun does not repeat them"
             )
 
     return RecordStream(jobs, records())

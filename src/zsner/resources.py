@@ -53,10 +53,16 @@ def _body_text(data: dict, key: str, name_or_path: str) -> str:
     return value
 
 
+def _id_text(data: dict, key: str, name_or_path: str) -> str:
+    if not isinstance(data[key], str):
+        raise ConfigError(f"asset {name_or_path}: {key!r} must be a string")
+    return data[key]
+
+
 def load_template(name_or_path: str) -> PromptTemplate:
     data = _read_object("templates", name_or_path, ("template_id", "body"))
     return PromptTemplate(
-        template_id=data["template_id"],
+        template_id=_id_text(data, "template_id", name_or_path),
         body=_body_text(data, "body", name_or_path),
         language=data.get("language", "it"),
     )
@@ -65,7 +71,7 @@ def load_template(name_or_path: str) -> PromptTemplate:
 def load_adapter(name_or_path: str) -> ChatAdapter:
     data = _read_object("adapters", name_or_path, ("adapter_id", "kind"))
     return ChatAdapter(
-        adapter_id=data["adapter_id"],
+        adapter_id=_id_text(data, "adapter_id", name_or_path),
         kind=data["kind"],
         with_system=_body_text(data, "with_system", name_or_path),
         without_system=_body_text(data, "without_system", name_or_path),

@@ -734,6 +734,82 @@ def test_guidelines_gen_backend_retries_then_fails(tmp_path, endpoint, capsys):
     assert len(endpoint.requests) == 6
 
 
+_DG_REPLY = json.dumps({"definizione": "d", "linee guida": "g"})
+
+
+def _gen_with_backend(tmp, endpoint, tags, *extra, **knobs):
+    """guidelines gen arguments for tags against endpoint, with these runner settings."""
+    backend = tmp / "backend.json"
+    backend.write_text(json.dumps({"endpoint_url": endpoint.url, "model_name": "m",
+                                   "retry_base_delay": 0.0, **knobs}), encoding="utf-8")
+    return ("guidelines", "gen", "--store", tmp / "store.json", "--tags", tags,
+            "--backend", backend, *extra)
+
+
+def _asked_tags(endpoint) -> list[str]:
+    """The display name each request asked about, in arrival order."""
+    return [re.search(r'"([^"]+)"', json.loads(r.body)["messages"][0]["content"])[1]
+            for r in endpoint.requests]
+
+
+def _store_tags(tmp) -> set[str]:
+    return set(json.loads((tmp / "store.json").read_text(encoding="utf-8"))["records"])
+
+
+@pytest.mark.parametrize("fault", ["unparseable", "rejected"])
+def test_guidelines_gen_failure_keeps_the_tags_before_it(tmp_path, endpoint, capsys, fault):
+    args = _gen_with_backend(tmp_path, endpoint, "aa,bb,cc", "--max-attempts", "2",
+                             max_parallel=1)
+    endpoint.respond = lambda body: _DG_REPLY
+    if fault == "unparseable":
+        endpoint.respond = lambda body: "mai utile" if b'\\"cc\\"' in body else _DG_REPLY
+    else:
+        endpoint.script = [(200, completion(_DG_REPLY))] * 2 + [(400, {})]
+    assert run_cli(*args) == 1
+    assert "'cc'" in capsys.readouterr().err
+    assert _store_tags(tmp_path) == {"aa", "bb"}
+    archive = tmp_path / "store.json.replies.jsonl"
+    archived = [(e["tag_id"], e["attempt"]) for e in map(
+        json.loads, archive.read_text(encoding="utf-8").splitlines())]
+    tried_cc = [("cc", 1), ("cc", 2)] if fault == "unparseable" else []
+    assert archived == [("aa", 1), ("bb", 1)] + tried_cc
+
+    # the rerun asks only for the tag still missing
+    endpoint.respond = lambda body: _DG_REPLY
+    endpoint.requests.clear()
+    assert run_cli(*args) == 0
+    assert _asked_tags(endpoint) == ["cc"]
+    assert _store_tags(tmp_path) == {"aa", "bb", "cc"}
+
+
+def test_guidelines_gen_exits_5_on_rejected_credentials(tmp_path, endpoint, capsys):
+    endpoint.script = [(200, completion(_DG_REPLY)), (401, {})]
+    assert run_cli(*_gen_with_backend(tmp_path, endpoint, "aa,bb,cc", max_parallel=1)) == 5
+    assert "rejected the credentials" in capsys.readouterr().err
+    assert _asked_tags(endpoint) == ["aa", "bb"]  # nothing is sent after the 401
+    assert _store_tags(tmp_path) == {"aa"}
+    assert endpoint.wait_all_closed()
+
+
+def test_guidelines_gen_opens_max_parallel_connections(tmp_path, endpoint):
+    endpoint.respond = lambda body: _DG_REPLY
+    endpoint.delay = 0.2  # every tag is in flight before the first reply
+    assert run_cli(*_gen_with_backend(tmp_path, endpoint, "aa,bb,cc,dd", max_parallel=4)) == 0
+    assert sorted(_asked_tags(endpoint)) == ["aa", "bb", "cc", "dd"]
+    assert endpoint.connections == 4
+    assert endpoint.wait_all_closed()
+
+
+def test_guidelines_gen_honours_requests_per_minute(tmp_path, endpoint, monkeypatch):
+    acquired = []
+    monkeypatch.setattr(inference.RateLimiter, "acquire",
+                        lambda self: acquired.append(self.per_minute))
+    endpoint.respond = lambda body: _DG_REPLY
+    assert run_cli(*_gen_with_backend(tmp_path, endpoint, "aa,bb,cc",
+                                      requests_per_minute=1)) == 0
+    assert acquired == [1, 1, 1]  # one slot per request, of a limiter at 1 per minute
+
+
 @pytest.fixture(scope="module")
 def shared_tree(tmp_path_factory):
     """A seeded benchmark tree and a BIO file that the tests below only read."""
@@ -813,6 +889,12 @@ def _run_with_backend(root, tmp, backend, *extra):
             "--run-dir", tmp / "r", *extra)
 
 
+def _http_backend_with(**knobs) -> dict:
+    """A backend object for an endpoint nothing listens on, with knobs set."""
+    return {"endpoint_url": f"http://127.0.0.1:{closed_port()}/v1", "model_name": "m",
+            **knobs}
+
+
 def _manifest_reading(root, tmp, dataset: Path) -> Path:
     """A copy of root's benchmark manifest whose mn_test dataset is `dataset`."""
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -856,12 +938,36 @@ _BAD_INPUTS = {
     "mock_requests_per_minute_negative": (2, lambda root, tmp: _run_with_backend(
         root, tmp, {"requests_per_minute": -1}, "--mock", "empty"), "requests_per_minute"),
     "http_requests_per_minute_negative": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, {"endpoint_url": f"http://127.0.0.1:{closed_port()}/v1",
-                    "model_name": "m", "requests_per_minute": -1}), "requests_per_minute"),
+        root, tmp, _http_backend_with(requests_per_minute=-1)), "requests_per_minute"),
     "max_parallel_option_zero": (2, lambda root, tmp: _run_with_backend(
         root, tmp, {}, "--mock", "empty", "--max-parallel", "0"), "max_parallel"),
     "backend_not_an_object": (2, lambda root, tmp: _run_with_backend(
         root, tmp, [4], "--mock", "empty"), "'backend'"),
+    "mock_max_retries_text": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {"max_retries": "x"}, "--mock", "empty"), "max_retries"),
+    "mock_retry_base_delay_negative": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {"retry_base_delay": -1}, "--mock", "empty"), "retry_base_delay"),
+    "http_timeout_text": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, _http_backend_with(timeout="x")), "timeout"),
+    "http_max_tokens_negative": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, _http_backend_with(max_tokens=-5)), "max_tokens"),
+    "http_temperature_text": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, _http_backend_with(temperature="hot")), "temperature"),
+    "http_endpoint_url_number": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, _http_backend_with(endpoint_url=5)), "endpoint_url"),
+    "gen_max_retries_text": (2, lambda root, tmp: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person", "--backend",
+        _write(tmp / "b.json", json.dumps(_http_backend_with(max_retries="x")).encode())),
+        "max_retries"),
+    "gen_max_attempts_zero": (2, lambda root, tmp: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
+        "--mock", "canned", "--max-attempts", "0"), "--max-attempts"),
+    "template_id_number": (2, lambda root, tmp: _render_args(
+        root, tmp, "--template", _write(tmp / "t.json", _asset_with(
+            "templates", "default_it", template_id=5))), "'template_id'"),
+    "adapter_id_number": (2, lambda root, tmp: _render_args(
+        root, tmp, "--adapter", _write(tmp / "a.json", _asset_with(
+            "adapters", "openai_chat", adapter_id=7))), "'adapter_id'"),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from zsner import guidelines as dg
 from zsner.errors import DGFormatError, GenerationError, StoreFormatError
+from zsner.inference import BackendError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -100,64 +101,96 @@ def test_parse_dg_reply_is_fast_on_hostile_nesting(raw):
     assert time.perf_counter() - started < 1.0
 
 
-def test_generate_dg_retries_then_succeeds():
-    replies = iter(["non strutturato", "ancora niente", GOOD_JSON])
-    calls = []
+class ScriptedBackend:
+    """A generator backend replying, per tag, from a list of replies; a
+    BackendError in the list is raised instead."""
 
-    def client(payload):
-        calls.append(payload)
-        return next(replies)
+    def __init__(self, replies: dict[str, list]):
+        self.replies = replies
+        self.calls = []
 
-    log = []
-    spec = dg.generate_dg(
-        "plant", "pianta", client, "Descrivi \"{display_name}\".",
-        generator_model="m1", max_attempts=3, reply_log=log,
+    def complete(self, job):
+        self.calls.append(job)
+        reply = self.replies[job.job_id].pop(0)
+        if isinstance(reply, BackendError):
+            raise reply
+        return reply
+
+
+def _archive(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_generate_dg_retries_then_succeeds(tmp_path):
+    backend = ScriptedBackend({"plant": ["non strutturato \ud800", "ancora niente", GOOD_JSON]})
+    store = dg.GuidelineStore()
+    archive = tmp_path / "store.json.replies.jsonl"
+    generated = dg.generate_missing(
+        store, {"plant": "pianta"}, backend, 'Descrivi "{display_name}".',
+        generator_model="m1", max_attempts=3, reply_archive=archive,
     )
+    assert generated == ["plant"]
+    spec = store.records["plant"]
     assert spec.definition.startswith("'PIANTA'")
     assert spec.generator_model == "m1"
     assert spec.provenance == "generated"
-    assert len(calls) == 3
-    assert [e["attempt"] for e in log] == [1, 2, 3]
-    assert '"pianta"' in calls[0]["messages"][0]["content"]
+    assert len(backend.calls) == 3
+    assert [(e["tag_id"], e["attempt"]) for e in _archive(archive)] == [
+        ("plant", 1), ("plant", 2), ("plant", 3)]
+    assert _archive(archive)[0]["raw_text"] == "non strutturato \ud800"  # a lone surrogate too
+    assert '"pianta"' in backend.calls[0].payload["messages"][0]["content"]
 
 
-def test_generate_dg_exhausts_attempts():
-    def client(payload):
-        return "mai utile"
-
+def test_generate_dg_exhausts_attempts(tmp_path):
+    backend = ScriptedBackend({"plant": ["mai utile"] * 2, "animal": [GOOD_JSON]})
+    store = dg.GuidelineStore()
+    archive = tmp_path / "archive.jsonl"
     with pytest.raises(GenerationError) as exc:
-        dg.generate_dg("plant", "pianta", client, "meta", max_attempts=2)
-    assert "plant" in str(exc.value)
+        dg.generate_missing(store, {"plant": "pianta", "animal": "animale"}, backend,
+                            "meta {display_name}", max_attempts=2, reply_archive=archive)
+    assert "plant" in str(exc.value) and "mai utile" in str(exc.value)
+    assert len(backend.calls) == 3
+    assert list(store.records) == ["animal"]  # stored before plant gave out
+    assert [(e["tag_id"], e["attempt"]) for e in _archive(archive)] == [
+        ("animal", 1), ("plant", 1), ("plant", 2)]
+
+
+def test_generate_missing_backend_failure_ends_after_its_round():
+    rejected = BackendError("request rejected (400)", "request", transient=False)
+    backend = ScriptedBackend({"animal": [GOOD_JSON], "plant": [rejected],
+                               "tree": ["non strutturato", GOOD_JSON]})
+    store = dg.GuidelineStore()
+    with pytest.raises(GenerationError, match="generator backend failure: tag 'plant'"):
+        dg.generate_missing(store, {"animal": "animale", "plant": "pianta", "tree": "albero"},
+                            backend, "meta {display_name}", max_retries=0)
+    assert list(store.records) == ["animal"]
+    assert len(backend.calls) == 3  # tree's second attempt is never made
 
 
 def test_generate_missing_skips_warm_tags(tmp_path):
     store = dg.GuidelineStore(language="it")
     store.records["plant"] = dg.TagSpec("plant", "pianta", "def", "guide")
-    calls = []
-
-    def client(payload):
-        calls.append(payload)
-        return GOOD_JSON
+    backend = ScriptedBackend({"animal": [GOOD_JSON]})
 
     archive = tmp_path / "store.json.replies.jsonl"
     generated = dg.generate_missing(
         store,
         {"plant": "pianta", "animal": "animale"},
-        client,
+        backend,
         "meta {display_name}",
         reply_archive=archive,
     )
     assert generated == ["animal"]
-    assert len(calls) == 1  # the warm tag costs nothing
+    assert len(backend.calls) == 1  # the warm tag costs nothing
     assert "animal" in store.records
-    lines = [json.loads(x) for x in archive.read_text().splitlines()]
-    assert [e["tag_id"] for e in lines] == ["animal"]
+    assert [e["tag_id"] for e in _archive(archive)] == ["animal"]
 
     # second pass over the same tags: store is fully warm, zero calls
-    calls.clear()
+    backend.calls.clear()
     assert dg.generate_missing(store, {"plant": "pianta", "animal": "animale"},
-                               client, "meta") == []
-    assert calls == []
+                               backend, "meta", reply_archive=archive) == []
+    assert backend.calls == []
+    assert len(_archive(archive)) == 1
 
 
 def test_store_round_trip(tmp_path):
