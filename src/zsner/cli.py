@@ -12,9 +12,7 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import click
 
@@ -538,13 +536,6 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
 # scoring commands
 
 
-def _record_mismatch(missing: list[str], stray: list[str]) -> CoverageError:
-    if missing:
-        return CoverageError(f"run lacks records for {len(missing)} jobs, e.g. {missing[:5]}")
-    return CoverageError(f"run has records for {len(stray)} jobs on no cell of the "
-                         f"benchmark grid, e.g. {stray[:5]}")
-
-
 @cli.command()
 @click.argument("run_dir", type=click.Path(file_okay=False))
 @click.option("-o", "--output", default=None, type=click.Path(dir_okay=False),
@@ -569,38 +560,14 @@ def score(run_dir, output, semantics, quiet):
     gold = evaluation.build_gold(docs.values())
     del docs  # from here on memory holds the gold map, not the documents
     grid = (manifest["variant"], manifest["template_id"], manifest["adapter_id"])
-    statuses: Counter[str] = Counter()
-
-    def predictions():
-        """Each record parsed as it is read, paired with its cell."""
-        pairs = evaluation._lockstep(
-            bench.cells(), records, lambda cell: prompts.job_id_for(*cell, *grid),
-            lambda rec: rec.job_id,
-            duplicate=lambda job_id: RunDirectoryError(f"duplicate record for job {job_id}"),
-            mismatch=_record_mismatch,
-        )
-        for (doc_id, tag), _, rec in pairs:
-            cell = SimpleNamespace(job_id=rec.job_id, doc_id=doc_id, tag_id=tag)
-            ext = parsing.to_extraction(rec, cell)
-            statuses[ext.parse_status] += 1
-            yield ext
-
-    report = evaluation.tier_report(
-        bench,
-        gold,
-        predictions(),
-        manifest["variant"],
-        semantics=semantics,
-        run_manifest=str(run_path / "manifest.json"),
-    )
+    report = evaluation.tier_report(bench, gold, records, grid, semantics=semantics,
+                                    run_manifest=str(run_path / "manifest.json"))
     out = Path(output) if output else run_path / "score.json"
     write_json(report.to_json(), out)
     if not quiet:
-        click.echo(
-            f"replies: {statuses.get(parsing.PARSE_OK, 0)} ok, "
-            f"{statuses.get(parsing.PARSE_RECOVERED, 0)} recovered, "
-            f"{statuses.get(parsing.PARSE_FAILED, 0)} failed"
-        )
+        n = report.parse_statuses
+        click.echo(f"replies: {n[parsing.PARSE_OK]} ok, {n[parsing.PARSE_RECOVERED]} "
+                   f"recovered, {n[parsing.PARSE_FAILED]} failed")
         click.echo(evaluation.render_report(report), nl=False)
         click.echo(f"report written to {out}")
 

@@ -522,20 +522,29 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
     agree. The training dataset is needed only for assembly and is not read."""
     path = Path(path)
     manifest = read_json(path, "benchmark manifest")
+
+    def strings(value, field: str) -> tuple[str, ...]:
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"benchmark manifest {path}: {field} must be a list of strings")
+        return tuple(value)
+
     try:
         dataset_paths = manifest["datasets"]
         tiers = [
-            BenchmarkTier(
-                t["name"], t["kind"], tuple(t["dataset_ids"]), tuple(t["tag_ids"])
-            )
+            BenchmarkTier(t["name"], t["kind"],
+                          strings(t["dataset_ids"], f"tier {t['name']!r} dataset_ids"),
+                          strings(t["tag_ids"], f"tier {t['name']!r} tag_ids"))
             for t in manifest["tiers"]
         ]
+        min_support = manifest["min_support"]
+        if not isinstance(min_support, int) or isinstance(min_support, bool):
+            raise ConfigError(f"benchmark manifest {path}: min_support must be an integer")
         benchmark = Benchmark(
             benchmark_id=manifest["benchmark_id"],
             training_dataset=manifest["training"]["dataset"],
-            training_tags=tuple(manifest["training"]["tags"]),
+            training_tags=strings(manifest["training"]["tags"], "training tags"),
             tiers=tiers,
-            min_support=int(manifest["min_support"]),
+            min_support=min_support,
             dataset_paths={k: str(v) for k, v in dataset_paths.items()},
         )
     except (KeyError, TypeError, AttributeError, ValueError) as e:

@@ -80,7 +80,7 @@ class ComparisonError(CoverageError):
 
 
 class PairingError(ZsnerError):
-    """CompletionRecord paired with the wrong PromptJob, or duplicate cell."""
+    """score_pair given the gold and predicted Extraction of two different cells."""
 
 
 class ExpansionError(ZsnerError):

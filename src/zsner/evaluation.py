@@ -10,9 +10,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from zsner import parsing
 from zsner.corpus import Benchmark, Document
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
+from zsner.errors import RunDirectoryError
 from zsner.parsing import Extraction, normalize_surface
+from zsner.prompts import job_id_for
 
 MULTISET = "multiset"
 SET = "set"
@@ -109,6 +112,8 @@ class ScoreReport:
     tiers: dict[str, TierScore]
     semantics: str = MULTISET
     run_manifest: str = ""
+    # replies per parse status; not part of score.json
+    parse_statuses: Counter = field(default_factory=Counter)
 
     def to_json(self) -> dict:
         def tag_dict(s: TagScore) -> dict:
@@ -163,76 +168,69 @@ class ScoreReport:
         )
 
 
-def _lockstep(cells, items, key, item_key, *, duplicate, mismatch):
-    """Pair each cell of Benchmark.cells(), in order, with the item of its key.
+def _lockstep(cells, records, grid):
+    """Pair each cell of Benchmark.cells(), in order, with its record: the one
+    whose job_id is job_id_for(*cell, *grid).
 
-    Yields (cell, in_tiers, item). `items` is read once, only as far as the
-    current cell needs; an item read early waits in a dict for its cell.
-    Two items with one key raise duplicate(key); after that, cells with no
-    item or items on no cell raise mismatch(missing keys in cell order,
-    stray keys in read order).
+    Yields (cell, in_tiers, record). `records` is read once, only as far as
+    the current cell needs; a record read early waits in a dict for its
+    cell. Two records for one job raise RunDirectoryError; after that, cells
+    with no record or records on no cell raise CoverageError.
     """
     early: dict = {}
 
     def read():
-        for item in items:
-            k = item_key(item)
-            if k in early:
-                raise duplicate(k)
-            early[k] = item
-            yield k
+        for rec in records:
+            if rec.job_id in early:
+                raise RunDirectoryError(f"duplicate record for job {rec.job_id}")
+            early[rec.job_id] = rec
+            yield rec.job_id
 
     reader, missing = read(), []
     for cell, in_tiers in cells:
-        k = key(cell)
+        k = job_id_for(*cell, *grid)
         if k in early or k in reader:  # `in` reads on up to k, or to the end
             yield cell, in_tiers, early.pop(k)
         else:
             missing.append(k)
     for _ in reader:
         pass
-    if early:  # an item whose cell has passed came twice, or is on no cell
-        for k in map(key, (cell for cell, _ in cells)):
+    if early:  # a record whose cell has passed came twice, or is on no cell
+        for cell, _ in cells:
+            k = job_id_for(*cell, *grid)
             if k in early:
-                raise duplicate(k)
-    if missing or early:
-        raise mismatch(missing, list(early))
-
-
-def _prediction_mismatch(missing: list, extra: list) -> CoverageError:
-    parts = []
+                raise RunDirectoryError(f"duplicate record for job {k}")
     if missing:
-        parts.append(f"{len(missing)} missing cells, e.g. {sorted(missing)[:5]}")
-    if extra:
-        parts.append(f"{len(extra)} extra cells, e.g. {sorted(extra)[:5]}")
-    return CoverageError("prediction grid mismatch: " + "; ".join(parts))
+        raise CoverageError(f"run lacks records for {len(missing)} jobs, e.g. {missing[:5]}")
+    if early:
+        raise CoverageError(f"run has records for {len(early)} jobs on no cell of the "
+                            f"benchmark grid, e.g. {list(early)[:5]}")
 
 
 def tier_report(
     benchmark: Benchmark,
     gold: dict[str, dict[str, list[str]]],
-    predictions: Iterable[Extraction],
-    variant: str,
+    records: Iterable,
+    grid: tuple[str, str, str],
     *,
     semantics: str = MULTISET,
     run_manifest: str = "",
 ) -> ScoreReport:
-    """Score predictions against build_gold's map over every tier.
+    """Score a run's CompletionRecords against build_gold's map over every tier.
 
-    Predictions are read once, in one pass over Benchmark.cells(), and may
-    come in any order. They must cover the grid exactly: a cell predicted
-    twice raises PairingError, and missing or extra cells raise
-    CoverageError rather than scoring as zeros.
+    `grid` is the run's (variant, template_id, adapter_id). Records are read
+    once, in one pass over Benchmark.cells(), and may come in any order; each
+    is parsed as it is paired with its cell. They must cover the grid
+    exactly: a job recorded twice raises RunDirectoryError, and missing or
+    stray records raise CoverageError rather than scoring as zeros.
     """
     # counts are summed per (tiers, tag)
     sums: dict[tuple[tuple[str, ...], str], list[int]] = defaultdict(lambda: [0, 0, 0])
+    statuses: Counter[str] = Counter()
     missing_gold: list[tuple[str, str]] = []
-    pairs = _lockstep(
-        benchmark.cells(), predictions, lambda cell: cell, lambda e: (e.doc_id, e.tag_id),
-        duplicate=lambda cell: PairingError(f"duplicate predicted extraction for cell {cell}"),
-        mismatch=_prediction_mismatch,
-    )
-    for cell, in_tiers, pred in pairs:
+    for cell, in_tiers, rec in _lockstep(benchmark.cells(), records, grid):
+        pred = parsing.to_extraction(rec, *cell)
+        statuses[pred.parse_status] += 1
         by_tag = gold.get(cell[0])
         if by_tag is None:
             missing_gold.append(cell)
@@ -268,10 +266,11 @@ def tier_report(
 
     return ScoreReport(
         benchmark_id=benchmark.benchmark_id,
-        variant=variant,
+        variant=grid[0],
         tiers=tiers,
         semantics=semantics,
         run_manifest=run_manifest,
+        parse_statuses=statuses,
     )
 
 

@@ -13,8 +13,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from zsner.errors import PairingError
-
 PARSE_OK = "ok"
 PARSE_RECOVERED = "recovered"
 PARSE_FAILED = "failed"
@@ -173,22 +171,18 @@ class Extraction:
     parse_status: str = PARSE_OK
 
 
-def to_extraction(record, job) -> Extraction:
-    """Turn one CompletionRecord into an Extraction for its PromptJob.
+def to_extraction(record, doc_id: str, tag_id: str) -> Extraction:
+    """Turn one CompletionRecord into an Extraction for its (doc_id, tag_id) cell.
 
     Backend errors and unparsable replies yield parse_status=failed with an
     empty multiset; the scorer then counts the whole gold side as misses.
     """
-    if record.job_id != job.job_id:
-        raise PairingError(
-            f"record {record.job_id} does not belong to job {job.job_id}"
-        )
     if record.status != "ok":
-        return Extraction(job.doc_id, job.tag_id, [], PARSE_FAILED)
+        return Extraction(doc_id, tag_id, [], PARSE_FAILED)
 
     parsed = extract_list(record.raw_text)
     if parsed.status == PARSE_FAILED:
-        return Extraction(job.doc_id, job.tag_id, [], PARSE_FAILED)
+        return Extraction(doc_id, tag_id, [], PARSE_FAILED)
     surfaces = [normalize_surface(s) for s in parsed.surfaces]
     surfaces = [s for s in surfaces if s]
-    return Extraction(job.doc_id, job.tag_id, surfaces, parsed.status)
+    return Extraction(doc_id, tag_id, surfaces, parsed.status)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import add_twin, build_benchmark_tree, closed_port, completion
-from zsner import inference
+from zsner import corpus, inference
 from zsner.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -617,6 +617,30 @@ def test_score_faults_exit_codes_and_write_no_report(tree, capsys, fault, code,
     assert not (root / "r" / "score.json").exists()
 
 
+def test_score_walks_the_grid_once_and_reads_each_record_once(tree, monkeypatch):
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet") == 0
+    walks, reads = [], []
+    cells, load_run = corpus.Benchmark.cells, inference.load_run
+
+    def counted_cells(self):
+        grid = cells(self)
+        return corpus.Grid(len(grid), lambda: walks.append(1) or iter(grid))
+
+    def counted_load_run(run_dir):
+        records, manifest = load_run(run_dir)
+        return (reads.append(rec.job_id) or rec for rec in records), manifest
+
+    monkeypatch.setattr(corpus.Benchmark, "cells", counted_cells)
+    monkeypatch.setattr(inference, "load_run", counted_load_run)
+    assert run_cli("score", root / "r", "--quiet") == 0
+    assert walks == [1]
+    lines = (root / "r" / "replies.jsonl").read_text(encoding="utf-8").splitlines()
+    assert sorted(reads) == sorted(json.loads(line)["job_id"] for line in lines)
+
+
 def _masked_replies(run_dir) -> list[dict]:
     """replies.jsonl without the fields a resumed run may change."""
     records = []
@@ -895,11 +919,11 @@ def _http_backend_with(**knobs) -> dict:
             **knobs}
 
 
-def _manifest_reading(root, tmp, dataset: Path) -> Path:
-    """A copy of root's benchmark manifest whose mn_test dataset is `dataset`."""
+def _manifest_with(root, tmp, edit) -> Path:
+    """A copy of root's benchmark manifest, changed in place by edit(manifest)."""
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     manifest["datasets"] = {k: str(root / v) for k, v in manifest["datasets"].items()}
-    manifest["datasets"]["mn_test"] = str(dataset)
+    edit(manifest)
     return _write(tmp / "manifest.json", json.dumps(manifest).encode())
 
 
@@ -916,8 +940,13 @@ _BAD_INPUTS = {
         "inventory", _write(tmp / "in.jsonl", _NOT_UTF8_DATASET)), "in.jsonl"),
     "benchmark_dataset_not_utf8": (3, lambda root, tmp: (
         "render", "--benchmark",
-        _manifest_reading(root, tmp, _write(tmp / "in.jsonl", _NOT_UTF8_DATASET)),
+        _manifest_with(root, tmp, lambda m: m["datasets"].update(
+            mn_test=str(_write(tmp / "in.jsonl", _NOT_UTF8_DATASET)))),
         "--variant", "without_dg", "-o", tmp / "j.jsonl"), "in.jsonl"),
+    "manifest_tag_ids_text": (2, lambda root, tmp: (
+        "render", "--benchmark",
+        _manifest_with(root, tmp, lambda m: m["tiers"][1].update(tag_ids="location")),
+        "--variant", "without_dg", "-o", tmp / "j.jsonl"), "'out_of_domain' tag_ids"),
     "meta_prompt_not_utf8": (2, lambda root, tmp: (
         "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
         "--mock", "canned", "--meta-prompt", _write(tmp / "in.txt", b"Definisci \xff")),
@@ -1016,6 +1045,16 @@ def test_json_files_are_read_and_written_only_in_errors():
     calls = [f"{path.name}:{n}" for path in sorted(src.glob("*.py")) if path.name != "errors.py"
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "json.load(" in line or "json.dump(" in line]
+    assert calls == []
+
+
+def test_records_are_paired_and_parsed_only_in_evaluation():
+    """Only evaluation.py calls _lockstep or to_extraction (a def is no call)."""
+    src = Path(__file__).parents[1] / "src" / "zsner"
+    calls = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+             if path.name != "evaluation.py"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"(?<!def )\b(_lockstep|to_extraction)\(", line)]
     assert calls == []
 
 

@@ -312,6 +312,36 @@ def test_load_benchmark_bad_field_is_config_error(tmp_path, rng, key, value):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("keys, value", [
+    (("tiers", -1, "tag_ids"), "location"),
+    (("tiers", -1, "tag_ids"), ["location", 5]),
+    (("tiers", -1, "tag_ids"), {"location": 1}),
+    (("tiers", 0, "dataset_ids"), "wn_test"),
+    (("tiers", 0, "dataset_ids"), [None]),
+    (("training", "tags"), "person"),
+    (("min_support",), True),
+    (("min_support",), 5.0),
+    (("min_support",), "5"),
+], ids=["tag_ids_text", "tag_ids_number_item", "tag_ids_object", "dataset_ids_text",
+        "dataset_ids_null_item", "training_tags_text", "min_support_bool",
+        "min_support_float", "min_support_text"])
+def test_load_benchmark_rejects_a_field_of_the_wrong_type(tmp_path, rng, keys, value):
+    """A string where a list belongs is not split into its characters, and a
+    bool or a float is not a min_support."""
+    build_benchmark_tree(tmp_path, rng)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    *parents, key = keys
+    owner = manifest
+    for k in parents:
+        owner = owner[k]
+    owner[key] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        corpus.load_benchmark(path)
+    assert str(path) in str(exc.value) and key in str(exc.value)
+
+
 _TIER = st.tuples(
     st.sampled_from(["t0", "t1", "t2"]),  # a name may repeat
     st.lists(st.sampled_from("abcd"), min_size=1, max_size=3),  # "d" has no docs

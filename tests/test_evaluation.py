@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,7 +10,10 @@ from oracles import oracle_cell_counts, oracle_prf, oracle_set_cell_counts, rand
 from zsner import corpus
 from zsner import evaluation as ev
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
+from zsner.errors import RunDirectoryError
+from zsner.inference import CompletionRecord
 from zsner.parsing import Extraction, normalize_surface
+from zsner.prompts import job_id_for
 
 
 def counts(tp, fp, fn):
@@ -80,11 +84,19 @@ def test_micro_f1_matches_oracle_formula():
 # tier reports
 
 
+GRID = ("with_dg", "default_it", "openai_chat")
+
+
+def _record(cell, surfaces):
+    """The ok record of `cell` on GRID whose reply is the JSON array `surfaces`."""
+    return CompletionRecord(job_id_for(*cell, *GRID), json.dumps(surfaces), "ok")
+
+
 def _report_inputs(tmp_path, rng):
-    """(benchmark, gold map, gold extraction of each cell in cells() order)."""
+    """(benchmark, gold map, (cell, gold surfaces) of each cell in cells() order)."""
     bench, docs = load_benchmark_tree(tmp_path, rng)
     gold = ev.build_gold(docs.values())
-    cells = [Extraction(d, t, gold[d].get(t, [])) for (d, t), _ in bench.cells()]
+    cells = [(cell, gold[cell[0]].get(cell[1], [])) for cell, _ in bench.cells()]
     return bench, gold, cells
 
 
@@ -146,8 +158,8 @@ def test_tier_report_sums_oracle_cell_counts(data, docs_a, docs_b, semantics):
     report = ev.tier_report(
         bench,
         ev.build_gold(d for docs in datasets.values() for d in docs),
-        [Extraction(d, t, surfaces) for (d, t), surfaces in pred.items()],
-        "with_dg",
+        [_record(cell, surfaces) for cell, surfaces in pred.items()],
+        GRID,
         semantics=semantics,
     )
     oracle = oracle_cell_counts if semantics == ev.MULTISET else oracle_set_cell_counts
@@ -165,8 +177,7 @@ def test_tier_report_sums_oracle_cell_counts(data, docs_a, docs_b, semantics):
 
 def test_tier_report_gold_vs_itself_is_perfect(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in cells]
-    report = ev.tier_report(bench, gold, preds, "with_dg")
+    report = ev.tier_report(bench, gold, [_record(c, g) for c, g in cells], GRID)
     for tier in report.tiers.values():
         assert tier.micro.f1 == 1.0
         assert tier.macro_f1 == 1.0
@@ -175,8 +186,7 @@ def test_tier_report_gold_vs_itself_is_perfect(tmp_path, rng):
 
 def test_tier_report_empty_predictions_zero(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, []) for g in cells]
-    report = ev.tier_report(bench, gold, preds, "without_dg")
+    report = ev.tier_report(bench, gold, [_record(c, []) for c, _ in cells], GRID)
     for tier in report.tiers.values():
         assert tier.micro.f1 == 0.0
         assert tier.micro.counts.tp == 0
@@ -187,16 +197,13 @@ def test_tier_report_micro_pools_counts_not_averages(tmp_path, rng):
     """Micro-F1 must come from pooled counts; uneven per-tag sizes make the
     pooled value differ from the mean of per-tag F1 (that's the macro)."""
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = []
+    records = []
     flip = True
-    for g in cells:
-        if g.surfaces and flip:
-            preds.append(Extraction(g.doc_id, g.tag_id, []))
-        else:
-            preds.append(Extraction(g.doc_id, g.tag_id, list(g.surfaces)))
-        if g.surfaces:
+    for c, g in cells:
+        records.append(_record(c, [] if g and flip else g))
+        if g:
             flip = not flip
-    report = ev.tier_report(bench, gold, preds, "with_dg")
+    report = ev.tier_report(bench, gold, records, GRID)
     for tier in report.tiers.values():
         pooled = ev.Counts()
         for s in tier.per_tag.values():
@@ -209,47 +216,58 @@ def test_tier_report_micro_pools_counts_not_averages(tmp_path, rng):
 
 def test_tier_report_coverage_missing_and_extra(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, []) for g in cells]
-    with pytest.raises(CoverageError) as exc:
-        ev.tier_report(bench, gold, preds[:-3], "with_dg")
-    assert "missing" in str(exc.value)
-    extra = preds + [Extraction("ghost-doc", preds[0].tag_id, [])]
-    with pytest.raises(CoverageError) as exc:
-        ev.tier_report(bench, gold, extra, "with_dg")
-    assert "extra" in str(exc.value)
+    records = [_record(c, []) for c, _ in cells]
+    with pytest.raises(CoverageError, match="lacks records for 3 jobs"):
+        ev.tier_report(bench, gold, records[:-3], GRID)
+    stray = records + [CompletionRecord("0000deadbeef0000", "[]", "ok")]
+    with pytest.raises(CoverageError, match="records for 1 jobs on no cell"):
+        ev.tier_report(bench, gold, stray, GRID)
+    with pytest.raises(CoverageError, match=f"lacks records for {len(cells)} jobs"):
+        ev.tier_report(bench, gold, records, ("without_dg",) + GRID[1:])  # another grid
 
 
 def test_tier_report_rejects_duplicate_cells(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, []) for g in cells]
-    with pytest.raises(PairingError):  # again after its cell has passed
-        ev.tier_report(bench, gold, preds + [preds[0]], "with_dg")
-    with pytest.raises(PairingError):  # twice before its cell comes up
-        ev.tier_report(bench, gold, [preds[-1]] + preds, "with_dg")
-    with pytest.raises(PairingError):  # a duplicate outranks a missing cell
-        ev.tier_report(bench, gold, preds[1:] + [preds[2]], "with_dg")
+    records = [_record(c, []) for c, _ in cells]
+    with pytest.raises(RunDirectoryError, match="duplicate record"):  # after its cell
+        ev.tier_report(bench, gold, records + [records[0]], GRID)
+    with pytest.raises(RunDirectoryError, match="duplicate record"):  # before its cell
+        ev.tier_report(bench, gold, [records[-1]] + records, GRID)
+    with pytest.raises(RunDirectoryError, match="duplicate record"):  # outranks a gap
+        ev.tier_report(bench, gold, records[1:] + [records[2]], GRID)
 
 
 def test_tier_report_reads_a_one_shot_generator_in_any_order(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces[1:])) for g in cells]
-    want = ev.tier_report(bench, gold, preds, "with_dg").to_json()
+    records = [_record(c, g[1:]) for c, g in cells]
+    want = ev.tier_report(bench, gold, records, GRID).to_json()
     read = []
 
     def reversed_once():
-        for e in reversed(preds):
-            read.append(e)
-            yield e
+        for rec in reversed(records):
+            read.append(rec)
+            yield rec
 
-    got = ev.tier_report(bench, gold, reversed_once(), "with_dg")
+    got = ev.tier_report(bench, gold, reversed_once(), GRID)
     assert got.to_json() == want
-    assert len(read) == len(preds)  # each prediction read exactly once
+    assert len(read) == len(records)  # each record read exactly once
+
+
+def test_tier_report_tallies_parse_statuses_outside_score_json(tmp_path, rng):
+    bench, gold, cells = _report_inputs(tmp_path, rng)
+    records = [_record(c, g) for c, g in cells]
+    records[0] = CompletionRecord(records[0].job_id, 'Ecco: ["roma"]', "ok")
+    records[1] = CompletionRecord(records[1].job_id, "", "error")
+    records[2] = CompletionRecord(records[2].job_id, "nessuna", "ok")
+    report = ev.tier_report(bench, gold, records, GRID)
+    assert report.parse_statuses == {"ok": len(cells) - 3, "recovered": 1, "failed": 2}
+    assert "parse_statuses" not in json.dumps(report.to_json())
 
 
 def test_score_report_json_round_trip(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in cells]
-    report = ev.tier_report(bench, gold, preds, "with_dg", run_manifest="m.json")
+    records = [_record(c, g) for c, g in cells]
+    report = ev.tier_report(bench, gold, records, GRID, run_manifest="m.json")
     back = ev.ScoreReport.from_json(report.to_json())
     assert back.benchmark_id == report.benchmark_id
     assert back.variant == "with_dg"
@@ -310,8 +328,7 @@ def test_format_conventions():
 
 def test_render_report_mentions_all_tags(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    preds = [Extraction(g.doc_id, g.tag_id, list(g.surfaces)) for g in cells]
-    report = ev.tier_report(bench, gold, preds, "with_dg")
+    report = ev.tier_report(bench, gold, [_record(c, g) for c, g in cells], GRID)
     text = ev.render_report(report)
     for tier in bench.tiers:
         assert tier.name in text

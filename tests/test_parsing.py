@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import oracle_extract_list, oracle_scan_balanced_array
 from zsner import parsing
-from zsner.errors import PairingError
 from zsner.inference import CompletionRecord
 from zsner.parsing import (
     PARSE_FAILED,
@@ -174,38 +173,23 @@ def test_normalize_idempotent_on_known_hard_point():
     assert normalize_surface(once) == once
 
 
-class _Job:
-    def __init__(self, job_id, doc_id, tag_id):
-        self.job_id = job_id
-        self.doc_id = doc_id
-        self.tag_id = tag_id
-
-
-def _record(job_id, raw, status="ok"):
-    return CompletionRecord(job_id=job_id, raw_text=raw, status=status)
+def _record(raw, status="ok"):
+    return CompletionRecord(job_id="j1", raw_text=raw, status=status)
 
 
 def test_to_extraction_normalizes_and_drops_empties():
-    job = _Job("j1", "d1", "person")
-    ext = to_extraction(_record("j1", '["  ROMA ", "", "De  Gasperi"]'), job)
+    ext = to_extraction(_record('["  ROMA ", "", "De  Gasperi"]'), "d1", "person")
+    assert (ext.doc_id, ext.tag_id) == ("d1", "person")
     assert ext.surfaces == ["roma", "de gasperi"]
     assert ext.parse_status == PARSE_OK
 
 
 def test_to_extraction_error_record_is_failed():
-    job = _Job("j1", "d1", "person")
-    ext = to_extraction(_record("j1", "", status="error"), job)
+    ext = to_extraction(_record("", status="error"), "d1", "person")
     assert ext.parse_status == PARSE_FAILED
     assert ext.surfaces == []
 
 
 def test_to_extraction_unparsable_is_failed():
-    job = _Job("j1", "d1", "person")
-    ext = to_extraction(_record("j1", "nessuna entità"), job)
+    ext = to_extraction(_record("nessuna entità"), "d1", "person")
     assert ext.parse_status == PARSE_FAILED
-
-
-def test_to_extraction_rejects_mismatched_job():
-    job = _Job("other", "d1", "person")
-    with pytest.raises(PairingError):
-        to_extraction(_record("j1", "[]"), job)
