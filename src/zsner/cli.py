@@ -167,7 +167,7 @@ def benchmark(config, output):
             raise ConfigError(f"dataset {key!r}: file not found: {ds_path}")
         datasets[key] = corpus.load_dataset(ds_path)
         resolved[key] = ds_path
-    bench = corpus.assemble_benchmark(datasets, cfg)
+    bench = corpus.assemble_benchmark(datasets, cfg, f"benchmark config {config_path}")
 
     out_path = Path(output)
     out_dir = out_path.parent.resolve()
@@ -211,30 +211,19 @@ class _CannedBackend:
 
     def complete(self, job) -> str:
         content = job.payload["messages"][-1]["content"]
-        for name, entry in self.table.items():
-            if f'"{name}"' in content:
-                return json.dumps(
-                    {
-                        "definizione": entry["definizione"],
-                        "linee guida": entry["linee guida"],
-                    },
-                    ensure_ascii=False,
-                )
-        m = re.search(r'"([^"]+)"', content)
-        name = m.group(1) if m else "entità"
-        return json.dumps(
-            {
-                "definizione": (
-                    f"'{name.upper()}' si riferisce a entità del tipo \"{name}\"."
-                ),
+        entry = next((e for name, e in self.table.items() if f'"{name}"' in content), None)
+        if entry is None:
+            m = re.search(r'"([^"]+)"', content)
+            name = m.group(1) if m else "entità"
+            entry = {
+                "definizione": f"'{name.upper()}' si riferisce a entità del tipo \"{name}\".",
                 "linee guida": (
-                    f"Etichetta ogni menzione esplicita di tipo \"{name}\" così "
-                    f"come compare nel testo. NON etichettare menzioni generiche "
-                    f"o pronominali."
+                    f"Etichetta ogni menzione esplicita di tipo \"{name}\" così come compare "
+                    f"nel testo. NON etichettare menzioni generiche o pronominali."
                 ),
-            },
-            ensure_ascii=False,
-        )
+            }
+        return json.dumps({k: entry[k] for k in ("definizione", "linee guida")},
+                          ensure_ascii=False)
 
 
 def _http_backend(backend_cfg: inference.BackendConfig) -> inference.HttpBackend:
@@ -524,11 +513,9 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
         raise ConfigError("give -o to export jobs, or --doc/--tag to preview one")
     out = Path(output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    fields = ("job_id", "doc_id", "tag_id", "variant", "template_id", "adapter_id", "payload")
     # a lone surrogate (from --system, say) is written as a JSON escape
     with open(out, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        for job in jobs:
-            fh.write(json.dumps({f: getattr(job, f) for f in fields}, ensure_ascii=False) + "\n")
+        fh.writelines(job.export_line() + "\n" for job in jobs)
     click.echo(f"wrote {len(jobs)} jobs to {out}")
 
 

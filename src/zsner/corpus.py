@@ -399,10 +399,23 @@ def validate_benchmark(benchmark: Benchmark) -> None:
             )
 
 
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer")
+    return value
+
+
 def assemble_benchmark(
-    datasets: dict[str, list[Document]], config: dict
+    datasets: dict[str, list[Document]], config: dict, source: str = "benchmark config"
 ) -> Benchmark:
-    """Resolve tier tag sets from a benchmark config plus loaded datasets.
+    """Resolve tier tag sets from a benchmark config plus loaded datasets;
+    a field of the wrong type is a ConfigError naming `source`.
 
     Tag resolution: seen-tag tiers (in_domain, out_of_domain) evaluate the
     training tags; the unseen tier takes every tag present in its datasets
@@ -411,12 +424,13 @@ def assemble_benchmark(
     """
     try:
         training_dataset = config["training"]["dataset"]
-        training_tags = tuple(config["training"]["tags"])
+        training_tags = _strings(config["training"]["tags"], f"{source}: training tags")
         tier_specs = config["tiers"]
     except (KeyError, TypeError) as e:
         raise ConfigError(f"benchmark config missing field: {e}")
-    min_support = int(config.get("min_support", DEFAULT_MIN_SUPPORT))
-    excluded = set(config.get("excluded_tags", ()))
+    min_support = _integer(config.get("min_support", DEFAULT_MIN_SUPPORT),
+                           f"{source}: min_support")
+    excluded = set(_strings(config.get("excluded_tags", []), f"{source}: excluded_tags"))
 
     if training_dataset not in datasets:
         raise ConfigError(f"training dataset {training_dataset!r} not loaded")
@@ -437,7 +451,7 @@ def assemble_benchmark(
         kind = spec.get("kind")
         if kind not in TIER_KINDS:
             raise ConfigError(f"tier #{i}: kind must be one of {TIER_KINDS}, got {kind!r}")
-        ds_keys = tuple(spec.get("datasets", ()))
+        ds_keys = _strings(spec.get("datasets", []), f"{source}: tier #{i} ({kind}) datasets")
         if not ds_keys:
             raise ConfigError(f"tier #{i} ({kind}): no datasets listed")
         missing = [k for k in ds_keys if k not in datasets]
@@ -523,28 +537,21 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
     path = Path(path)
     manifest = read_json(path, "benchmark manifest")
 
-    def strings(value, field: str) -> tuple[str, ...]:
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"benchmark manifest {path}: {field} must be a list of strings")
-        return tuple(value)
-
+    where = f"benchmark manifest {path}"
     try:
         dataset_paths = manifest["datasets"]
         tiers = [
             BenchmarkTier(t["name"], t["kind"],
-                          strings(t["dataset_ids"], f"tier {t['name']!r} dataset_ids"),
-                          strings(t["tag_ids"], f"tier {t['name']!r} tag_ids"))
+                          _strings(t["dataset_ids"], f"{where}: tier {t['name']!r} dataset_ids"),
+                          _strings(t["tag_ids"], f"{where}: tier {t['name']!r} tag_ids"))
             for t in manifest["tiers"]
         ]
-        min_support = manifest["min_support"]
-        if not isinstance(min_support, int) or isinstance(min_support, bool):
-            raise ConfigError(f"benchmark manifest {path}: min_support must be an integer")
         benchmark = Benchmark(
             benchmark_id=manifest["benchmark_id"],
             training_dataset=manifest["training"]["dataset"],
-            training_tags=strings(manifest["training"]["tags"], "training tags"),
+            training_tags=_strings(manifest["training"]["tags"], f"{where}: training tags"),
             tiers=tiers,
-            min_support=min_support,
+            min_support=_integer(manifest["min_support"], f"{where}: min_support"),
             dataset_paths={k: str(v) for k, v in dataset_paths.items()},
         )
     except (KeyError, TypeError, AttributeError, ValueError) as e:

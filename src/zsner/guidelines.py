@@ -39,13 +39,7 @@ class TagSpec:
     generator_model: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "display_name": self.display_name,
-            "definition": self.definition,
-            "guidelines": self.guidelines,
-            "provenance": self.provenance,
-            "generator_model": self.generator_model,
-        }
+        return {f: getattr(self, f) for f in (*STORE_FIELDS, "provenance", "generator_model")}
 
     @classmethod
     def from_record(cls, tag_id: str, rec: dict) -> "TagSpec":

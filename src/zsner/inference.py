@@ -563,8 +563,9 @@ def run(
 
     Jobs are read as the runner reaches them. Cache hits are served on the
     calling thread, at no backend call and no limiter slot, and come back
-    with attempt_count 0; each miss goes to the thread pool as soon as it
-    is found. Records wait in a reorder buffer behind the oldest unfinished
+    with attempt_count 0; each miss goes to the thread pool, which the
+    first miss starts, as soon as it is found. No key is computed without
+    a cache. Records wait in a reorder buffer behind the oldest unfinished
     miss; once W = max(MAX_PENDING, 16 * max_parallel) misses and hits wait
     there, no further job is read until the older half is out. With no miss
     pending a hit is yielded at once. Transient failures back off
@@ -634,33 +635,37 @@ def run(
         return rec
 
     def records() -> Iterator[CompletionRecord]:
-        from concurrent.futures import Future, ThreadPoolExecutor
-
         window = max(MAX_PENDING, 16 * max_parallel)
-        waiting: deque = deque()  # records and pending misses, in job order
+        waiting: deque = deque()  # records, and pending misses' Future.result, in job order
+        pool = None  # started at the first miss: a run of hits starts no thread
 
         def drain(keep: int) -> Iterator[CompletionRecord]:
             """Yield from the front down to `keep` waiting, then every record
             up to the next pending miss."""
-            while waiting and (len(waiting) > keep or not isinstance(waiting[0], Future)):
+            while waiting and (len(waiting) > keep or not callable(waiting[0])):
                 rec = waiting.popleft()
-                if isinstance(rec, Future):
-                    rec = rec.result()
+                if callable(rec):
+                    rec = rec()
                 if rejected:
                     return
                 yield rec
 
-        pool = ThreadPoolExecutor(max_workers=max_parallel)
         try:
             for job in jobs:
                 if rejected:
                     break
-                key = cache_key(getattr(job, "key_json", None) or payload_json(job.payload),
-                                fingerprint)
-                text = cache.get(key) if cache is not None else None
-                rec = hit(text, job.job_id) if text is not None else None
+                key = rec = None
+                if cache is not None:
+                    key = cache_key(getattr(job, "key_json", None) or payload_json(job.payload),
+                                    fingerprint)
+                    text = cache.get(key)
+                    rec = hit(text, job.job_id) if text is not None else None
                 if rec is None:
-                    waiting.append(pool.submit(fetch, job, key))
+                    if pool is None:
+                        from concurrent.futures import ThreadPoolExecutor
+
+                        pool = ThreadPoolExecutor(max_workers=max_parallel)
+                    waiting.append(pool.submit(fetch, job, key).result)
                 else:
                     stats.cached += 1  # only this thread counts hits
                     if not waiting:
@@ -672,7 +677,8 @@ def run(
             yield from drain(0)
         finally:
             # queued jobs are dropped; calls in flight finish and reach the cache
-            pool.shutdown(cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
         if rejected:
             raise AuthError(
                 f"endpoint rejected the credentials: {rejected[0]}; replies received "

@@ -8,10 +8,13 @@ inside document text or guideline text are never re-expanded.
 """
 
 import hashlib
+import json
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from operator import attrgetter
+from typing import NamedTuple
 
 from zsner.corpus import Benchmark, Document, Grid
 from zsner.errors import ExpansionError, RenderError
@@ -169,23 +172,58 @@ def wrap(user_text: str, adapter: ChatAdapter, system_text: str = "") -> dict:
 # --------------------------------------------------------------------------
 # job expansion
 
+_IDS = ("job_id", "doc_id", "tag_id", "variant", "template_id", "adapter_id")
 
-@dataclass(frozen=True)
+
+class _TagPlan(NamedTuple):  # what the jobs of one tag share: see _tag_plan
+    segments: list[str]  # the prompt split at each {text}
+    adapter: ChatAdapter
+    system_text: str
+    id_tail: bytes  # job_id_for's key after "<doc_id>\x1e"
+    key_pieces: list[str] | None  # key JSON split where the text goes
+    line_pieces: list[str] | None  # export line after its doc_id, split likewise
+
+
 class PromptJob:
-    job_id: str
-    doc_id: str
-    tag_id: str
-    variant: str
-    template_id: str
-    adapter_id: str
-    payload: dict = field(hash=False, compare=False, default_factory=dict)
-    # (escaped document text, key JSON pieces) from expansion: see _key_pieces
-    key_parts: tuple = field(default=(), repr=False, compare=False)
+    """One request. A hand-built job takes its payload; one from
+    expand_benchmark_jobs builds it when read (by a backend, on a miss) and
+    its key JSON and export line from its tag's pieces. Equal on the ids."""
+
+    __slots__ = (*_IDS, "_payload", "_text", "_plan")
+    _ids = property(attrgetter(*_IDS))
+
+    def __init__(self, job_id, doc_id, tag_id, variant, template_id, adapter_id,
+                 payload=None, text=None, plan=None):
+        self.job_id, self.doc_id, self.tag_id = job_id, doc_id, tag_id
+        self.variant, self.template_id, self.adapter_id = variant, template_id, adapter_id
+        # text: the document's (text, JSON-escaped text); plan: its tag's _TagPlan
+        self._payload, self._text, self._plan = payload, text, plan
+
+    def __eq__(self, other):
+        return self._ids == other._ids if isinstance(other, PromptJob) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._ids)
+
+    @property
+    def payload(self) -> dict:  # an expanded job's is built on each read
+        if (p := self._plan) is None:
+            return self._payload
+        return wrap(self._text[0].join(p.segments), p.adapter, p.system_text)
 
     @property
     def key_json(self) -> str:  # payload_json(self.payload)
-        parts = self.key_parts
-        return parts[0].join(parts[1]) if parts else payload_json(self.payload)
+        pieces = self._plan and self._plan.key_pieces
+        return self._text[1].join(pieces) if pieces else payload_json(self.payload)
+
+    def export_line(self) -> str:
+        """The ids and payload as one JSON object, ensure_ascii=False: render -o's line."""
+        pieces = self._plan and self._plan.line_pieces
+        if not pieces:
+            return json.dumps({**dict(zip(_IDS, self._ids)), "payload": self.payload},
+                              ensure_ascii=False)
+        return (f'{{"job_id": {encode_basestring(self.job_id)}, "doc_id": '
+                f'{encode_basestring(self.doc_id)}, {self._text[1].join(pieces)}')
 
 
 def job_id_for(
@@ -195,18 +233,26 @@ def job_id_for(
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
-# Stands for the document text while a tag's key JSON is cut into pieces. JSON
+# Stands for the document text while a tag's JSON is cut into pieces. JSON
 # escapes each character alone and leaves this one's characters as they are;
 # its first character occurs once in it, so no two occurrences overlap.
 _TEXT_MARK = "\ue000text\ue001"
 
 
-def _key_pieces(segments, adapter, system_text) -> list[str] | None:
-    """`segments`' key JSON split where the document text goes, or None if the
-    template, spec or system text hold _TEXT_MARK (the joined pieces differ)."""
-    pieces = payload_json(wrap(_TEXT_MARK.join(segments), adapter, system_text)).split(_TEXT_MARK)
-    empty = payload_json(wrap("".join(segments), adapter, system_text))
-    return pieces if "".join(pieces) == empty else None
+def _tag_plan(segments, adapter, system_text, tag, ids) -> _TagPlan:
+    """The plan of `tag`'s jobs on grid `ids`. A set of pieces is None if the template,
+    spec, system text or ids hold _TEXT_MARK (the joined pieces then differ)."""
+    marked = wrap(_TEXT_MARK.join(segments), adapter, system_text)
+    empty = wrap("".join(segments), adapter, system_text)
+    head = dict(zip(_IDS[2:], (tag, *ids)))
+
+    def pieces(dumps) -> list[str] | None:
+        split = dumps(marked).split(_TEXT_MARK)
+        return split if "".join(split) == dumps(empty) else None
+
+    return _TagPlan(segments, adapter, system_text, "\x1e".join([tag, *ids]).encode(),
+                    pieces(payload_json), pieces(lambda payload: json.dumps(
+                        {**head, "payload": payload}, ensure_ascii=False)[1:]))
 
 
 def expand_benchmark_jobs(
@@ -219,33 +265,32 @@ def expand_benchmark_jobs(
     system_text: str = "",
 ) -> Grid:
     """One job per cell of Benchmark.cells(), in its order, as a Grid: each
-    pass renders every job afresh, so no payload outlives its consumer.
+    pass builds its jobs afresh, and a job builds its payload only when read.
     `docs` maps each doc_id of the cells to its document (load_benchmark).
 
     Every ExpansionError or RenderError a job could raise is raised here,
     before any job is built.
     """
     cells = benchmark.cells()
-    plans: dict[str, tuple] = {}  # tag -> (segments, key pieces or None)
+    ids = (variant, template.template_id, adapter.adapter_id)
+    plans: dict[str, _TagPlan] = {}
     for tag in dict.fromkeys(tag for (_, tag), _ in cells):  # first-use order
         spec = specs.get(tag)
         if spec is None:
             raise ExpansionError(f"no tag spec for {tag!r}")
-        segments = _segments(spec, variant, template)
-        plans[tag] = segments, _key_pieces(segments, adapter, system_text)
-    ids = (variant, template.template_id, adapter.adapter_id)
+        plans[tag] = _tag_plan(_segments(spec, variant, template), adapter, system_text,
+                               tag, ids)
 
     def build() -> Iterator[PromptJob]:
         last = None
         for (doc_id, tag), _ in cells:
-            doc = docs[doc_id]
-            if doc is not last:  # a document's cells come together
-                last, escaped = doc, encode_basestring(doc.text)[1:-1]
-            segments, pieces = plans[tag]
-            yield PromptJob(
-                job_id_for(doc_id, tag, *ids), doc_id, tag, *ids,
-                payload=wrap(doc.text.join(segments), adapter, system_text),
-                key_parts=(escaped, pieces) if pieces else (),
-            )
+            if doc_id != last:  # a document's cells come together
+                last, doc = doc_id, docs[doc_id]
+                text = doc.text, encode_basestring(doc.text)[1:-1]
+                primed = hashlib.sha256(f"{doc_id}\x1e".encode())  # job_id_for's key head
+            plan = plans[tag]
+            digest = primed.copy()
+            digest.update(plan.id_tail)
+            yield PromptJob(digest.hexdigest()[:16], doc_id, tag, *ids, None, text, plan)
 
     return Grid(len(cells), build)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -5,13 +6,14 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from conftest import add_twin, build_benchmark_tree, closed_port, completion
-from zsner import corpus, inference
+from zsner import corpus, inference, prompts
 from zsner.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -98,6 +100,25 @@ def test_benchmark_command_writes_manifest(tmp_path, rng, capsys):
     assert manifest["tiers"][1]["kind"] == "unseen_ne"
     # dataset paths in the manifest resolve from the manifest's directory
     assert manifest["datasets"]["train"] == "../train.jsonl"
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: c.update(min_support="x"), "min_support"),
+    (lambda c: c.update(min_support=True), "min_support"),
+    (lambda c: c.update(excluded_tags="person"), "excluded_tags"),
+    (lambda c: c["tiers"][0].update(datasets="wn_test"), "tier #0 (in_domain) datasets"),
+    (lambda c: c["training"].update(tags="person"), "training tags"),
+], ids=["min_support_text", "min_support_bool", "excluded_tags_text", "tier_datasets_text",
+        "training_tags_text"])
+def test_benchmark_config_field_of_the_wrong_type_exits_2(tmp_path, rng, capsys, edit, field):
+    _, _, config = build_benchmark_tree(tmp_path, rng)
+    edit(config)
+    path = _write(tmp_path / "bench.json", json.dumps(config).encode())
+    capsys.readouterr()
+    assert run_cli("benchmark", path, "-o", tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert f"benchmark config {path}: {field} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_guidelines_gen_validate_and_warm_skip(tree, capsys):
@@ -739,6 +760,33 @@ def test_warm_mock_run_builds_no_gold_index(tree, monkeypatch):
     assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
                    "--quiet", "--overwrite") == 0
     assert builds == [1]  # every job a cache hit: no backend call, no index
+
+
+def test_all_hit_rerun_builds_no_payload_and_starts_no_thread(tree, monkeypatch):
+    root, bench = tree
+    _gen_store(root)
+    cfg = _write_run_config(root, "with_dg")
+    wraps, pools, starts = [], [], []
+    wrap, start = prompts.wrap, threading.Thread.start
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(prompts, "wrap", lambda *a: wraps.append(1) or wrap(*a))
+    monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet") == 0
+    assert len(pools) == 1 and starts  # the cold run fetches through the pool
+    del wraps[:], pools[:], starts[:]
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet", "--overwrite") == 0
+    counts = json.loads((root / "r" / "manifest.json").read_text(encoding="utf-8"))["counts"]
+    assert counts["cached"] == counts["jobs"] == len(bench.cells())
+    assert 0 < len(wraps) <= 2 * len(bench.all_tags())  # per tag, never per job
+    assert pools == [] and starts == []
 
 
 def test_guidelines_gen_backend_retries_then_fails(tmp_path, endpoint, capsys):

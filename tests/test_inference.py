@@ -258,6 +258,12 @@ def test_run_partial_failure_continues():
     assert (stats.fetched, stats.failed) == (1, 1)
 
 
+def test_run_without_a_cache_computes_no_key(monkeypatch):
+    monkeypatch.setattr(inf, "cache_key", lambda *a: pytest.fail("a key with no cache"))
+    records = list(inf.run([job(f"j{i}") for i in range(3)], inf.MockBackend("empty"), None))
+    assert [(r.job_id, r.status) for r in records] == [("j0", "ok"), ("j1", "ok"), ("j2", "ok")]
+
+
 def test_run_does_not_cache_failures(tmp_path):
     gold = {("d1", "plant"): ["x"]}
     backend = inf.MockBackend("gold_oracle", gold, fail_plan={"j1": 10})

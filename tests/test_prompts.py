@@ -329,58 +329,91 @@ def test_default_template_renders_pinned_text():
 
 
 # Expansion renders each tag once into segments around {text} and builds
-# each job's key JSON from the tag's serialized payload and the document's
-# escaped text. Both must equal the one-pass render and json.dumps on text
-# that JSON escapes, that holds placeholders, or that holds the marker the
-# key pieces are split at.
+# each job's key JSON and export line from the tag's serialized pieces and the
+# document's escaped text. Both must equal the one-pass render and json.dumps
+# on text that JSON escapes, that holds placeholders, or that holds the marker
+# the pieces are split at.
 _PIECES = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "à", "\U0001f600",
            "\ud800", "\udcff", prompts._TEXT_MARK, "\ue000", "text\ue001",
            "{text}", "{guidelines}", "{system}", "{user}", " "]
 _TEXT = st.lists(st.sampled_from(_PIECES) | st.text(max_size=3), max_size=10).map("".join)
+# job_id_for hashes the UTF-8 of a doc_id, which a lone surrogate lacks
+_DOC_ID = st.lists(st.sampled_from([p for p in _PIECES if p not in ("\ud800", "\udcff")])
+                   | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+                   max_size=4).map("".join).filter(bool)
 _TWO_SLOTS = prompts.PromptTemplate("t2", "\n".join([
     "Testo: {text}", "{dg:begin}", "{definition} / {guidelines}", "{dg:end}",
     "Tipo {display_name}, di nuovo: {text}"]))
 
 
-@given(texts=st.lists(_TEXT, min_size=1, max_size=3), name=_TEXT, definition=_TEXT,
-       guidelines=_TEXT, system=st.just("") | _TEXT,
+def _expand(docs, specs, variant, template, adapter, system="") -> list:
+    """The jobs of one tier over `docs` and the tags of `specs`."""
+    bench = Benchmark("b", "train", (), [BenchmarkTier(
+        "t", "in_domain", ("a",), tuple(specs))], 1, doc_ids={"a": tuple(d.doc_id for d in docs)})
+    return list(prompts.expand_benchmark_jobs(
+        bench, {d.doc_id: d for d in docs}, specs, variant, template, adapter, system))
+
+
+def _check_serialized(job) -> None:
+    """The job's key JSON and export line are json.dumps of its payload and fields."""
+    assert job.key_json == json.dumps(job.payload, sort_keys=True, ensure_ascii=False)
+    fields = ("job_id", "doc_id", "tag_id", "variant", "template_id", "adapter_id", "payload")
+    assert job.export_line() == json.dumps({f: getattr(job, f) for f in fields},
+                                           ensure_ascii=False)
+
+
+@given(texts=st.lists(_TEXT, min_size=1, max_size=3),
+       doc_ids=st.lists(_DOC_ID, min_size=3, max_size=3, unique=True), name=_TEXT,
+       definition=_TEXT, guidelines=_TEXT, system=st.just("") | _TEXT,
        adapter_id=st.sampled_from(["openai_chat", "llama3_headers"]),
        variant=st.sampled_from(prompts.VARIANTS), two_slots=st.booleans())
-@example(texts=["a"], name="n", definition="d", guidelines="{text} e " + prompts._TEXT_MARK,
-         system="", adapter_id="openai_chat", variant=prompts.WITH_DG, two_slots=False)
-@example(texts=["\ud800\"" + prompts._TEXT_MARK], name="n", definition="d",
-         guidelines="g", system="s\udcff", adapter_id="llama3_headers",
-         variant=prompts.WITH_DG, two_slots=True)
+@example(texts=["a"], doc_ids=["d0", "d1", "d2"], name="n", definition="d",
+         guidelines="{text} e " + prompts._TEXT_MARK, system="", adapter_id="openai_chat",
+         variant=prompts.WITH_DG, two_slots=False)
+@example(texts=["\ud800\"" + prompts._TEXT_MARK], doc_ids=['"\\\n', "à", prompts._TEXT_MARK],
+         name="n", definition="d", guidelines="g", system="s\udcff",
+         adapter_id="llama3_headers", variant=prompts.WITH_DG, two_slots=True)
 @settings(max_examples=300, deadline=None)
 def test_expanded_jobs_match_one_pass_render_and_json_dumps(
-        texts, name, definition, guidelines, system, adapter_id, variant, two_slots):
+        texts, doc_ids, name, definition, guidelines, system, adapter_id, variant, two_slots):
     template = _TWO_SLOTS if two_slots else load_template("default_it")
     adapter = load_adapter(adapter_id)
     definition, guidelines = definition + ".", guidelines + "."  # with_dg needs both
     specs = {tag: TagSpec(tag, name + suffix, definition, guidelines)
              for tag, suffix in (("plant", ""), ("animal", "2"))}
-    docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
-    bench = Benchmark("b", "train", (), [BenchmarkTier(
-        "t", "in_domain", ("a",), tuple(specs))], 1, doc_ids={"a": tuple(d.doc_id for d in docs)})
-    jobs = list(prompts.expand_benchmark_jobs(
-        bench, {d.doc_id: d for d in docs}, specs, variant, template, adapter, system))
+    docs = [Document(doc_id, text) for doc_id, text in zip(doc_ids, texts)]
+    jobs = _expand(docs, specs, variant, template, adapter, system)
     body = template.with_dg_body if variant == prompts.WITH_DG else template.without_dg_body
     assert len(jobs) == 2 * len(docs)
     for job, (doc, spec) in zip(jobs, [(d, s) for d in docs for s in specs.values()]):
         prompt = oracle_render(body, doc.text, spec.display_name, definition, guidelines)
         assert prompts.render(doc, spec, variant, template) == prompt
+        assert (job.doc_id, job.tag_id) == (doc.doc_id, spec.tag_id)
+        assert job.job_id == prompts.job_id_for(doc.doc_id, spec.tag_id, variant,
+                                                template.template_id, adapter_id)
         assert job.payload == prompts.wrap(prompt, adapter, system)
-        assert job.key_json == json.dumps(job.payload, sort_keys=True, ensure_ascii=False)
+        _check_serialized(job)
 
 
 def test_key_pieces_fall_back_when_the_marker_occurs_outside_the_text(template, spec, doc):
     adapter = load_adapter("openai_chat")
-    segments = prompts._segments(spec, prompts.WITH_DG, template)
-    assert prompts._key_pieces(segments, adapter, "") is not None
-    assert prompts._key_pieces(segments, adapter, "x" + prompts._TEXT_MARK) is None
     marked = TagSpec("plant", "pianta", "def.", "linee " + prompts._TEXT_MARK)
-    segments = prompts._segments(marked, prompts.WITH_DG, template)
-    assert prompts._key_pieces(segments, adapter, "") is None
+    odd = prompts.PromptTemplate("t" + prompts._TEXT_MARK, BODY)
+
+    def pieces(spec, system="", variant=prompts.WITH_DG, template=template):
+        """Whether the tag's key JSON and export line are spliced from pieces."""
+        plan = prompts._tag_plan(prompts._segments(spec, variant, template), adapter, system,
+                                 spec.tag_id, (variant, template.template_id, "openai_chat"))
+        return plan.key_pieces is not None, plan.line_pieces is not None
+
+    assert pieces(spec) == (True, True)
+    assert pieces(spec, system="x" + prompts._TEXT_MARK) == (False, False)
+    assert pieces(marked) == (False, False)
     # without_dg leaves the guidelines out, and the marker with them
-    segments = prompts._segments(marked, prompts.WITHOUT_DG, template)
-    assert prompts._key_pieces(segments, adapter, "") is not None
+    assert pieces(marked, variant=prompts.WITHOUT_DG) == (True, True)
+    # an id is in the export line only
+    assert pieces(spec, template=odd) == (True, False)
+    for spec_, template_, system in ((marked, template, ""), (spec, odd, ""),
+                                     (spec, template, prompts._TEXT_MARK)):
+        (job,) = _expand([doc], {"plant": spec_}, prompts.WITH_DG, template_, adapter, system)
+        _check_serialized(job)
