@@ -24,6 +24,7 @@ from zsner.errors import (
     CoverageError,
     RunDirectoryError,
     ZsnerError,
+    check_field,
     read_json,
     write_json,
 )
@@ -62,7 +63,7 @@ def _parse_mock(mock: str) -> tuple[str, int]:
         try:
             k = int(param)
         except ValueError:
-            raise ConfigError(f"mock drop_k parameter must be an integer, got {param!r}")
+            raise ConfigError(f"mock drop_k parameter {param!r} is not an integer")
         if k < 0:
             raise ConfigError("mock drop_k parameter must be >= 0")
     return kind, k
@@ -156,18 +157,16 @@ def benchmark(config, output):
     """
     config_path = Path(config)
     cfg = read_json(config_path, "benchmark config")
-    dataset_paths = cfg.get("datasets")
-    if not isinstance(dataset_paths, dict) or not dataset_paths:
-        raise ConfigError("benchmark config needs a non-empty 'datasets' object")
+    where = f"benchmark config {config_path}"
     datasets = {}
     resolved: dict[str, Path] = {}
-    for key, rel in dataset_paths.items():
-        ds_path = _resolve(str(rel), config_path.parent)
+    for key, rel in check_field(cfg, dict, f"{where}: datasets", key="datasets").items():
+        ds_path = _resolve(check_field(rel, str, f"{where}: dataset {key!r}"), config_path.parent)
         if not ds_path.is_file():
             raise ConfigError(f"dataset {key!r}: file not found: {ds_path}")
         datasets[key] = corpus.load_dataset(ds_path)
         resolved[key] = ds_path
-    bench = corpus.assemble_benchmark(datasets, cfg, f"benchmark config {config_path}")
+    bench = corpus.assemble_benchmark(datasets, cfg, where)
 
     out_path = Path(output)
     out_dir = out_path.parent.resolve()
@@ -344,8 +343,6 @@ def _backend_config(raw: dict) -> inference.BackendConfig:
         return inference.BackendConfig(**raw)
     except TypeError as e:
         raise ConfigError(f"bad backend config: {e}")
-    except ValueError as e:
-        raise ConfigError(str(e))
 
 
 def _load_inputs(benchmark_path: Path, store_path, display_names: str,
@@ -359,25 +356,26 @@ def _load_inputs(benchmark_path: Path, store_path, display_names: str,
             resources.load_adapter(adapter))
 
 
-def _load_run_inputs(cfg: dict, base: Path):
-    """(benchmark, docs, specs, template, adapter, variant, system)."""
-    if "benchmark" not in cfg:
-        raise ConfigError("run config needs a 'benchmark' manifest path")
+def _load_run_inputs(cfg: dict, config_path: Path):
+    """(benchmark, docs, specs, template, adapter, variant), after filling in
+    cfg the defaults of its text settings and checking them."""
+    where = f"run config {config_path}"
+    check_field(cfg, str, f"{where}: 'benchmark'", key="benchmark")
+    for key, default in (("store", ""), ("display_names", "it"), ("template", "default_it"),
+                         ("adapter", "openai_chat"), ("system_text", "")):
+        cfg[key] = check_field(cfg.get(key, default), str, f"{where}: {key!r}")
     variant = cfg.get("variant", prompts.WITH_DG)
     if variant not in prompts.VARIANTS:
         raise ConfigError(
             f"variant must be one of {prompts.VARIANTS}, got {variant!r}"
         )
-    if variant == prompts.WITH_DG and not cfg.get("store"):
+    if variant == prompts.WITH_DG and not cfg["store"]:
         raise ConfigError("with_dg runs need a 'store' path in the run config")
 
+    base = config_path.parent
     bench, docs, store, specs, template, adapter = _load_inputs(
-        _resolve(cfg["benchmark"], base),
-        _resolve(cfg["store"], base) if cfg.get("store") else None,
-        cfg.get("display_names", "it"),
-        cfg.get("template", "default_it"),
-        cfg.get("adapter", "openai_chat"),
-    )
+        _resolve(cfg["benchmark"], base), _resolve(cfg["store"], base) if cfg["store"] else None,
+        cfg["display_names"], cfg["template"], cfg["adapter"])
     if variant == prompts.WITH_DG:
         report = dg.validate_store(store, bench.all_tags())
         problems = set(report["missing"]) | set(report["empty_fields"])
@@ -387,7 +385,7 @@ def _load_run_inputs(cfg: dict, base: Path):
                 f"store lacks usable definitions/guidelines for benchmark tags: "
                 f"{', '.join(relevant)}"
             )
-    return bench, docs, specs, template, adapter, variant, cfg.get("system_text", "")
+    return bench, docs, specs, template, adapter, variant
 
 
 @cli.command()
@@ -401,18 +399,14 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     """Execute one prompt variant over the benchmark grid into a run directory."""
     config_path = Path(config)
     cfg = read_json(config_path, "run config")
+    bench, docs, specs, template, adapter, variant = _load_run_inputs(cfg, config_path)
     base = config_path.parent
-    bench, docs, specs, template, adapter, variant, system_text = (
-        _load_run_inputs(cfg, base)
-    )
 
     jobs = prompts.expand_benchmark_jobs(
-        bench, docs, specs, variant, template, adapter, system_text
+        bench, docs, specs, variant, template, adapter, cfg["system_text"]
     )
 
-    backend_raw = cfg.get("backend") or {}
-    if not isinstance(backend_raw, dict):
-        raise ConfigError("run config 'backend' must be an object")
+    backend_raw = check_field(cfg.get("backend", {}), dict, f"run config {config_path}: 'backend'")
     if mock is not None:
         kind, k = _parse_mock(mock)
         # a mock honours only the runner settings of the backend object
@@ -439,13 +433,12 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         return {
             "benchmark_id": bench.benchmark_id,
             "benchmark_path": str(_resolve(cfg["benchmark"], base).resolve()),
-            "store_path": (str(_resolve(cfg["store"], base).resolve())
-                           if cfg.get("store") else ""),
-            "display_names": cfg.get("display_names", "it"),
+            "store_path": str(_resolve(cfg["store"], base).resolve()) if cfg["store"] else "",
+            "display_names": cfg["display_names"],
             "variant": variant,
             "template_id": template.template_id,
             "adapter_id": adapter.adapter_id,
-            "system_text": system_text,
+            "system_text": cfg["system_text"],
             "model_name": knobs.model_name,
             "fingerprint": getattr(backend, "fingerprint", ""),
             "mock": mock or "",
@@ -534,20 +527,22 @@ def score(run_dir, output, semantics, quiet):
     """Score an archived run against gold annotations, per tier and tag."""
     run_path = Path(run_dir)
     records, manifest = inference.load_run(run_path)
-    for key in ("benchmark_path", "variant", "template_id", "adapter_id"):
-        if key not in manifest:
-            raise RunDirectoryError(f"run manifest lacks {key!r}")
-    bench, docs = corpus.load_benchmark(manifest["benchmark_path"])
-    if manifest.get("benchmark_id") and manifest["benchmark_id"] != bench.benchmark_id:
+    where = f"run manifest {run_path / 'manifest.json'}"
+    benchmark_path, *grid = (
+        check_field(manifest, str, f"{where}: {k!r}", RunDirectoryError, key=k)
+        for k in ("benchmark_path", "variant", "template_id", "adapter_id"))
+    benchmark_id = check_field(manifest.get("benchmark_id", ""), str, f"{where}: 'benchmark_id'",
+                               RunDirectoryError)
+    bench, docs = corpus.load_benchmark(benchmark_path)
+    if benchmark_id and benchmark_id != bench.benchmark_id:
         raise CoverageError(
             f"benchmark changed since the run: manifest has "
-            f"{manifest['benchmark_id']}, file has {bench.benchmark_id}"
+            f"{benchmark_id}, file has {bench.benchmark_id}"
         )
 
     gold = evaluation.build_gold(docs.values())
     del docs  # from here on memory holds the gold map, not the documents
-    grid = (manifest["variant"], manifest["template_id"], manifest["adapter_id"])
-    report = evaluation.tier_report(bench, gold, records, grid, semantics=semantics,
+    report = evaluation.tier_report(bench, gold, records, tuple(grid), semantics=semantics,
                                     run_manifest=str(run_path / "manifest.json"))
     out = Path(output) if output else run_path / "score.json"
     write_json(report.to_json(), out)
@@ -559,13 +554,6 @@ def score(run_dir, output, semantics, quiet):
         click.echo(f"report written to {out}")
 
 
-def _load_report(path: str) -> evaluation.ScoreReport:
-    try:
-        return evaluation.ScoreReport.from_json(read_json(path, "score report"))
-    except (KeyError, TypeError, AttributeError, ValueError) as e:
-        raise ConfigError(f"score report {path} is malformed: {e!r}")
-
-
 @cli.command()
 @click.option("--with-report", "with_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--without-report", "without_path", required=True, type=click.Path(dir_okay=False))
@@ -573,7 +561,9 @@ def _load_report(path: str) -> evaluation.ScoreReport:
 @click.option("--quiet", is_flag=True)
 def report(with_path, without_path, output, quiet):
     """Per-tag and per-tier F1 deltas between the two prompt variants."""
-    delta = evaluation.delta_report(_load_report(with_path), _load_report(without_path))
+    delta = evaluation.delta_report(*(
+        evaluation.ScoreReport.from_json(read_json(p, "score report"), f"score report {p}")
+        for p in (with_path, without_path)))
     if output:
         write_json(delta.to_json(), output)
     if not quiet:

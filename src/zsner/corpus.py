@@ -20,6 +20,7 @@ from zsner.errors import (
     ConfigError,
     DatasetFormatError,
     EncodingAlignmentError,
+    check_field,
     read_json,
     write_json,
 )
@@ -57,9 +58,15 @@ class Document:
     mentions: list[Mention] = field(default_factory=list)
 
     def __post_init__(self):
+        if not (isinstance(self.doc_id, str) and isinstance(self.text, str)
+                and isinstance(self.domain, str)):
+            for key in ("doc_id", "text", "domain"):
+                check_field(getattr(self, key), str, repr(key), DatasetFormatError)
         if not self.doc_id:
             raise DatasetFormatError("document with empty doc_id")
         for m in self.mentions:
+            if not isinstance(m.tag_id, str):
+                check_field(m.tag_id, str, f"{self.doc_id}: mention 'tag'", DatasetFormatError)
             if m.end <= m.start:
                 raise DatasetFormatError(
                     f"{self.doc_id}: mention {m.tag_id!r} has empty span {m.start}..{m.end}"
@@ -399,18 +406,6 @@ def validate_benchmark(benchmark: Benchmark) -> None:
             )
 
 
-def _strings(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{what} must be a list of strings")
-    return tuple(value)
-
-
-def _integer(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be an integer")
-    return value
-
-
 def assemble_benchmark(
     datasets: dict[str, list[Document]], config: dict, source: str = "benchmark config"
 ) -> Benchmark:
@@ -422,15 +417,14 @@ def assemble_benchmark(
     minus training tags and explicit exclusions. All tiers drop tags whose
     support in the tier's own evaluation data is below min_support.
     """
-    try:
-        training_dataset = config["training"]["dataset"]
-        training_tags = _strings(config["training"]["tags"], f"{source}: training tags")
-        tier_specs = config["tiers"]
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"benchmark config missing field: {e}")
-    min_support = _integer(config.get("min_support", DEFAULT_MIN_SUPPORT),
-                           f"{source}: min_support")
-    excluded = set(_strings(config.get("excluded_tags", []), f"{source}: excluded_tags"))
+    training = check_field(config, dict, f"{source}: training", key="training")
+    training_dataset = check_field(training, str, f"{source}: training dataset", key="dataset")
+    training_tags = check_field(training, list[str], f"{source}: training tags", key="tags")
+    tier_specs = check_field(config, list[dict], f"{source}: tiers", key="tiers")
+    min_support = check_field(config.get("min_support", DEFAULT_MIN_SUPPORT), int,
+                              f"{source}: min_support")
+    excluded = set(check_field(config.get("excluded_tags", []), list[str],
+                               f"{source}: excluded_tags"))
 
     if training_dataset not in datasets:
         raise ConfigError(f"training dataset {training_dataset!r} not loaded")
@@ -451,14 +445,16 @@ def assemble_benchmark(
         kind = spec.get("kind")
         if kind not in TIER_KINDS:
             raise ConfigError(f"tier #{i}: kind must be one of {TIER_KINDS}, got {kind!r}")
-        ds_keys = _strings(spec.get("datasets", []), f"{source}: tier #{i} ({kind}) datasets")
+        what = f"{source}: tier #{i} ({kind})"
+        ds_keys = check_field(spec.get("datasets", []), list[str], f"{what} datasets")
         if not ds_keys:
-            raise ConfigError(f"tier #{i} ({kind}): no datasets listed")
+            raise ConfigError(f"{what}: no datasets listed")
         missing = [k for k in ds_keys if k not in datasets]
         if missing:
-            raise ConfigError(f"tier #{i} ({kind}): datasets not loaded: {missing}")
+            raise ConfigError(f"{what}: datasets not loaded: {missing}")
         referenced.update(ds_keys)
-        name = spec.get("name") or f"{kind}:{'+'.join(ds_keys)}"
+        name = (check_field(spec.get("name", ""), str, f"{what} name")
+                or f"{kind}:{'+'.join(ds_keys)}")
 
         tier_docs = [d for k in ds_keys for d in datasets[k]]
         support = tag_inventory(tier_docs)
@@ -478,9 +474,8 @@ def assemble_benchmark(
         raise ConfigError(f"duplicate tier names: {names}")
 
     dataset_paths = {k: str(v) for k, v in config.get("datasets", {}).items()}
-    benchmark_id = config.get("benchmark_id") or _derive_benchmark_id(
-        training_dataset, training_tags, tiers, min_support
-    )
+    benchmark_id = (check_field(config.get("benchmark_id", ""), str, f"{source}: benchmark_id")
+                    or _derive_benchmark_id(training_dataset, training_tags, tiers, min_support))
     benchmark = Benchmark(
         benchmark_id=benchmark_id,
         training_dataset=training_dataset,
@@ -538,24 +533,24 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
     manifest = read_json(path, "benchmark manifest")
 
     where = f"benchmark manifest {path}"
-    try:
-        dataset_paths = manifest["datasets"]
-        tiers = [
-            BenchmarkTier(t["name"], t["kind"],
-                          _strings(t["dataset_ids"], f"{where}: tier {t['name']!r} dataset_ids"),
-                          _strings(t["tag_ids"], f"{where}: tier {t['name']!r} tag_ids"))
-            for t in manifest["tiers"]
-        ]
-        benchmark = Benchmark(
-            benchmark_id=manifest["benchmark_id"],
-            training_dataset=manifest["training"]["dataset"],
-            training_tags=_strings(manifest["training"]["tags"], f"{where}: training tags"),
-            tiers=tiers,
-            min_support=_integer(manifest["min_support"], f"{where}: min_support"),
-            dataset_paths={k: str(v) for k, v in dataset_paths.items()},
-        )
-    except (KeyError, TypeError, AttributeError, ValueError) as e:
-        raise ConfigError(f"benchmark manifest {path} missing or bad field: {e!r}")
+    tiers = []
+    for t in check_field(manifest, list[dict], f"{where}: tiers", key="tiers"):
+        name = check_field(t, str, f"{where}: tier name", key="name")
+        tiers.append(BenchmarkTier(  # validate_benchmark checks the kind
+            name, t.get("kind"),
+            check_field(t, list[str], f"{where}: tier {name!r} dataset_ids", key="dataset_ids"),
+            check_field(t, list[str], f"{where}: tier {name!r} tag_ids", key="tag_ids")))
+    training = check_field(manifest, dict, f"{where}: training", key="training")
+    datasets = check_field(manifest, dict, f"{where}: datasets", key="datasets")
+    benchmark = Benchmark(
+        benchmark_id=check_field(manifest, str, f"{where}: benchmark_id", key="benchmark_id"),
+        training_dataset=check_field(training, str, f"{where}: training dataset", key="dataset"),
+        training_tags=check_field(training, list[str], f"{where}: training tags", key="tags"),
+        tiers=tiers,
+        min_support=check_field(manifest, int, f"{where}: min_support", key="min_support"),
+        dataset_paths={k: check_field(v, str, f"{where}: dataset {k!r}")
+                       for k, v in datasets.items()},
+    )
 
     docs: dict[str, Document] = {}
     for key in dict.fromkeys(ds for t in benchmark.tiers for ds in t.dataset_ids):

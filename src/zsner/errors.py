@@ -1,7 +1,9 @@
 """Exception hierarchy, each failure class carrying the CLI exit code, and
-the one reader and writer of whole-file JSON objects."""
+the one reader and writer of whole-file JSON objects and the one check of
+the fields read from them."""
 
 import json
+import reprlib
 from pathlib import Path
 
 
@@ -110,6 +112,28 @@ def read_json(path, what: str, error=ConfigError) -> dict:
     if not isinstance(data, dict):
         raise error(f"{what} {path} must be a JSON object")
     return data
+
+
+_KINDS = {str: "a string", int: "an integer", float: "a number", dict: "an object",
+          list[str]: "a list of strings", list[dict]: "a list of objects"}
+
+
+def check_field(data, kind, what: str, error=ConfigError, *, key=None, minimum=None):
+    """data[key], or data itself without a key, if it is of kind and not below
+    minimum; else error, naming what. Kinds: str, int, float (any number),
+    dict (an object), list[str] and list[dict] (returned as a tuple). A bool
+    is no number, and NaN is below every minimum."""
+    if key is not None:
+        if key not in data:
+            raise error(f"{what} is missing")
+        data = data[key]
+    item = getattr(kind, "__args__", None)  # list[str] -> (str,)
+    ok = (isinstance(data, list) and all(isinstance(v, item) for v in data) if item
+          else isinstance(data, (int, float) if kind is float else kind))
+    if not ok or isinstance(data, bool) or not (minimum is None or data >= minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{what} must be {_KINDS[kind]}{bound}, got {reprlib.repr(data)}")
+    return tuple(data) if item else data
 
 
 def write_json(data: dict, path) -> None:

@@ -13,7 +13,7 @@ from typing import Iterable
 from zsner import parsing
 from zsner.corpus import Benchmark, Document
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
-from zsner.errors import RunDirectoryError
+from zsner.errors import RunDirectoryError, check_field
 from zsner.parsing import Extraction, normalize_surface
 from zsner.prompts import job_id_for
 
@@ -143,29 +143,31 @@ class ScoreReport:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ScoreReport":
-        def tag_score(d: dict) -> TagScore:
-            return TagScore(
-                Counts(d["tp"], d["fp"], d["fn"]), d["precision"], d["recall"], d["f1"]
-            )
+    def from_json(cls, data: dict, where: str = "score report") -> "ScoreReport":
+        """The report to_json wrote; a field missing or of the wrong type is a
+        ConfigError naming where and the field."""
+        def tag_score(obj: dict, key: str, what: str) -> TagScore:
+            what = f"{what} {key!r}"
+            d = check_field(obj, dict, what, key=key)
+            counts = (check_field(d, int, f"{what} {k!r}", key=k, minimum=0)
+                      for k in ("tp", "fp", "fn"))
+            rates = (check_field(d, float, f"{what} {k!r}", key=k)
+                     for k in ("precision", "recall", "f1"))
+            return TagScore(Counts(*counts), *rates)
 
-        tiers = {
-            name: TierScore(
-                name,
-                t["kind"],
-                {tag: tag_score(s) for tag, s in t["per_tag"].items()},
-                tag_score(t["micro"]),
-                t["macro_f1"],
-            )
-            for name, t in data["tiers"].items()
-        }
-        return cls(
-            benchmark_id=data["benchmark_id"],
-            variant=data.get("variant", ""),
-            tiers=tiers,
-            semantics=data.get("semantics", MULTISET),
-            run_manifest=data.get("run_manifest", ""),
-        )
+        tiers = {}
+        for name, t in check_field(data, dict, f"{where}: 'tiers'", key="tiers").items():
+            what = f"{where}: tier {name!r}"
+            t = check_field(t, dict, what)
+            per_tag = check_field(t, dict, f"{what} 'per_tag'", key="per_tag")
+            tiers[name] = TierScore(name, check_field(t, str, f"{what} 'kind'", key="kind"),
+                                    {tag: tag_score(per_tag, tag, what) for tag in per_tag},
+                                    tag_score(t, "micro", what),
+                                    check_field(t, float, f"{what} 'macro_f1'", key="macro_f1"))
+        text = {k: check_field(data.get(k, d), str, f"{where}: {k!r}")
+                for k, d in (("variant", ""), ("semantics", MULTISET), ("run_manifest", ""))}
+        return cls(check_field(data, str, f"{where}: 'benchmark_id'", key="benchmark_id"),
+                   tiers=tiers, **text)
 
 
 def _lockstep(cells, records, grid):

@@ -14,7 +14,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from zsner import inference
-from zsner.errors import DGFormatError, GenerationError, StoreFormatError, read_json, write_json
+from zsner.errors import (DGFormatError, GenerationError, StoreFormatError, check_field,
+                          read_json, write_json)
 from zsner.parsing import scan_balanced
 
 STORE_FIELDS = ("display_name", "definition", "guidelines")
@@ -41,20 +42,6 @@ class TagSpec:
     def to_record(self) -> dict:
         return {f: getattr(self, f) for f in (*STORE_FIELDS, "provenance", "generator_model")}
 
-    @classmethod
-    def from_record(cls, tag_id: str, rec: dict) -> "TagSpec":
-        missing = [f for f in STORE_FIELDS if not isinstance(rec, dict) or f not in rec]
-        if missing:
-            raise StoreFormatError(f"tag {tag_id!r}: missing fields {missing}")
-        return cls(
-            tag_id=tag_id,
-            display_name=rec["display_name"],
-            definition=rec["definition"],
-            guidelines=rec["guidelines"],
-            provenance=rec.get("provenance", "generated"),
-            generator_model=rec.get("generator_model", ""),
-        )
-
 
 @dataclass
 class GuidelineStore:
@@ -77,18 +64,21 @@ def save_store(store: GuidelineStore, path) -> None:
 
 
 def load_store(path) -> GuidelineStore:
+    """The store in a file: every field it gives is text, and every record
+    gives the STORE_FIELDS."""
     data = read_json(path, "guideline store", StoreFormatError)
-    if not isinstance(data.get("records"), dict):
-        raise StoreFormatError(f"guideline store {path}: expected a records object")
-    records = {
-        tag: TagSpec.from_record(tag, rec) for tag, rec in data["records"].items()
-    }
-    return GuidelineStore(
-        language=data.get("language", "it"),
-        records=records,
-        created_at=data.get("created_at", ""),
-        meta_prompt_id=data.get("meta_prompt_id", ""),
-    )
+    where = f"guideline store {path}"
+    records = {}
+    for tag, rec in check_field(data, dict, f"{where}: records", StoreFormatError,
+                                key="records").items():
+        what = f"{where}: tag {tag!r}"
+        rec = check_field(rec, dict, what, StoreFormatError)
+        given = [*STORE_FIELDS, *(f for f in ("provenance", "generator_model") if f in rec)]
+        records[tag] = TagSpec(tag, **{f: check_field(rec, str, f"{what} {f}", StoreFormatError,
+                                                      key=f) for f in given})
+    return GuidelineStore(records=records, **{
+        k: check_field(data, str, f"{where}: {k}", StoreFormatError, key=k)
+        for k in ("language", "created_at", "meta_prompt_id") if k in data})
 
 
 def validate_store(store: GuidelineStore, required_tags) -> dict:

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from zsner.errors import AuthError, CacheError, InputFormatError, RunDirectoryError
-from zsner.errors import read_json, write_json
+from zsner.errors import check_field, read_json, write_json
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -64,11 +64,11 @@ _CONFIG_CHECKS = (
     ("auth_env", str, None),
     ("max_parallel", int, 1),
     ("requests_per_minute", int, 0),
-    ("timeout", (int, float), 0.001),
+    ("timeout", float, 0.001),
     ("max_retries", int, 0),
-    ("temperature", (int, float), 0),
+    ("temperature", float, 0),
     ("max_tokens", int, 1),
-    ("retry_base_delay", (int, float), 0),
+    ("retry_base_delay", float, 0),
 )
 
 
@@ -88,13 +88,8 @@ class BackendConfig:
     def __post_init__(self):
         for name, kind, minimum in _CONFIG_CHECKS:
             value = getattr(self, name)
-            if name == "requests_per_minute" and value is None:
-                continue  # as 0: no limit
-            if (not isinstance(value, kind) or isinstance(value, bool)
-                    or not (minimum is None or value >= minimum)):  # NaN too
-                what = {str: "a string", int: "an integer"}.get(kind, "a number")
-                bound = f" >= {minimum}" if minimum is not None else ""
-                raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
+            if value is not None or name != "requests_per_minute":  # null: no limit
+                check_field(value, kind, name, minimum=minimum)
 
 
 @dataclass(slots=True)

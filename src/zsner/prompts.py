@@ -274,7 +274,10 @@ def expand_benchmark_jobs(
     cells = benchmark.cells()
     ids = (variant, template.template_id, adapter.adapter_id)
     plans: dict[str, _TagPlan] = {}
-    for tag in dict.fromkeys(tag for (_, tag), _ in cells):  # first-use order
+    # the cells' tags in first-use order: those of the tiers holding documents, in tier order
+    for tag in dict.fromkeys(tag for tier in benchmark.tiers
+                             if any(benchmark.doc_ids.get(ds) for ds in tier.dataset_ids)
+                             for tag in tier.tag_ids):
         spec = specs.get(tag)
         if spec is None:
             raise ExpansionError(f"no tag spec for {tag!r}")

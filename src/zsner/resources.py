@@ -7,7 +7,7 @@ asset; a path that exists on disk wins.
 from importlib import resources
 from pathlib import Path
 
-from zsner.errors import ConfigError, read_json
+from zsner.errors import ConfigError, check_field, read_json
 from zsner.prompts import ChatAdapter, PromptTemplate
 
 
@@ -34,47 +34,35 @@ def _read_asset(kind: str, name_or_path: str, suffix: str):
     )
 
 
-def _read_object(kind: str, name_or_path: str, required=()) -> dict:
-    path = _read_asset(kind, name_or_path, ".json")
-    data = read_json(path, f"{kind} asset")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ConfigError(f"{kind} asset {path} lacks {', '.join(missing)}")
-    return data
+def _read_object(kind: str, name_or_path: str) -> dict:
+    return read_json(_read_asset(kind, name_or_path, ".json"), f"{kind} asset")
 
 
-def _body_text(data: dict, key: str, name_or_path: str) -> str:
+def _body_text(value, what: str) -> str:
     # JSON assets may store multi-line text as a list of lines
-    value = data.get(key, "")
-    if isinstance(value, list) and all(isinstance(line, str) for line in value):
-        return "\n".join(value)
-    if not isinstance(value, str):
-        raise ConfigError(f"asset {name_or_path}: {key!r} must be a string or a list of strings")
-    return value
-
-
-def _id_text(data: dict, key: str, name_or_path: str) -> str:
-    if not isinstance(data[key], str):
-        raise ConfigError(f"asset {name_or_path}: {key!r} must be a string")
-    return data[key]
+    if isinstance(value, list):
+        return "\n".join(check_field(value, list[str], what))
+    return check_field(value, str, what)
 
 
 def load_template(name_or_path: str) -> PromptTemplate:
-    data = _read_object("templates", name_or_path, ("template_id", "body"))
+    data = _read_object("templates", name_or_path)
+    where = f"template {name_or_path}:"
     return PromptTemplate(
-        template_id=_id_text(data, "template_id", name_or_path),
-        body=_body_text(data, "body", name_or_path),
-        language=data.get("language", "it"),
+        template_id=check_field(data, str, f"{where} 'template_id'", key="template_id"),
+        body=_body_text(data.get("body"), f"{where} 'body'"),  # None if missing
+        language=check_field(data.get("language", "it"), str, f"{where} 'language'"),
     )
 
 
 def load_adapter(name_or_path: str) -> ChatAdapter:
-    data = _read_object("adapters", name_or_path, ("adapter_id", "kind"))
+    data = _read_object("adapters", name_or_path)
+    where = f"adapter {name_or_path}:"
     return ChatAdapter(
-        adapter_id=_id_text(data, "adapter_id", name_or_path),
-        kind=data["kind"],
-        with_system=_body_text(data, "with_system", name_or_path),
-        without_system=_body_text(data, "without_system", name_or_path),
+        adapter_id=check_field(data, str, f"{where} 'adapter_id'", key="adapter_id"),
+        kind=check_field(data, str, f"{where} 'kind'", key="kind"),  # ChatAdapter checks its value
+        with_system=_body_text(data.get("with_system", ""), f"{where} 'with_system'"),
+        without_system=_body_text(data.get("without_system", ""), f"{where} 'without_system'"),
     )
 
 

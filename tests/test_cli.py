@@ -108,8 +108,14 @@ def test_benchmark_command_writes_manifest(tmp_path, rng, capsys):
     (lambda c: c.update(excluded_tags="person"), "excluded_tags"),
     (lambda c: c["tiers"][0].update(datasets="wn_test"), "tier #0 (in_domain) datasets"),
     (lambda c: c["training"].update(tags="person"), "training tags"),
+    (lambda c: c.update(tiers={"a": 1}), "tiers"),
+    (lambda c: c["tiers"].__setitem__(1, ["fic_test"]), "tiers"),
+    (lambda c: c["training"].update(dataset=["train"]), "training dataset"),
+    (lambda c: c["tiers"][0].update(name=5), "tier #0 (in_domain) name"),
+    (lambda c: c["datasets"].update(train=5), "dataset 'train'"),
 ], ids=["min_support_text", "min_support_bool", "excluded_tags_text", "tier_datasets_text",
-        "training_tags_text"])
+        "training_tags_text", "tiers_object", "tier_list", "training_dataset_list",
+        "tier_name_number", "dataset_path_number"])
 def test_benchmark_config_field_of_the_wrong_type_exits_2(tmp_path, rng, capsys, edit, field):
     _, _, config = build_benchmark_tree(tmp_path, rng)
     edit(config)
@@ -977,6 +983,34 @@ def _manifest_with(root, tmp, edit) -> Path:
 
 _NOT_UTF8_DATASET = b'{"doc_id": "d\xff", "text": "Roma"}\n'
 
+
+def _dataset_line(**fields) -> bytes:
+    return json.dumps({"doc_id": "d", "text": "Roma", **fields}).encode() + b"\n"
+
+
+def _store(**fields) -> bytes:
+    """A store whose one record, for person, has `fields` set."""
+    record = {"display_name": "persona", "definition": "d", "guidelines": "g", **fields}
+    return json.dumps({"records": {"person": record}}).encode()
+
+
+def _score_report(**fields) -> bytes:
+    """A score report of one tier, t, and one tag, person, with `fields` set."""
+    score = {"tp": 1, "fp": 0, "fn": 0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
+    tier = {"kind": "in_domain", "macro_f1": 1.0, "micro": score,
+            "per_tag": {"person": {**score, **fields}}}
+    return json.dumps({"benchmark_id": "b", "variant": "with_dg", "tiers": {"t": tier}}).encode()
+
+
+def _run_dir_with(root, tmp, **fields) -> Path:
+    """A run directory with no replies and a manifest with `fields` set."""
+    (tmp / "run").mkdir()
+    (tmp / "run" / "replies.jsonl").write_text("", encoding="utf-8")
+    manifest = {"benchmark_path": str(root / "manifest.json"), "variant": "without_dg",
+                "template_id": "default_it", "adapter_id": "openai_chat", **fields}
+    _write(tmp / "run" / "manifest.json", json.dumps(manifest).encode())
+    return tmp / "run"
+
 # Bad inputs beyond the JSON objects above: its exit code, the command that
 # reads it once written under tmp beside a seeded tree at root, and a piece
 # of the error message.
@@ -1045,6 +1079,44 @@ _BAD_INPUTS = {
     "adapter_id_number": (2, lambda root, tmp: _render_args(
         root, tmp, "--adapter", _write(tmp / "a.json", _asset_with(
             "adapters", "openai_chat", adapter_id=7))), "'adapter_id'"),
+    **{f"run_manifest_{key}_number": (2, lambda root, tmp, key=key: (
+        "score", _run_dir_with(root, tmp, **{key: 5})), f"manifest.json: {key!r}")
+       for key in ("variant", "template_id", "adapter_id", "benchmark_path")},
+    **{f"run_config_{key}_{type(value).__name__}": (2, lambda root, tmp, key=key, value=value: (
+        "run", _write(tmp / "run.json", json.dumps(
+            {"benchmark": str(root / "manifest.json"), "variant": "without_dg", key: value}
+        ).encode()), "--run-dir", tmp / "r", "--mock", "empty"), f"run.json: {key!r}")
+       for key, value in [("benchmark", 5), ("template", 5), ("display_names", ["it"]),
+                          ("store", 7), ("system_text", 5)]},
+    "manifest_tier_name_number": (2, lambda root, tmp: (
+        "render", "--benchmark",
+        _manifest_with(root, tmp, lambda m: m["tiers"][0].update(name=5)),
+        "--variant", "without_dg", "-o", tmp / "j.jsonl"), "manifest.json: tier name"),
+    "manifest_benchmark_id_number": (2, lambda root, tmp: (
+        "render", "--benchmark",
+        _manifest_with(root, tmp, lambda m: m.update(benchmark_id=5)),
+        "--variant", "without_dg", "-o", tmp / "j.jsonl"), "manifest.json: benchmark_id"),
+    "score_report_f1_text": (2, lambda root, tmp: (
+        "report", "--with-report", _write(tmp / "s.json", _score_report(f1="x")),
+        "--without-report", _write(tmp / "t.json", _score_report())), "s.json: tier 't'"),
+    "store_display_name_number": (3, lambda root, tmp: (
+        "guidelines", "validate", "--store", _write(tmp / "st.json", _store(display_name=5)),
+        "--tags", "person"), "st.json: tag 'person' display_name"),
+    "store_definition_number": (3, lambda root, tmp: (
+        "render", "--benchmark", root / "manifest.json", "--variant", "with_dg", "--store",
+        _write(tmp / "st.json", _store(definition=5)), "-o", tmp / "j.jsonl"),
+        "st.json: tag 'person' definition"),
+    **{f"dataset_{key}_number": (3, lambda root, tmp, key=key: (
+        "inventory", _write(tmp / "in.jsonl", _dataset_line(**{key: 5}))), f"in.jsonl:1: {key!r}")
+       for key in ("doc_id", "text", "domain")},
+    "dataset_mention_tag_number": (3, lambda root, tmp: (
+        "inventory", _write(tmp / "in.jsonl", _dataset_line(mentions=[
+            {"tag": 5, "surface": "Roma", "start": 0, "end": 4}]))), "in.jsonl:1: d: mention"),
+    "tier_dataset_text_number": (3, lambda root, tmp: (
+        "render", "--benchmark",
+        _manifest_with(root, tmp, lambda m: m["datasets"].update(
+            mn_test=str(_write(tmp / "in.jsonl", _dataset_line(text=5))))),
+        "--variant", "without_dg", "-o", tmp / "j.jsonl"), "in.jsonl:1: 'text'"),
 }
 
 
@@ -1159,3 +1231,121 @@ def test_template_or_adapter_without_a_key_is_config_error(shared_tree, tmp_path
         assert run_cli(*_render_args(shared_tree, tmp_path, option, bad)) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and key in err
+
+
+@pytest.fixture(scope="module")
+def json_files(tmp_path_factory):
+    """A seeded tree with every JSON file the pipeline reads: the benchmark
+    config and manifest, a store, a run config, a run directory with its
+    manifest and score.json, and copies of the packaged template and adapter."""
+    import random
+    from importlib import resources as assets
+
+    root = tmp_path_factory.mktemp("json_files")
+    _, _, config = build_benchmark_tree(root, random.Random(37))
+    config["datasets"] = {k: str(root / v) for k, v in config["datasets"].items()}
+    _write(root / "bench.json", json.dumps(config).encode())
+    _gen_store(root)
+    run_cfg = {"benchmark": str(root / "manifest.json"), "variant": "with_dg",
+               "store": str(root / "store.json"), "display_names": "it",
+               "template": "default_it", "adapter": "openai_chat", "system_text": "",
+               "backend": {"max_parallel": 2, "max_retries": 1, "retry_base_delay": 0,
+                           "requests_per_minute": 0}}
+    _write(root / "run.json", json.dumps(run_cfg).encode())
+    assert run_cli("run", root / "run.json", "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet") == 0
+    assert run_cli("score", root / "r", "--quiet") == 0
+    for kind, name in [("templates", "default_it"), ("adapters", "openai_chat")]:
+        asset = assets.files("zsner") / "assets" / kind / f"{name}.json"
+        _write(root / f"{kind}.json", asset.read_bytes())
+    return root
+
+
+# Each JSON file of json_files and the command that reads it once written to
+# bad, in a scratch directory tmp beside the tree at root.
+_SWEEP = {
+    "bench.json": lambda root, tmp, bad: ("benchmark", bad, "-o", tmp / "m.json"),
+    "manifest.json": lambda root, tmp, bad: (
+        "render", "--benchmark", bad, "--variant", "with_dg", "--store", root / "store.json",
+        "-o", tmp / "j.jsonl"),
+    "store.json": lambda root, tmp, bad: (
+        "guidelines", "validate", "--store", bad, "--benchmark", root / "manifest.json"),
+    "run.json": lambda root, tmp, bad: ("run", bad, "--run-dir", tmp / "r2", "--mock", "empty"),
+    "r/manifest.json": lambda root, tmp, bad: ("score", bad.parent, "--quiet"),
+    "templates.json": lambda root, tmp, bad: _render_args(root, tmp, "--template", bad),
+    "adapters.json": lambda root, tmp, bad: _render_args(root, tmp, "--adapter", bad),
+    "r/score.json": lambda root, tmp, bad: (
+        "report", "--with-report", bad, "--without-report", root / "r" / "score.json"),
+}
+
+# a value of another JSON type for a value of each type
+_OTHER = {str: 5, int: "5", float: "0.5", bool: "x", list: "x", dict: ["x"], type(None): 5}
+
+
+def _first_keys(data, path=(), found=None) -> dict:
+    """The path to the first occurrence of each distinct key in data."""
+    found = {} if found is None else found
+    items = (data.items() if isinstance(data, dict)
+             else enumerate(data) if isinstance(data, list) else ())
+    for k, v in items:
+        if isinstance(k, str):
+            found.setdefault(k, (*path, k))
+        _first_keys(v, (*path, k), found)
+    return found
+
+
+@pytest.mark.parametrize("name", list(_SWEEP))
+def test_every_field_of_another_type_exits_with_its_code(json_files, tmp_path, capsys, name):
+    """Each distinct field name of each JSON file, at its first occurrence,
+    set to a value of another JSON type: the command that reads the file does
+    not exit 1 and prints no traceback."""
+    data = json.loads((json_files / name).read_text(encoding="utf-8"))
+    if name == "manifest.json":  # the copy resolves its datasets from elsewhere
+        data["datasets"] = {k: str(json_files / v) for k, v in data["datasets"].items()}
+    failures = []
+    for i, (key, path) in enumerate(_first_keys(data).items()):
+        tmp = tmp_path / str(i)
+        bad = tmp / name
+        bad.parent.mkdir(parents=True)
+        if name == "r/manifest.json":
+            _write(tmp / "r" / "replies.jsonl", (json_files / "r" / "replies.jsonl").read_bytes())
+        edited = json.loads(json.dumps(data))
+        parent = edited
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[key] = _OTHER[type(parent[key])]
+        _write(bad, json.dumps(edited).encode())
+        capsys.readouterr()
+        try:
+            code = run_cli(*_SWEEP[name](json_files, tmp, bad))
+        except Exception as exc:  # an escaped exception fails the field too
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or "Traceback" in err:
+            failures.append((key, code, err[-200:]))
+    assert failures == []
+
+
+def test_field_type_messages_are_written_only_in_errors():
+    src = Path(__file__).parents[1] / "src" / "zsner"
+    phrases = ("must be a string", "must be an integer", "must be a number",
+               "must be a list of strings")
+    found = [f"{path.name}:{n}" for path in sorted(src.glob("*.py")) if path.name != "errors.py"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if any(p in line for p in phrases)]
+    assert found == []
+
+
+def test_render_walks_the_grid_once(tree, monkeypatch):
+    root, _ = tree
+    walks = []
+    cells = corpus.Benchmark.cells
+
+    def counted_cells(self):
+        grid = cells(self)
+        return corpus.Grid(len(grid), lambda: walks.append(1) or iter(grid))
+
+    monkeypatch.setattr(corpus.Benchmark, "cells", counted_cells)
+    assert run_cli("render", "--benchmark", root / "manifest.json", "--variant", "without_dg",
+                   "-o", root / "jobs.jsonl") == 0
+    assert walks == [1]
