@@ -519,14 +519,9 @@ def test_run_and_render_outputs_match_eager_expansion(tmp_path, capsys, monkeypa
     assert grid_outputs(tmp_path) == expected
 
 
-def test_version_from_source_checkout():
-    from click.testing import CliRunner
-
-    from zsner.cli import cli
-
-    result = CliRunner().invoke(cli, ["--version"])
-    assert result.exit_code == 0
-    assert "0.1.0" in result.output
+def test_version_from_source_checkout(capsys):
+    assert run_cli("--version") == 0
+    assert "0.1.0" in capsys.readouterr().out
 
 
 def test_score_rejects_stray_records(tree, capsys):
@@ -1129,6 +1124,49 @@ def test_bad_input_exits_with_its_code(shared_tree, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
     assert not (tmp_path / "r").exists()  # refused before the run directory
+
+
+# Usage errors, refused while the command line is parsed: the arguments,
+# given a directory `tmp` and a file `f` in it, and the option or argument
+# the message must name.
+_USAGE_ERRORS = {
+    "ingest_output_directory": (lambda tmp, f: ("ingest", f, "-o", tmp), "--output"),
+    "inventory_dataset_directory": (lambda tmp, f: ("inventory", tmp), "DATASET"),
+    "render_output_directory": (lambda tmp, f: (
+        "render", "--benchmark", f, "--variant", "without_dg", "-o", tmp), "--output"),
+    "score_output_directory": (lambda tmp, f: ("score", tmp, "-o", tmp), "--output"),
+    "report_with_report_directory": (lambda tmp, f: (
+        "report", "--with-report", tmp, "--without-report", f), "--with-report"),
+    "gen_backend_directory": (lambda tmp, f: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
+        "--backend", tmp), "--backend"),
+    "run_run_dir_file": (lambda tmp, f: ("run", f, "--run-dir", f), "--run-dir"),
+    "score_run_dir_file": (lambda tmp, f: ("score", f), "RUN_DIR"),
+    "gen_max_attempts_zero": (lambda tmp, f: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
+        "--mock", "canned", "--max-attempts", "0"), "--max-attempts"),
+    "gen_max_attempts_text": (lambda tmp, f: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
+        "--mock", "canned", "--max-attempts", "x"), "--max-attempts"),
+    "render_variant_unknown": (lambda tmp, f: (
+        "render", "--benchmark", f, "--variant", "bogus", "-o", tmp / "j.jsonl"), "--variant"),
+    "score_semantics_unknown": (lambda tmp, f: (
+        "score", tmp, "--semantics", "bogus"), "--semantics"),
+    "run_without_run_dir": (lambda tmp, f: ("run", f), "--run-dir"),
+    "no_command": (lambda tmp, f: (), "ingest"),
+    "unknown_command": (lambda tmp, f: ("bogus",), "'bogus'"),
+    "bare_guidelines": (lambda tmp, f: ("guidelines",), "validate"),
+}
+
+
+@pytest.mark.parametrize("name", list(_USAGE_ERRORS))
+def test_usage_error_exits_2_and_names_the_argument(tmp_path, capsys, name):
+    command, needle = _USAGE_ERRORS[name]
+    args = command(tmp_path, _write(tmp_path / "f.json", b"{}"))
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]  # nothing written
 
 
 @pytest.mark.parametrize("rpm", [0, None])
