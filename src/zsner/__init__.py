@@ -8,23 +8,3 @@ micro-F1.
 """
 
 __version__ = "0.1.0"
-
-from zsner.corpus import Document, Mention, parse_bio, encode_bio, tag_inventory
-from zsner.evaluation import Counts, micro_f1, score_pair, tier_report, delta_report
-from zsner.parsing import extract_list, normalize_surface
-
-__all__ = [
-    "__version__",
-    "Document",
-    "Mention",
-    "parse_bio",
-    "encode_bio",
-    "tag_inventory",
-    "Counts",
-    "micro_f1",
-    "score_pair",
-    "tier_report",
-    "delta_report",
-    "extract_list",
-    "normalize_surface",
-]

@@ -8,13 +8,13 @@ Exit codes: 1 unexpected, 2 configuration, 3 input format, 4 coverage or
 comparison mismatch, 5 authentication.
 """
 
+import argparse
 import json
 import os
 import re
 import sys
 from pathlib import Path
-
-import click
+from types import SimpleNamespace
 
 from zsner import __version__, corpus, evaluation, inference, parsing, prompts, resources
 from zsner import guidelines as dg
@@ -30,6 +30,36 @@ from zsner.errors import (
 )
 
 MOCK_SYNTAX = "gold_oracle | empty | malformed | drop_k:N"
+SHOW_DEFAULT = "[default: %(default)s]"
+
+# "name" or "group name" -> the command: its function and add_argument specs
+COMMANDS: dict[str, SimpleNamespace] = {}
+GROUPS = {"guidelines": "Generate and validate the per-tag definition and guideline store."}
+
+
+def command(name: str, *specs: tuple[tuple, dict]):
+    """Register the decorated function as the command `name`; each spec is
+    the (flags, options) of one add_argument call, made by arg."""
+    def register(fn) -> SimpleNamespace:
+        COMMANDS[name] = SimpleNamespace(callback=fn, specs=specs)
+        return COMMANDS[name]
+    return register
+
+
+def arg(*flags, **options) -> tuple[tuple, dict]:
+    return flags, options
+
+
+def _path_type(refused, what: str):
+    """An argparse type: a path, refused if refused(path), as being what."""
+    def check(path: str) -> str:
+        if refused(path):
+            raise argparse.ArgumentTypeError(f"{path!r} is {what}")
+        return path
+    return check
+
+
+_file, _dir = _path_type(os.path.isdir, "a directory"), _path_type(os.path.isfile, "a file")
 
 
 def _resolve(path_str: str, base: Path) -> Path:
@@ -69,23 +99,17 @@ def _parse_mock(mock: str) -> tuple[str, int]:
     return kind, k
 
 
-@click.group()
-@click.version_option(version=__version__)
-def cli():
-    """Zero-shot named-entity evaluation over instruction-tuned chat models."""
-
-
 # --------------------------------------------------------------------------
 # corpus commands
 
 
-@cli.command()
-@click.argument("inputs", nargs=-1, required=True, type=click.Path(dir_okay=False))
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--aliases", default=None, help="Alias table (built-in name or path).")
-@click.option("--domain", default="", help="Domain label stamped on every document.")
-@click.option("--doc-id-prefix", default=None, help="Defaults to each file's stem.")
-@click.option("--strict", is_flag=True, help="Reject orphan I- labels.")
+@command("ingest",
+         arg("inputs", nargs="+", type=_file),
+         arg("-o", "--output", required=True, type=_file),
+         arg("--aliases", help="Alias table (built-in name or path)."),
+         arg("--domain", default="", help="Domain label stamped on every document."),
+         arg("--doc-id-prefix", help="Defaults to each file's stem."),
+         arg("--strict", action="store_true", help="Reject orphan I- labels."))
 def ingest(inputs, output, aliases, domain, doc_id_prefix, strict):
     """Convert BIO-tagged token files (token<TAB>label) into a dataset file."""
     alias_map = resources.load_alias_table(aliases) if aliases else None
@@ -97,13 +121,8 @@ def ingest(inputs, output, aliases, domain, doc_id_prefix, strict):
             raise ConfigError(f"input file not found: {path}")
         with open(path, encoding="utf-8") as fh:
             try:
-                parsed = corpus.parse_bio(
-                    fh,
-                    aliases=alias_map,
-                    domain=domain,
-                    doc_id_prefix=doc_id_prefix or path.stem,
-                    strict=strict,
-                )
+                parsed = corpus.parse_bio(fh, aliases=alias_map, domain=domain,
+                                          doc_id_prefix=doc_id_prefix or path.stem, strict=strict)
             except UnicodeDecodeError as e:
                 raise BioParseError(f"{path} is not UTF-8: {e}")
         for d in parsed:
@@ -116,12 +135,12 @@ def ingest(inputs, output, aliases, domain, doc_id_prefix, strict):
         docs.extend(parsed)
     corpus.save_dataset(docs, output)
     mention_total = sum(len(d.mentions) for d in docs)
-    click.echo(f"wrote {len(docs)} documents ({mention_total} mentions) to {output}")
+    print(f"wrote {len(docs)} documents ({mention_total} mentions) to {output}")
 
 
-@cli.command()
-@click.argument("dataset", type=click.Path(dir_okay=False))
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
+@command("inventory",
+         arg("dataset", type=_file),
+         arg("--json", dest="as_json", action="store_true", help="Machine-readable output."))
 def inventory(dataset, as_json):
     """Tag support counts for a dataset file."""
     path = Path(dataset)
@@ -130,24 +149,19 @@ def inventory(dataset, as_json):
     docs = corpus.load_dataset(path)
     support = corpus.tag_inventory(docs)
     if as_json:
-        click.echo(
-            json.dumps(
-                {"documents": len(docs), "tags": dict(sorted(support.items()))},
-                ensure_ascii=False,
-                indent=2,
-            )
-        )
+        print(json.dumps({"documents": len(docs), "tags": dict(sorted(support.items()))},
+                         ensure_ascii=False, indent=2))
         return
-    click.echo(f"{len(docs)} documents, {len(support)} tags")
+    print(f"{len(docs)} documents, {len(support)} tags")
     width = max([len("tag")] + [len(t) for t in support])
-    click.echo(f"{'tag':<{width}} {'support':>8}")
+    print(f"{'tag':<{width}} {'support':>8}")
     for tag, count in sorted(support.items(), key=lambda kv: (-kv[1], kv[0])):
-        click.echo(f"{tag:<{width}} {count:>8}")
+        print(f"{tag:<{width}} {count:>8}")
 
 
-@cli.command()
-@click.argument("config", type=click.Path(dir_okay=False))
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
+@command("benchmark",
+         arg("config", type=_file),
+         arg("-o", "--output", required=True, type=_file))
 def benchmark(config, output):
     """Assemble a tiered benchmark manifest from a config file.
 
@@ -170,17 +184,13 @@ def benchmark(config, output):
 
     out_path = Path(output)
     out_dir = out_path.parent.resolve()
-    bench.dataset_paths = {
-        key: str(Path(os.path.relpath(p.resolve(), out_dir)))
-        for key, p in resolved.items()
-    }
+    bench.dataset_paths = {key: str(Path(os.path.relpath(p.resolve(), out_dir)))
+                           for key, p in resolved.items()}
     corpus.save_benchmark(bench, out_path)
-    click.echo(f"benchmark {bench.benchmark_id} -> {out_path}")
+    print(f"benchmark {bench.benchmark_id} -> {out_path}")
     for tier in bench.tiers:
-        click.echo(
-            f"  tier {tier.name} ({tier.kind}): {len(tier.tag_ids)} tags "
-            f"over {sum(len(bench.doc_ids[d]) for d in tier.dataset_ids)} documents"
-        )
+        print(f"  tier {tier.name} ({tier.kind}): {len(tier.tag_ids)} tags "
+              f"over {sum(len(bench.doc_ids[d]) for d in tier.dataset_ids)} documents")
 
 
 # --------------------------------------------------------------------------
@@ -243,25 +253,21 @@ def _runner_settings(knobs: inference.BackendConfig) -> dict:
     }
 
 
-@cli.group("guidelines")
-def guidelines_group():
-    """Generate and validate the per-tag definition and guideline store."""
-
-
-@guidelines_group.command("gen")
-@click.option("--store", "store_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--benchmark", "benchmark_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--tags", default=None, help="Comma-separated tag ids.")
-@click.option("--display-names", default="it", show_default=True)
-@click.option("--meta-prompt", default="dg_it_v1", show_default=True)
-@click.option("--language", default="it", show_default=True)
-@click.option("--mock", default=None, help="Offline generator: 'canned'.")
-@click.option("--backend", "backend_path", default=None, type=click.Path(dir_okay=False),
-              help="Backend config JSON (endpoint_url, model_name, auth_env, ...).")
-@click.option("--max-attempts", default=3, show_default=True, type=click.IntRange(min=1))
+@command("guidelines gen",
+         arg("--store", dest="store_path", required=True, type=_file),
+         arg("--benchmark", dest="benchmark_path", type=_file),
+         arg("--tags", help="Comma-separated tag ids."),
+         arg("--display-names", default="it", help=SHOW_DEFAULT),
+         arg("--meta-prompt", default="dg_it_v1", help=SHOW_DEFAULT),
+         arg("--language", default="it", help=SHOW_DEFAULT),
+         arg("--mock", help="Offline generator: 'canned'."),
+         arg("--backend", dest="backend_path", type=_file,
+             help="Backend config JSON (endpoint_url, model_name, auth_env, ...)."),
+         arg("--max-attempts", default=3, type=int, help=SHOW_DEFAULT))
 def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
                    language, mock, backend_path, max_attempts):
     """Fill in definition/guideline records for tags missing from the store."""
+    check_field(max_attempts, int, "--max-attempts", minimum=1)
     required = _required_tags(benchmark_path, tags, Path.cwd())
     names = resources.load_display_names(display_names)
     meta_id, meta_text = resources.load_meta_prompt(meta_prompt)
@@ -307,31 +313,29 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
         if len(store.records) > known:  # the tags parsed so far, also on failure
             dg.save_store(store, store_file)
     skipped = len(required) - len(generated)
-    click.echo(
-        f"store {store_file}: {len(generated)} generated, {skipped} already present"
-    )
+    print(f"store {store_file}: {len(generated)} generated, {skipped} already present")
 
 
-@guidelines_group.command("validate")
-@click.option("--store", "store_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--benchmark", "benchmark_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--tags", default=None, help="Comma-separated tag ids.")
+@command("guidelines validate",
+         arg("--store", dest="store_path", required=True, type=_file),
+         arg("--benchmark", dest="benchmark_path", type=_file),
+         arg("--tags", help="Comma-separated tag ids."))
 def guidelines_validate(store_path, benchmark_path, tags):
     """Check the store covers the required tags with non-empty fields."""
     required = _required_tags(benchmark_path, tags, Path.cwd())
     store = dg.load_store(store_path)
     report = dg.validate_store(store, required)
     if report["missing"]:
-        click.echo(f"missing tags: {', '.join(report['missing'])}")
+        print(f"missing tags: {', '.join(report['missing'])}")
     for tag, fields in sorted(report["empty_fields"].items()):
-        click.echo(f"empty fields for {tag}: {', '.join(fields)}")
+        print(f"empty fields for {tag}: {', '.join(fields)}")
     for name, dupes in sorted(report["duplicate_display_names"].items()):
-        click.echo(f"display name {name!r} shared by: {', '.join(dupes)}")
+        print(f"display name {name!r} shared by: {', '.join(dupes)}")
     if not report["ok"]:
         raise CoverageError(
             f"store {store_path} fails validation for {len(required)} required tags"
         )
-    click.echo(f"store {store_path}: ok ({len(required)} tags covered)")
+    print(f"store {store_path}: ok ({len(required)} tags covered)")
 
 
 # --------------------------------------------------------------------------
@@ -388,13 +392,13 @@ def _load_run_inputs(cfg: dict, config_path: Path):
     return bench, docs, specs, template, adapter, variant
 
 
-@cli.command()
-@click.argument("config", type=click.Path(dir_okay=False))
-@click.option("--run-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--mock", default=None, help=f"Offline backend: {MOCK_SYNTAX}.")
-@click.option("--overwrite", is_flag=True, help="Replace an existing run directory.")
-@click.option("--max-parallel", default=None, type=int, help="Override concurrency.")
-@click.option("--quiet", is_flag=True)
+@command("run",
+         arg("config", type=_file),
+         arg("--run-dir", required=True, type=_dir),
+         arg("--mock", help=f"Offline backend: {MOCK_SYNTAX}."),
+         arg("--overwrite", action="store_true", help="Replace an existing run directory."),
+         arg("--max-parallel", type=int, help="Override concurrency."),
+         arg("--quiet", action="store_true"))
 def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     """Execute one prompt variant over the benchmark grid into a run directory."""
     config_path = Path(config)
@@ -460,25 +464,21 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
             backend.close()
     if not quiet:
         failed = f", {stats.failed} failed" if stats.failed else ""
-        click.echo(
-            f"{len(jobs)} jobs: {stats.cached} cached, {stats.fetched} fetched{failed}"
-        )
-        click.echo(f"run written to {run_path}")
+        print(f"{len(jobs)} jobs: {stats.cached} cached, {stats.fetched} fetched{failed}")
+        print(f"run written to {run_path}")
 
 
-@cli.command()
-@click.option("--benchmark", "benchmark_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--store", "store_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--variant", type=click.Choice(prompts.VARIANTS), default=prompts.WITH_DG,
-              show_default=True)
-@click.option("--template", default="default_it", show_default=True)
-@click.option("--adapter", default="openai_chat", show_default=True)
-@click.option("--display-names", default="it", show_default=True)
-@click.option("--system", "system_text", default="")
-@click.option("--doc", "doc_id", default=None, help="Print one document's prompt.")
-@click.option("--tag", "tag_id", default=None, help="Tag for --doc.")
-@click.option("-o", "--output", default=None, type=click.Path(dir_okay=False),
-              help="Write the full job grid as JSONL.")
+@command("render",
+         arg("--benchmark", dest="benchmark_path", required=True, type=_file),
+         arg("--store", dest="store_path", type=_file),
+         arg("--variant", choices=prompts.VARIANTS, default=prompts.WITH_DG, help=SHOW_DEFAULT),
+         arg("--template", default="default_it", help=SHOW_DEFAULT),
+         arg("--adapter", default="openai_chat", help=SHOW_DEFAULT),
+         arg("--display-names", default="it", help=SHOW_DEFAULT),
+         arg("--system", dest="system_text", default=""),
+         arg("--doc", dest="doc_id", help="Print one document's prompt."),
+         arg("--tag", dest="tag_id", help="Tag for --doc."),
+         arg("-o", "--output", type=_file, help="Write the full job grid as JSONL."))
 def render(benchmark_path, store_path, variant, template, adapter, display_names,
            system_text, doc_id, tag_id, output):
     """Inspect rendered prompts, or export the full payload grid."""
@@ -496,7 +496,7 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
             raise ConfigError(f"no document {doc_id!r} in the benchmark datasets")
         if tag_id not in specs:
             raise ConfigError(f"tag {tag_id!r} is not part of the benchmark")
-        click.echo(prompts.render(match, specs[tag_id], variant, template_obj))
+        print(prompts.render(match, specs[tag_id], variant, template_obj))
         return
 
     jobs = prompts.expand_benchmark_jobs(
@@ -509,20 +509,20 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
     # a lone surrogate (from --system, say) is written as a JSON escape
     with open(out, "w", encoding="utf-8", errors="backslashreplace") as fh:
         fh.writelines(job.export_line() + "\n" for job in jobs)
-    click.echo(f"wrote {len(jobs)} jobs to {out}")
+    print(f"wrote {len(jobs)} jobs to {out}")
 
 
 # --------------------------------------------------------------------------
 # scoring commands
 
 
-@cli.command()
-@click.argument("run_dir", type=click.Path(file_okay=False))
-@click.option("-o", "--output", default=None, type=click.Path(dir_okay=False),
-              help="Report JSON path (default: <run_dir>/score.json).")
-@click.option("--semantics", type=click.Choice([evaluation.MULTISET, evaluation.SET]),
-              default=evaluation.MULTISET, show_default=True)
-@click.option("--quiet", is_flag=True)
+@command("score",
+         arg("run_dir", type=_dir),
+         arg("-o", "--output", type=_file,
+             help="Report JSON path (default: <run_dir>/score.json)."),
+         arg("--semantics", choices=[evaluation.MULTISET, evaluation.SET],
+             default=evaluation.MULTISET, help=SHOW_DEFAULT),
+         arg("--quiet", action="store_true"))
 def score(run_dir, output, semantics, quiet):
     """Score an archived run against gold annotations, per tier and tag."""
     run_path = Path(run_dir)
@@ -548,17 +548,17 @@ def score(run_dir, output, semantics, quiet):
     write_json(report.to_json(), out)
     if not quiet:
         n = report.parse_statuses
-        click.echo(f"replies: {n[parsing.PARSE_OK]} ok, {n[parsing.PARSE_RECOVERED]} "
+        print(f"replies: {n[parsing.PARSE_OK]} ok, {n[parsing.PARSE_RECOVERED]} "
                    f"recovered, {n[parsing.PARSE_FAILED]} failed")
-        click.echo(evaluation.render_report(report), nl=False)
-        click.echo(f"report written to {out}")
+        print(evaluation.render_report(report), end="")
+        print(f"report written to {out}")
 
 
-@cli.command()
-@click.option("--with-report", "with_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--without-report", "without_path", required=True, type=click.Path(dir_okay=False))
-@click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
-@click.option("--quiet", is_flag=True)
+@command("report",
+         arg("--with-report", dest="with_path", required=True, type=_file),
+         arg("--without-report", dest="without_path", required=True, type=_file),
+         arg("-o", "--output", type=_file),
+         arg("--quiet", action="store_true"))
 def report(with_path, without_path, output, quiet):
     """Per-tag and per-tier F1 deltas between the two prompt variants."""
     delta = evaluation.delta_report(*(
@@ -567,24 +567,39 @@ def report(with_path, without_path, output, quiet):
     if output:
         write_json(delta.to_json(), output)
     if not quiet:
-        click.echo(evaluation.render_delta(delta), nl=False)
+        print(evaluation.render_delta(delta), end="")
     if output and not quiet:
-        click.echo(f"delta report written to {output}")
+        print(f"delta report written to {output}")
 
 
 def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="zsner", allow_abbrev=False,
+        description="Zero-shot named-entity evaluation over instruction-tuned chat models.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, cmd in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = subparsers[""].add_parser(
+                group, help=GROUPS[group], description=GROUPS[group]
+            ).add_subparsers(dest="command", required=True)
+        doc = cmd.callback.__doc__
+        sub = subparsers[group].add_parser(leaf, help=doc.partition("\n")[0], description=doc,
+                                           allow_abbrev=False)
+        for flags, options in cmd.specs:
+            if not flags[0].startswith("-"):  # a positional shows in upper case, as in usage
+                options = {"metavar": flags[0].upper(), **options}
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(command=cmd)
+    args = vars(parser.parse_args(argv))
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args.pop("command").callback(**args)
     except ZsnerError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
         sys.exit(130)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
 
 
 if __name__ == "__main__":

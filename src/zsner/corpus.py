@@ -65,8 +65,10 @@ class Document:
         if not self.doc_id:
             raise DatasetFormatError("document with empty doc_id")
         for m in self.mentions:
-            if not isinstance(m.tag_id, str):
-                check_field(m.tag_id, str, f"{self.doc_id}: mention 'tag'", DatasetFormatError)
+            if not (isinstance(m.tag_id, str) and type(m.start) is int and type(m.end) is int):
+                for key, value, kind in (("tag", m.tag_id, str), ("start", m.start, int),
+                                         ("end", m.end, int)):
+                    check_field(value, kind, f"{self.doc_id}: mention {key!r}", DatasetFormatError)
             if m.end <= m.start:
                 raise DatasetFormatError(
                     f"{self.doc_id}: mention {m.tag_id!r} has empty span {m.start}..{m.end}"

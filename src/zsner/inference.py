@@ -111,16 +111,18 @@ class CompletionRecord:
 
     @classmethod
     def from_record(cls, rec: dict) -> "CompletionRecord":
-        return cls(
-            job_id=rec["job_id"],
-            raw_text=rec.get("raw_text", ""),
-            status=rec.get("status", STATUS_ERROR),
-            error_kind=rec.get("error_kind", ""),
-            latency_ms=rec.get("latency_ms", 0),
-            attempt_count=rec.get("attempt_count", 1),
-            fingerprint=rec.get("fingerprint", ""),
-            timestamp=rec.get("timestamp", ""),
-        )
+        """The record of a replies.jsonl line; ValueError naming a field of
+        the wrong type."""
+        r = cls(job_id=rec["job_id"], raw_text=rec.get("raw_text", ""),
+                status=rec.get("status", STATUS_ERROR), error_kind=rec.get("error_kind", ""),
+                latency_ms=rec.get("latency_ms", 0), attempt_count=rec.get("attempt_count", 1),
+                fingerprint=rec.get("fingerprint", ""), timestamp=rec.get("timestamp", ""))
+        if not (type(r.job_id) is type(r.raw_text) is type(r.status) is type(r.error_kind)
+                is type(r.fingerprint) is type(r.timestamp) is str
+                and type(r.latency_ms) is type(r.attempt_count) is int):
+            for name, kind in cls.__annotations__.items():
+                check_field(getattr(r, name), kind, repr(name), ValueError)
+        return r
 
 
 def decoding_fingerprint(model_name: str, params: dict) -> str:
@@ -584,7 +586,7 @@ def run(
             return CachedRecord(f'{{"job_id": {encode_basestring_ascii(job_id)}{m[1]}0{m[2]}')
         try:
             rec = CompletionRecord.from_record(json.loads(text))
-        except ValueError:
+        except (ValueError, KeyError):  # torn, or not a record
             return None
         rec.job_id, rec.attempt_count = job_id, 0
         return rec

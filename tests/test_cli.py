@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import hashlib
 import json
@@ -997,10 +998,11 @@ def _score_report(**fields) -> bytes:
     return json.dumps({"benchmark_id": "b", "variant": "with_dg", "tiers": {"t": tier}}).encode()
 
 
-def _run_dir_with(root, tmp, **fields) -> Path:
-    """A run directory with no replies and a manifest with `fields` set."""
+def _run_dir_with(root, tmp, replies="", **fields) -> Path:
+    """A run directory with the replies.jsonl text `replies` and a manifest
+    with `fields` set."""
     (tmp / "run").mkdir()
-    (tmp / "run" / "replies.jsonl").write_text("", encoding="utf-8")
+    (tmp / "run" / "replies.jsonl").write_text(replies, encoding="utf-8")
     manifest = {"benchmark_path": str(root / "manifest.json"), "variant": "without_dg",
                 "template_id": "default_it", "adapter_id": "openai_chat", **fields}
     _write(tmp / "run" / "manifest.json", json.dumps(manifest).encode())
@@ -1107,6 +1109,13 @@ _BAD_INPUTS = {
     "dataset_mention_tag_number": (3, lambda root, tmp: (
         "inventory", _write(tmp / "in.jsonl", _dataset_line(mentions=[
             {"tag": 5, "surface": "Roma", "start": 0, "end": 4}]))), "in.jsonl:1: d: mention"),
+    **{f"replies_{key}_{type(value).__name__}": (3, lambda root, tmp, key=key, value=value: (
+        "score", _run_dir_with(root, tmp, replies=json.dumps(
+            {**inference.CompletionRecord("x", "[]", "ok").to_record(), key: value}) + "\n")),
+        f"replies.jsonl:1: bad record (ValueError(\"{key!r}")
+       for key, value in [("job_id", 5), ("raw_text", 5), ("status", 5), ("error_kind", None),
+                          ("latency_ms", "0"), ("attempt_count", True), ("fingerprint", []),
+                          ("timestamp", 1.5)]},
     "tier_dataset_text_number": (3, lambda root, tmp: (
         "render", "--benchmark",
         _manifest_with(root, tmp, lambda m: m["datasets"].update(
@@ -1204,6 +1213,20 @@ def test_json_files_are_read_and_written_only_in_errors():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "json.load(" in line or "json.dump(" in line]
     assert calls == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    root = Path(__file__).parents[1]
+    imported = set()
+    for path in sorted((root / "src" / "zsner").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - sys.stdlib_module_names == {"zsner"}
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S) == [""]
 
 
 def test_records_are_paired_and_parsed_only_in_evaluation():

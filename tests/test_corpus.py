@@ -142,6 +142,17 @@ def test_load_dataset_rejects_bad_offsets(tmp_path):
         corpus.load_dataset(path)
 
 
+@pytest.mark.parametrize("key, value", [("start", "0"), ("start", True), ("end", "4"),
+                                        ("end", 4.0)])
+def test_load_dataset_rejects_an_offset_of_another_type(tmp_path, key, value):
+    mention = {"tag": "loc", "surface": "Roma", "start": 0, "end": 4, key: value}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"doc_id": "d", "text": "Roma", "mentions": [mention]}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"bad.jsonl:1: d: mention '{key}' must be"):
+        corpus.load_dataset(path)
+
+
 # --------------------------------------------------------------------------
 # benchmark assembly
 

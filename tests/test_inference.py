@@ -586,6 +586,22 @@ def test_partial_and_foreign_cache_lines_are_parsed(tmp_path):
         "timestamp": "t"}) + "\n"
 
 
+@pytest.mark.parametrize("record", [
+    {"job_id": "x", "raw_text": 5, "status": "ok"},
+    {"job_id": "x", "raw_text": "Città", "status": None},
+    {"job_id": "x", "raw_text": "Città", "status": "ok", "latency_ms": "5"},
+    {"raw_text": "Città", "status": "ok"},
+], ids=["raw_text_number", "status_null", "latency_ms_text", "no_job_id"])
+def test_a_cache_line_that_is_no_record_is_a_miss(tmp_path, record):
+    j = job("j1")
+    key = inf.cache_key(inf.payload_json(j.payload), "m:0")
+    cache = inf.ResponseCache(tmp_path / "cache")
+    cache.put(key, record)
+    cache.close()
+    rec, replies = _serve_one(tmp_path / "cache", j)
+    assert json.loads(replies)["raw_text"] == "fetched" and rec.attempt_count == 1
+
+
 def test_response_cache_serves_lines_from_before_and_after_a_reopen(tmp_path):
     cache = inf.ResponseCache(tmp_path / "cache")
     long_text = "Città " * 2000  # a line longer than one read
