@@ -584,11 +584,11 @@ def main(argv=None):
             subparsers[group] = subparsers[""].add_parser(
                 group, help=GROUPS[group], description=GROUPS[group]
             ).add_subparsers(dest="command", required=True)
-        doc = cmd.callback.__doc__
+        doc = cmd.callback.__doc__ or ""  # None under python -OO
         sub = subparsers[group].add_parser(leaf, help=doc.partition("\n")[0], description=doc,
                                            allow_abbrev=False)
         for flags, options in cmd.specs:
-            if not flags[0].startswith("-"):  # a positional shows in upper case, as in usage
+            if not flags[0].startswith("-"):  # usage and errors name a positional in upper case
                 options = {"metavar": flags[0].upper(), **options}
             sub.add_argument(*flags, **options)
         sub.set_defaults(command=cmd)
