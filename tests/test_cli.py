@@ -520,9 +520,49 @@ def test_run_and_render_outputs_match_eager_expansion(tmp_path, capsys, monkeypa
     assert grid_outputs(tmp_path) == expected
 
 
+# The full stdout of score on mixed_run (its path written as <out>) and of
+# report on the grid_outputs pair: the tables a user reads, to the byte.
+_PRINTED = {
+    "score_multiset": {"lines": 38, "sha256": "197b767c68a6ff793fb3d711905faaf0"
+                                              "714c0795a1f1eadc3c58be915c1b31f2"},
+    "score_set": {"lines": 38, "sha256": "bdcc1530027eda5269113e818c1d2786"
+                                         "97d80c648a46d514559da0bb3925d1b5"},
+    "report": {"lines": 33, "sha256": "fd59f4a39564f55e22ea7cb03c02ca2b"
+                                      "37ea7a9aa6c8f2b936d09a4f40a8a27e"},
+}
+
+
+@pytest.mark.parametrize("name", list(_PRINTED))
+def test_printed_tables_match_their_digests(tmp_path, capsys, name):
+    if name == "report":
+        grid_outputs(tmp_path)
+        args = ("report", "--with-report", tmp_path / "r" / "score.json",
+                "--without-report", tmp_path / "r_wo" / "score.json")
+    else:
+        mixed_run(tmp_path)
+        args = ("score", tmp_path / "r", "-o", tmp_path / "score.json",
+                "--semantics", name.partition("_")[2])
+    capsys.readouterr()
+    assert run_cli(*args) == 0
+    text = capsys.readouterr().out.replace(str(tmp_path / "score.json"), "<out>")
+    assert {"lines": text.count("\n"),
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()} == _PRINTED[name]
+
+
 def test_version_from_source_checkout(capsys):
     assert run_cli("--version") == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [("--help",), ("score", "--help")], ids=["zsner", "score"])
+def test_help_without_docstrings(args):
+    """python -OO strips the docstrings that command help is built from."""
+    src = Path(inference.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-OO", "-m", "zsner.cli", *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "usage: zsner" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_score_rejects_stray_records(tree, capsys):
