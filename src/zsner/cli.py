@@ -542,14 +542,13 @@ def score(run_dir, output, semantics, quiet):
 
     gold = evaluation.build_gold(docs.values())
     del docs  # from here on memory holds the gold map, not the documents
-    report = evaluation.tier_report(bench, gold, records, tuple(grid), semantics=semantics,
-                                    run_manifest=str(run_path / "manifest.json"))
+    report, n = evaluation.tier_report(bench, gold, records, tuple(grid), semantics=semantics,
+                                       run_manifest=str(run_path / "manifest.json"))
     out = Path(output) if output else run_path / "score.json"
-    write_json(report.to_json(), out)
+    write_json(report, out)
     if not quiet:
-        n = report.parse_statuses
         print(f"replies: {n[parsing.PARSE_OK]} ok, {n[parsing.PARSE_RECOVERED]} "
-                   f"recovered, {n[parsing.PARSE_FAILED]} failed")
+              f"recovered, {n[parsing.PARSE_FAILED]} failed")
         print(evaluation.render_report(report), end="")
         print(f"report written to {out}")
 
@@ -562,10 +561,10 @@ def score(run_dir, output, semantics, quiet):
 def report(with_path, without_path, output, quiet):
     """Per-tag and per-tier F1 deltas between the two prompt variants."""
     delta = evaluation.delta_report(*(
-        evaluation.ScoreReport.from_json(read_json(p, "score report"), f"score report {p}")
+        evaluation.check_score_report(read_json(p, "score report"), f"score report {p}")
         for p in (with_path, without_path)))
     if output:
-        write_json(delta.to_json(), output)
+        write_json(delta, output)
     if not quiet:
         print(evaluation.render_delta(delta), end="")
     if output and not quiet:

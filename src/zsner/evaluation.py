@@ -7,7 +7,7 @@ counts across documents and tags; macro-F1 is reported alongside.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from zsner import parsing
@@ -83,91 +83,38 @@ def score_pair(gold: Extraction, pred: Extraction, semantics: str = MULTISET) ->
     return Counts(*_cell_counts(gold.surfaces, pred.surfaces, semantics))
 
 
-@dataclass
-class TagScore:
-    counts: Counts
-    precision: float
-    recall: float
-    f1: float
-
-    @classmethod
-    def from_counts(cls, counts: Counts) -> "TagScore":
-        p, r, f1 = micro_f1(counts)
-        return cls(counts, p, r, f1)
+def _score(counts: Counts) -> dict:
+    """A score of score.json: the counts and the rates micro_f1 gives them."""
+    p, r, f1 = micro_f1(counts)
+    return {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn,
+            "precision": p, "recall": r, "f1": f1}
 
 
-@dataclass
-class TierScore:
-    name: str
-    kind: str
-    per_tag: dict[str, TagScore]
-    micro: TagScore
-    macro_f1: float
+def check_score_report(data: dict, where: str = "score report") -> dict:
+    """data, a score.json object, once every field is checked; a field missing
+    or of the wrong type is a ConfigError naming where and the field. A missing variant, semantics or run_manifest is set
+    to its default."""
+    def check_score(obj: dict, key: str, what: str) -> None:
+        what = f"{what} {key!r}"
+        d = check_field(obj, dict, what, key=key)
+        for k in ("tp", "fp", "fn"):
+            check_field(d, int, f"{what} {k!r}", key=k, minimum=0)
+        for k in ("precision", "recall", "f1"):
+            check_field(d, float, f"{what} {k!r}", key=k)
 
-
-@dataclass
-class ScoreReport:
-    benchmark_id: str
-    variant: str
-    tiers: dict[str, TierScore]
-    semantics: str = MULTISET
-    run_manifest: str = ""
-    # replies per parse status; not part of score.json
-    parse_statuses: Counter = field(default_factory=Counter)
-
-    def to_json(self) -> dict:
-        def tag_dict(s: TagScore) -> dict:
-            return {
-                "tp": s.counts.tp,
-                "fp": s.counts.fp,
-                "fn": s.counts.fn,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-            }
-
-        return {
-            "benchmark_id": self.benchmark_id,
-            "variant": self.variant,
-            "semantics": self.semantics,
-            "run_manifest": self.run_manifest,
-            "tiers": {
-                name: {
-                    "kind": t.kind,
-                    "micro": tag_dict(t.micro),
-                    "macro_f1": t.macro_f1,
-                    "per_tag": {tag: tag_dict(s) for tag, s in t.per_tag.items()},
-                }
-                for name, t in self.tiers.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, where: str = "score report") -> "ScoreReport":
-        """The report to_json wrote; a field missing or of the wrong type is a
-        ConfigError naming where and the field."""
-        def tag_score(obj: dict, key: str, what: str) -> TagScore:
-            what = f"{what} {key!r}"
-            d = check_field(obj, dict, what, key=key)
-            counts = (check_field(d, int, f"{what} {k!r}", key=k, minimum=0)
-                      for k in ("tp", "fp", "fn"))
-            rates = (check_field(d, float, f"{what} {k!r}", key=k)
-                     for k in ("precision", "recall", "f1"))
-            return TagScore(Counts(*counts), *rates)
-
-        tiers = {}
-        for name, t in check_field(data, dict, f"{where}: 'tiers'", key="tiers").items():
-            what = f"{where}: tier {name!r}"
-            t = check_field(t, dict, what)
-            per_tag = check_field(t, dict, f"{what} 'per_tag'", key="per_tag")
-            tiers[name] = TierScore(name, check_field(t, str, f"{what} 'kind'", key="kind"),
-                                    {tag: tag_score(per_tag, tag, what) for tag in per_tag},
-                                    tag_score(t, "micro", what),
-                                    check_field(t, float, f"{what} 'macro_f1'", key="macro_f1"))
-        text = {k: check_field(data.get(k, d), str, f"{where}: {k!r}")
-                for k, d in (("variant", ""), ("semantics", MULTISET), ("run_manifest", ""))}
-        return cls(check_field(data, str, f"{where}: 'benchmark_id'", key="benchmark_id"),
-                   tiers=tiers, **text)
+    for name, t in check_field(data, dict, f"{where}: 'tiers'", key="tiers").items():
+        what = f"{where}: tier {name!r}"
+        t = check_field(t, dict, what)
+        per_tag = check_field(t, dict, f"{what} 'per_tag'", key="per_tag")
+        check_field(t, str, f"{what} 'kind'", key="kind")
+        for tag in per_tag:
+            check_score(per_tag, tag, what)
+        check_score(t, "micro", what)
+        check_field(t, float, f"{what} 'macro_f1'", key="macro_f1")
+    for k, d in (("variant", ""), ("semantics", MULTISET), ("run_manifest", "")):
+        check_field(data.setdefault(k, d), str, f"{where}: {k!r}")
+    check_field(data, str, f"{where}: 'benchmark_id'", key="benchmark_id")
+    return data
 
 
 def _lockstep(cells, records, grid):
@@ -217,8 +164,9 @@ def tier_report(
     *,
     semantics: str = MULTISET,
     run_manifest: str = "",
-) -> ScoreReport:
-    """Score a run's CompletionRecords against build_gold's map over every tier.
+) -> tuple[dict, Counter]:
+    """Score a run's CompletionRecords against build_gold's map over every tier:
+    the score.json object and the replies per parse status, which it leaves out.
 
     `grid` is the run's (variant, template_id, adapter_id). Records are read
     once, in one pass over Benchmark.cells(), and may come in any order; each
@@ -253,90 +201,51 @@ def tier_report(
     for (in_tiers, tag), c in sums.items():
         for name in in_tiers:
             totals[name, tag] += Counts(*c)
-    tiers: dict[str, TierScore] = {}
+    tiers = {}
     for tier in benchmark.tiers:
         # tier.tag_ids order: macro_f1 sums its floats in this order
-        per_tag_counts = {tag: totals[tier.name, tag] for tag in tier.tag_ids}
-        per_tag = {tag: TagScore.from_counts(c) for tag, c in per_tag_counts.items()}
-        pooled = sum(per_tag_counts.values(), Counts())
-        macro = (
-            sum(s.f1 for s in per_tag.values()) / len(per_tag) if per_tag else 0.0
-        )
-        tiers[tier.name] = TierScore(
-            tier.name, tier.kind, per_tag, TagScore.from_counts(pooled), macro
-        )
-
-    return ScoreReport(
-        benchmark_id=benchmark.benchmark_id,
-        variant=grid[0],
-        tiers=tiers,
-        semantics=semantics,
-        run_manifest=run_manifest,
-        parse_statuses=statuses,
-    )
+        counts = {tag: totals[tier.name, tag] for tag in tier.tag_ids}
+        per_tag = {tag: _score(c) for tag, c in counts.items()}
+        macro = sum(s["f1"] for s in per_tag.values()) / len(per_tag) if per_tag else 0.0
+        tiers[tier.name] = {"kind": tier.kind, "micro": _score(sum(counts.values(), Counts())),
+                            "macro_f1": macro, "per_tag": per_tag}
+    report = {"benchmark_id": benchmark.benchmark_id, "variant": grid[0],
+              "semantics": semantics, "run_manifest": run_manifest, "tiers": tiers}
+    return report, statuses
 
 
 # --------------------------------------------------------------------------
 # delta reports (with-D&G vs without-D&G ablation)
 
 
-@dataclass
-class DeltaCell:
-    f1_with: float
-    f1_without: float
-
-    @property
-    def delta(self) -> float:
-        return self.f1_with - self.f1_without
-
-
-@dataclass
-class DeltaReport:
-    benchmark_id: str
-    tiers: dict[str, dict[str, DeltaCell]]  # tier -> tag -> cell
-    micro: dict[str, DeltaCell] = field(default_factory=dict)  # tier -> cell
-
-    def to_json(self) -> dict:
-        def cell(c: DeltaCell) -> dict:
-            return {"f1_with": c.f1_with, "f1_without": c.f1_without, "delta": c.delta}
-
-        return {
-            "benchmark_id": self.benchmark_id,
-            "tiers": {
-                name: {tag: cell(c) for tag, c in tags.items()}
-                for name, tags in self.tiers.items()
-            },
-            "micro": {name: cell(c) for name, c in self.micro.items()},
-        }
-
-
-def delta_report(with_report: ScoreReport, without_report: ScoreReport) -> DeltaReport:
-    """Per-(tier, tag) and per-tier F1 differences between the two variants."""
-    if with_report.benchmark_id != without_report.benchmark_id:
+def delta_report(with_report: dict, without_report: dict) -> dict:
+    """The delta report of two score reports: per-(tier, tag) and per-tier F1
+    of each variant and their difference."""
+    if with_report["benchmark_id"] != without_report["benchmark_id"]:
         raise ComparisonError(
             f"reports compare different benchmarks: "
-            f"{with_report.benchmark_id!r} vs {without_report.benchmark_id!r}"
+            f"{with_report['benchmark_id']!r} vs {without_report['benchmark_id']!r}"
         )
-    if set(with_report.tiers) != set(without_report.tiers):
+    if set(with_report["tiers"]) != set(without_report["tiers"]):
         raise ComparisonError(
-            f"tier mismatch: {sorted(with_report.tiers)} vs "
-            f"{sorted(without_report.tiers)}"
+            f"tier mismatch: {sorted(with_report['tiers'])} vs "
+            f"{sorted(without_report['tiers'])}"
         )
-    tiers: dict[str, dict[str, DeltaCell]] = {}
-    micro: dict[str, DeltaCell] = {}
-    for name, tw in with_report.tiers.items():
-        to = without_report.tiers[name]
-        if set(tw.per_tag) != set(to.per_tag):
+
+    def cell(w: dict, wo: dict) -> dict:
+        return {"f1_with": w["f1"], "f1_without": wo["f1"], "delta": w["f1"] - wo["f1"]}
+
+    tiers, micro = {}, {}
+    for name, tw in with_report["tiers"].items():
+        to = without_report["tiers"][name]
+        if set(tw["per_tag"]) != set(to["per_tag"]):
             raise ComparisonError(
                 f"tier {name!r}: tag grid mismatch: "
-                f"{sorted(tw.per_tag)} vs {sorted(to.per_tag)}"
+                f"{sorted(tw['per_tag'])} vs {sorted(to['per_tag'])}"
             )
-        tiers[name] = {
-            tag: DeltaCell(tw.per_tag[tag].f1, to.per_tag[tag].f1)
-            for tag in tw.per_tag
-        }
-        micro[name] = DeltaCell(tw.micro.f1, to.micro.f1)
-    return DeltaReport(with_report.benchmark_id, tiers, micro)
+        tiers[name] = {tag: cell(s, to["per_tag"][tag]) for tag, s in tw["per_tag"].items()}
+        micro[name] = cell(tw["micro"], to["micro"])
+    return {"benchmark_id": with_report["benchmark_id"], "tiers": tiers, "micro": micro}
 
 
 # --------------------------------------------------------------------------
@@ -353,55 +262,40 @@ def format_delta(delta: float) -> str:
     return f"({100 * delta:+.2f})"
 
 
-def render_report(report: ScoreReport) -> str:
+def render_report(report: dict) -> str:
     lines = [
-        f"benchmark: {report.benchmark_id}   variant: {report.variant}   "
-        f"matching: {report.semantics}"
+        f"benchmark: {report['benchmark_id']}   variant: {report['variant']}   "
+        f"matching: {report['semantics']}"
     ]
-    for tier in report.tiers.values():
+    for name, tier in report["tiers"].items():
         lines.append("")
-        lines.append(f"tier: {tier.name} ({tier.kind})")
-        width = max([len("tag")] + [len(t) for t in tier.per_tag])
+        lines.append(f"tier: {name} ({tier['kind']})")
+        width = max([len("tag")] + [len(t) for t in tier["per_tag"]])
         header = f"{'tag':<{width}} {'tp':>6} {'fp':>6} {'fn':>6} {'P':>7} {'R':>7} {'F1':>7}"
         lines.append(header)
         lines.append("-" * len(header))
-        for tag in sorted(tier.per_tag):
-            s = tier.per_tag[tag]
+        for tag, s in [*sorted(tier["per_tag"].items()), ("micro", tier["micro"])]:
             lines.append(
-                f"{tag:<{width}} {s.counts.tp:>6} {s.counts.fp:>6} {s.counts.fn:>6} "
-                f"{format_pct(s.precision):>7} {format_pct(s.recall):>7} "
-                f"{format_pct(s.f1):>7}"
+                f"{tag:<{width}} {s['tp']:>6} {s['fp']:>6} {s['fn']:>6} "
+                f"{format_pct(s['precision']):>7} {format_pct(s['recall']):>7} "
+                f"{format_pct(s['f1']):>7}"
             )
-        m = tier.micro
-        lines.append(
-            f"{'micro':<{width}} {m.counts.tp:>6} {m.counts.fp:>6} {m.counts.fn:>6} "
-            f"{format_pct(m.precision):>7} {format_pct(m.recall):>7} "
-            f"{format_pct(m.f1):>7}"
-        )
-        lines.append(f"{'macro F1':<{width}} {format_pct(tier.macro_f1):>{len(header) - width - 1}}")
+        lines.append(f"{'macro F1':<{width}} {format_pct(tier['macro_f1']):>{len(header) - width - 1}}")
     return "\n".join(lines) + "\n"
 
 
-def render_delta(report: DeltaReport) -> str:
-    lines = [f"benchmark: {report.benchmark_id}   ablation: with vs without D&G"]
-    for name, tags in report.tiers.items():
+def render_delta(report: dict) -> str:
+    lines = [f"benchmark: {report['benchmark_id']}   ablation: with vs without D&G"]
+    for name, tags in report["tiers"].items():
         lines.append("")
         lines.append(f"tier: {name}")
         width = max([len("tag"), len("micro")] + [len(t) for t in tags])
         header = f"{'tag':<{width}} {'w/o D&G':>9} {'w/ D&G':>9} {'ΔF1':>10}"
         lines.append(header)
         lines.append("-" * len(header))
-        for tag in sorted(tags):
-            c = tags[tag]
+        for tag, c in [*sorted(tags.items()), ("micro", report["micro"][name])]:
             lines.append(
-                f"{tag:<{width}} {format_pct(c.f1_without):>9} "
-                f"{format_pct(c.f1_with):>9} {format_delta(c.delta):>10}"
-            )
-        m = report.micro.get(name)
-        if m is not None:
-            lines.append(
-                f"{'micro':<{width}} {format_pct(m.f1_without):>9} "
-                f"{format_pct(m.f1_with):>9} {format_delta(m.delta):>10}"
+                f"{tag:<{width}} {format_pct(c['f1_without']):>9} "
+                f"{format_pct(c['f1_with']):>9} {format_delta(c['delta']):>10}"
             )
     return "\n".join(lines) + "\n"
-

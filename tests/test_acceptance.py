@@ -191,9 +191,11 @@ def test_criterion_5_delta_reporting_convention():
             (0.5465, 0.3090, "(+23.75)", 23.75),
         ]
         for with_f1, without_f1, rendered, rounded in anchors:
-            cell = ev.DeltaCell(with_f1, without_f1)
-            assert ev.format_delta(cell.delta) == rendered
-            assert round(100 * cell.delta, 2) == rounded
+            w = _anchor_report("b", {"plant": with_f1}, "with_dg")
+            wo = _anchor_report("b", {"plant": without_f1}, "without_dg")
+            cell = ev.delta_report(w, wo)["tiers"]["unseen_ne"]["plant"]
+            assert ev.format_delta(cell["delta"]) == rendered
+            assert round(100 * cell["delta"], 2) == rounded
         # end to end through report construction and text rendering
         w = _anchor_report("b", {"plant": 0.4989, "media": 0.5465}, "with_dg")
         wo = _anchor_report("b", {"plant": 0.1376, "media": 0.3090},
@@ -203,13 +205,13 @@ def test_criterion_5_delta_reporting_convention():
 
 
 def _anchor_report(benchmark_id, f1_by_tag, variant):
-    per_tag = {
-        tag: ev.TagScore(ev.Counts(1, 0, 0), f1, f1, f1)
-        for tag, f1 in f1_by_tag.items()
-    }
-    tier = ev.TierScore("unseen_ne", "unseen_ne", per_tag,
-                        ev.TagScore(ev.Counts(1, 0, 0), 0.5, 0.5, 0.5), 0.5)
-    return ev.ScoreReport(benchmark_id, variant, {"unseen_ne": tier})
+    def score(f1):
+        return {"tp": 1, "fp": 0, "fn": 0, "precision": f1, "recall": f1, "f1": f1}
+
+    tier = {"kind": "unseen_ne", "micro": score(0.5), "macro_f1": 0.5,
+            "per_tag": {tag: score(f1) for tag, f1 in f1_by_tag.items()}}
+    return ev.check_score_report({"benchmark_id": benchmark_id, "variant": variant,
+                                  "tiers": {"unseen_ne": tier}})
 
 
 def test_criterion_6_unseen_tier_assembly(tmp_path, rng):

@@ -155,7 +155,7 @@ def test_tier_report_sums_oracle_cell_counts(data, docs_a, docs_b, semantics):
         cell: data.draw(st.lists(st.sampled_from(_SURFACES), max_size=3))
         for cell, _ in bench.cells()
     }
-    report = ev.tier_report(
+    report, _ = ev.tier_report(
         bench,
         ev.build_gold(d for docs in datasets.values() for d in docs),
         [_record(cell, surfaces) for cell, surfaces in pred.items()],
@@ -170,27 +170,27 @@ def test_tier_report_sums_oracle_cell_counts(data, docs_a, docs_b, semantics):
                 gold = [m.surface for m in doc.mentions if m.tag_id == tag]
                 for i, n in enumerate(oracle(gold, pred[doc.doc_id, tag])):
                     want[i] += n
-            got = report.tiers[tier.name].per_tag[tag].counts
-            assert (got.tp, got.fp, got.fn) == tuple(want)
-        assert list(report.tiers[tier.name].per_tag) == list(tier.tag_ids)
+            got = report["tiers"][tier.name]["per_tag"][tag]
+            assert (got["tp"], got["fp"], got["fn"]) == tuple(want)
+        assert list(report["tiers"][tier.name]["per_tag"]) == list(tier.tag_ids)
 
 
 def test_tier_report_gold_vs_itself_is_perfect(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    report = ev.tier_report(bench, gold, [_record(c, g) for c, g in cells], GRID)
-    for tier in report.tiers.values():
-        assert tier.micro.f1 == 1.0
-        assert tier.macro_f1 == 1.0
-        assert tier.micro.counts.fp == 0 and tier.micro.counts.fn == 0
+    report, _ = ev.tier_report(bench, gold, [_record(c, g) for c, g in cells], GRID)
+    for tier in report["tiers"].values():
+        assert tier["micro"]["f1"] == 1.0
+        assert tier["macro_f1"] == 1.0
+        assert tier["micro"]["fp"] == 0 and tier["micro"]["fn"] == 0
 
 
 def test_tier_report_empty_predictions_zero(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    report = ev.tier_report(bench, gold, [_record(c, []) for c, _ in cells], GRID)
-    for tier in report.tiers.values():
-        assert tier.micro.f1 == 0.0
-        assert tier.micro.counts.tp == 0
-        assert tier.micro.counts.fn > 0
+    report, _ = ev.tier_report(bench, gold, [_record(c, []) for c, _ in cells], GRID)
+    for tier in report["tiers"].values():
+        assert tier["micro"]["f1"] == 0.0
+        assert tier["micro"]["tp"] == 0
+        assert tier["micro"]["fn"] > 0
 
 
 def test_tier_report_micro_pools_counts_not_averages(tmp_path, rng):
@@ -203,15 +203,16 @@ def test_tier_report_micro_pools_counts_not_averages(tmp_path, rng):
         records.append(_record(c, [] if g and flip else g))
         if g:
             flip = not flip
-    report = ev.tier_report(bench, gold, records, GRID)
-    for tier in report.tiers.values():
+    report, _ = ev.tier_report(bench, gold, records, GRID)
+    for tier in report["tiers"].values():
         pooled = ev.Counts()
-        for s in tier.per_tag.values():
-            pooled = pooled + s.counts
-        assert tier.micro.counts == pooled
-        assert tier.micro.f1 == ev.micro_f1(pooled)[2]
-        mean_f1 = sum(s.f1 for s in tier.per_tag.values()) / len(tier.per_tag)
-        assert tier.macro_f1 == pytest.approx(mean_f1)
+        for s in tier["per_tag"].values():
+            pooled = pooled + ev.Counts(s["tp"], s["fp"], s["fn"])
+        micro = tier["micro"]
+        assert ev.Counts(micro["tp"], micro["fp"], micro["fn"]) == pooled
+        assert micro["f1"] == ev.micro_f1(pooled)[2]
+        mean_f1 = sum(s["f1"] for s in tier["per_tag"].values()) / len(tier["per_tag"])
+        assert tier["macro_f1"] == pytest.approx(mean_f1)
 
 
 def test_tier_report_coverage_missing_and_extra(tmp_path, rng):
@@ -240,7 +241,7 @@ def test_tier_report_rejects_duplicate_cells(tmp_path, rng):
 def test_tier_report_reads_a_one_shot_generator_in_any_order(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
     records = [_record(c, g[1:]) for c, g in cells]
-    want = ev.tier_report(bench, gold, records, GRID).to_json()
+    want = ev.tier_report(bench, gold, records, GRID)
     read = []
 
     def reversed_once():
@@ -249,7 +250,7 @@ def test_tier_report_reads_a_one_shot_generator_in_any_order(tmp_path, rng):
             yield rec
 
     got = ev.tier_report(bench, gold, reversed_once(), GRID)
-    assert got.to_json() == want
+    assert got == want
     assert len(read) == len(records)  # each record read exactly once
 
 
@@ -259,52 +260,48 @@ def test_tier_report_tallies_parse_statuses_outside_score_json(tmp_path, rng):
     records[0] = CompletionRecord(records[0].job_id, 'Ecco: ["roma"]', "ok")
     records[1] = CompletionRecord(records[1].job_id, "", "error")
     records[2] = CompletionRecord(records[2].job_id, "nessuna", "ok")
-    report = ev.tier_report(bench, gold, records, GRID)
-    assert report.parse_statuses == {"ok": len(cells) - 3, "recovered": 1, "failed": 2}
-    assert "parse_statuses" not in json.dumps(report.to_json())
+    report, statuses = ev.tier_report(bench, gold, records, GRID)
+    assert statuses == {"ok": len(cells) - 3, "recovered": 1, "failed": 2}
+    assert "parse_statuses" not in json.dumps(report)
 
 
 def test_score_report_json_round_trip(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
     records = [_record(c, g) for c, g in cells]
-    report = ev.tier_report(bench, gold, records, GRID, run_manifest="m.json")
-    back = ev.ScoreReport.from_json(report.to_json())
-    assert back.benchmark_id == report.benchmark_id
-    assert back.variant == "with_dg"
-    assert back.run_manifest == "m.json"
-    for name, tier in report.tiers.items():
-        bt = back.tiers[name]
-        assert bt.micro == tier.micro
-        assert bt.per_tag == tier.per_tag
-        assert bt.macro_f1 == tier.macro_f1
+    report, _ = ev.tier_report(bench, gold, records, GRID, run_manifest="m.json")
+    back = ev.check_score_report(json.loads(json.dumps(report)))
+    assert back["benchmark_id"] == report["benchmark_id"]
+    assert back["variant"] == "with_dg"
+    assert back["run_manifest"] == "m.json"
+    for name, tier in report["tiers"].items():
+        bt = back["tiers"][name]
+        assert bt["micro"] == tier["micro"]
+        assert bt["per_tag"] == tier["per_tag"]
+        assert bt["macro_f1"] == tier["macro_f1"]
 
 
 # --------------------------------------------------------------------------
 # deltas and formatting
 
 
+def _score(f1):
+    return {"tp": 1, "fp": 0, "fn": 0, "precision": f1, "recall": f1, "f1": f1}
+
+
 def _mini_report(benchmark_id, f1_by_tag, variant):
-    tiers = {
-        "t": ev.TierScore(
-            "t",
-            "in_domain",
-            {
-                tag: ev.TagScore(ev.Counts(1, 0, 0), f1, f1, f1)
-                for tag, f1 in f1_by_tag.items()
-            },
-            ev.TagScore(ev.Counts(1, 0, 0), 0.5, 0.5, 0.5),
-            sum(f1_by_tag.values()) / len(f1_by_tag),
-        )
-    }
-    return ev.ScoreReport(benchmark_id, variant, tiers)
+    tier = {"kind": "in_domain", "micro": _score(0.5),
+            "macro_f1": sum(f1_by_tag.values()) / len(f1_by_tag),
+            "per_tag": {tag: _score(f1) for tag, f1 in f1_by_tag.items()}}
+    return ev.check_score_report({"benchmark_id": benchmark_id, "variant": variant,
+                                  "tiers": {"t": tier}})
 
 
 def test_delta_report_values_and_render():
     w = _mini_report("b1", {"plant": 0.4989}, "with_dg")
     wo = _mini_report("b1", {"plant": 0.1376}, "without_dg")
     delta = ev.delta_report(w, wo)
-    cell = delta.tiers["t"]["plant"]
-    assert cell.delta == pytest.approx(0.3613)
+    cell = delta["tiers"]["t"]["plant"]
+    assert cell["delta"] == pytest.approx(0.3613)
     text = ev.render_delta(delta)
     assert "(+36.13)" in text
 
@@ -328,7 +325,7 @@ def test_format_conventions():
 
 def test_render_report_mentions_all_tags(tmp_path, rng):
     bench, gold, cells = _report_inputs(tmp_path, rng)
-    report = ev.tier_report(bench, gold, [_record(c, g) for c, g in cells], GRID)
+    report, _ = ev.tier_report(bench, gold, [_record(c, g) for c, g in cells], GRID)
     text = ev.render_report(report)
     for tier in bench.tiers:
         assert tier.name in text
