@@ -92,7 +92,8 @@ def _score(counts: Counts) -> dict:
 
 def check_score_report(data: dict, where: str = "score report") -> dict:
     """data, a score.json object, once every field is checked; a field missing
-    or of the wrong type is a ConfigError naming where and the field. A missing variant, semantics or run_manifest is set
+    or of the wrong type, or an unknown semantics, is a ConfigError naming
+    where and the field. A missing variant, semantics or run_manifest is set
     to its default."""
     def check_score(obj: dict, key: str, what: str) -> None:
         what = f"{what} {key!r}"
@@ -113,6 +114,9 @@ def check_score_report(data: dict, where: str = "score report") -> dict:
         check_field(t, float, f"{what} 'macro_f1'", key="macro_f1")
     for k, d in (("variant", ""), ("semantics", MULTISET), ("run_manifest", "")):
         check_field(data.setdefault(k, d), str, f"{where}: {k!r}")
+    if data["semantics"] not in (MULTISET, SET):
+        raise ConfigError(f"{where}: 'semantics' must be {MULTISET!r} or {SET!r}, "
+                          f"got {data['semantics']!r}")
     check_field(data, str, f"{where}: 'benchmark_id'", key="benchmark_id")
     return data
 
@@ -221,11 +225,10 @@ def tier_report(
 def delta_report(with_report: dict, without_report: dict) -> dict:
     """The delta report of two score reports: per-(tier, tag) and per-tier F1
     of each variant and their difference."""
-    if with_report["benchmark_id"] != without_report["benchmark_id"]:
-        raise ComparisonError(
-            f"reports compare different benchmarks: "
-            f"{with_report['benchmark_id']!r} vs {without_report['benchmark_id']!r}"
-        )
+    for key, what in (("benchmark_id", "benchmarks"), ("semantics", "matching semantics")):
+        if with_report[key] != without_report[key]:
+            raise ComparisonError(f"reports compare different {what}: "
+                                  f"{with_report[key]!r} vs {without_report[key]!r}")
     if set(with_report["tiers"]) != set(without_report["tiers"]):
         raise ComparisonError(
             f"tier mismatch: {sorted(with_report['tiers'])} vs "

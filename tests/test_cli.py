@@ -367,6 +367,19 @@ def test_report_benchmark_mismatch(tree, tmp_path_factory, rng, capsys):
                    "--without-report", other_root / "run_wo" / "score.json") == 4
 
 
+def test_report_refuses_scores_of_different_semantics(tree, capsys):
+    root, _ = tree
+    assert run_and_score(root, "without_dg", "drop_k:1", "r", with_store=False) == 0
+    assert run_cli("score", root / "r", "-o", root / "set.json", "--semantics", "set",
+                   "--quiet") == 0
+    capsys.readouterr()
+    assert run_cli("report", "--with-report", root / "r" / "score.json",
+                   "--without-report", root / "set.json", "-o", root / "delta.json") == 4
+    err = capsys.readouterr().err
+    assert "'multiset' vs 'set'" in err and "Traceback" not in err
+    assert not (root / "delta.json").exists()
+
+
 def test_commands_after_assembly_do_not_read_training_data(tmp_path, rng, capsys):
     build_benchmark_tree(tmp_path, rng)  # dataset files and the same tiers
     config = {
@@ -1136,6 +1149,10 @@ _BAD_INPUTS = {
     "score_report_f1_text": (2, lambda root, tmp: (
         "report", "--with-report", _write(tmp / "s.json", _score_report(f1="x")),
         "--without-report", _write(tmp / "t.json", _score_report())), "s.json: tier 't'"),
+    "score_report_semantics_unknown": (2, lambda root, tmp: (
+        "report", "--with-report", _write(tmp / "s.json", json.dumps(
+            {**json.loads(_score_report()), "semantics": "sets"}).encode()),
+        "--without-report", _write(tmp / "t.json", _score_report())), "s.json: 'semantics'"),
     "store_display_name_number": (3, lambda root, tmp: (
         "guidelines", "validate", "--store", _write(tmp / "st.json", _store(display_name=5)),
         "--tags", "person"), "st.json: tag 'person' display_name"),

@@ -314,6 +314,15 @@ def test_delta_report_mismatches():
         ev.delta_report(w, _mini_report("b1", {"animal": 0.5}, "without_dg"))
 
 
+def test_delta_report_refuses_different_semantics():
+    w = _mini_report("b1", {"plant": 0.5}, "with_dg")
+    wo = {**_mini_report("b1", {"plant": 0.5}, "without_dg"), "semantics": ev.SET}
+    with pytest.raises(ComparisonError, match="'multiset' vs 'set'"):
+        ev.delta_report(w, wo)
+    with pytest.raises(ConfigError, match="'semantics'"):
+        ev.check_score_report({**wo, "semantics": "sets"})
+
+
 def test_format_conventions():
     assert ev.format_pct(0.5465) == "54.65"
     assert ev.format_pct(0.0) == "0.00"
