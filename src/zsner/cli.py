@@ -9,6 +9,7 @@ comparison mismatch, 5 authentication.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -289,7 +290,8 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
         generator_model = "canned"
         runner = {}
     else:
-        backend_cfg = _backend_config(read_json(backend_path, "backend config"))
+        backend_cfg = _backend_config(read_json(backend_path, "backend config"),
+                                      f"backend config {backend_path}")
         backend = _http_backend(backend_cfg)
         generator_model = backend_cfg.model_name
         runner = _runner_settings(backend_cfg)
@@ -342,11 +344,13 @@ def guidelines_validate(store_path, benchmark_path, tags):
 # inference commands
 
 
-def _backend_config(raw: dict) -> inference.BackendConfig:
+def _backend_config(raw: dict, where: str) -> inference.BackendConfig:
     try:
         return inference.BackendConfig(**raw)
-    except TypeError as e:
-        raise ConfigError(f"bad backend config: {e}")
+    except TypeError as e:  # a field it does not know, or none for a required one
+        raise ConfigError(f"{where}: bad backend config: {e}") from None
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _load_inputs(benchmark_path: Path, store_path, display_names: str,
@@ -420,9 +424,9 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         backend_raw.update(endpoint_url="mock://", model_name=f"mock:{mock}")
     elif not backend_raw:
         raise ConfigError("run config needs a 'backend' object (or pass --mock)")
-    if max_parallel is not None:
-        backend_raw = {**backend_raw, "max_parallel": max_parallel}
-    knobs = _backend_config(backend_raw)
+    knobs = _backend_config(backend_raw, f"run config {config_path}")
+    if max_parallel is not None:  # checked again, with no file to name
+        knobs = dataclasses.replace(knobs, max_parallel=max_parallel)
     if mock is None:
         backend = _http_backend(knobs)
     else:

@@ -283,7 +283,8 @@ def render_report(report: dict) -> str:
                 f"{format_pct(s['precision']):>7} {format_pct(s['recall']):>7} "
                 f"{format_pct(s['f1']):>7}"
             )
-        lines.append(f"{'macro F1':<{width}} {format_pct(tier['macro_f1']):>{len(header) - width - 1}}")
+        macro = format_pct(tier["macro_f1"])
+        lines.append(f"{'macro F1':<{width}} {macro:>{len(header) - width - 1}}")
     return "\n".join(lines) + "\n"
 
 

@@ -1093,33 +1093,44 @@ _BAD_INPUTS = {
         root, tmp, "--adapter", _write(tmp / "a.json", _asset_with(
             "adapters", "openai_chat", with_system=5))), "'with_system'"),
     "mock_max_parallel_zero": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, {"max_parallel": 0}, "--mock", "empty"), "max_parallel"),
+        root, tmp, {"max_parallel": 0}, "--mock", "empty"), "run.json: max_parallel"),
     "mock_max_parallel_text": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, {"max_parallel": "x"}, "--mock", "empty"), "max_parallel"),
+        root, tmp, {"max_parallel": "x"}, "--mock", "empty"), "run.json: max_parallel"),
     "mock_requests_per_minute_negative": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, {"requests_per_minute": -1}, "--mock", "empty"), "requests_per_minute"),
+        root, tmp, {"requests_per_minute": -1}, "--mock", "empty"),
+        "run.json: requests_per_minute"),
     "http_requests_per_minute_negative": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, _http_backend_with(requests_per_minute=-1)), "requests_per_minute"),
+        root, tmp, _http_backend_with(requests_per_minute=-1)), "run.json: requests_per_minute"),
     "max_parallel_option_zero": (2, lambda root, tmp: _run_with_backend(
         root, tmp, {}, "--mock", "empty", "--max-parallel", "0"), "max_parallel"),
     "backend_not_an_object": (2, lambda root, tmp: _run_with_backend(
         root, tmp, [4], "--mock", "empty"), "'backend'"),
     "mock_max_retries_text": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, {"max_retries": "x"}, "--mock", "empty"), "max_retries"),
+        root, tmp, {"max_retries": "x"}, "--mock", "empty"), "run.json: max_retries"),
     "mock_retry_base_delay_negative": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, {"retry_base_delay": -1}, "--mock", "empty"), "retry_base_delay"),
+        root, tmp, {"retry_base_delay": -1}, "--mock", "empty"), "run.json: retry_base_delay"),
     "http_timeout_text": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, _http_backend_with(timeout="x")), "timeout"),
+        root, tmp, _http_backend_with(timeout="x")), "run.json: timeout"),
     "http_max_tokens_negative": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, _http_backend_with(max_tokens=-5)), "max_tokens"),
+        root, tmp, _http_backend_with(max_tokens=-5)), "run.json: max_tokens"),
     "http_temperature_text": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, _http_backend_with(temperature="hot")), "temperature"),
+        root, tmp, _http_backend_with(temperature="hot")), "run.json: temperature"),
     "http_endpoint_url_number": (2, lambda root, tmp: _run_with_backend(
-        root, tmp, _http_backend_with(endpoint_url=5)), "endpoint_url"),
+        root, tmp, _http_backend_with(endpoint_url=5)), "run.json: endpoint_url"),
     "gen_max_retries_text": (2, lambda root, tmp: (
         "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person", "--backend",
         _write(tmp / "b.json", json.dumps(_http_backend_with(max_retries="x")).encode())),
         "max_retries"),
+    "gen_max_parallel_zero": (2, lambda root, tmp: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person", "--backend",
+        _write(tmp / "b.json", json.dumps(_http_backend_with(max_parallel=0)).encode())),
+        "b.json: max_parallel"),
+    "gen_backend_unknown_setting": (2, lambda root, tmp: (
+        "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person", "--backend",
+        _write(tmp / "b.json", json.dumps(_http_backend_with(bogus=1)).encode())),
+        "b.json: bad backend config"),
+    "http_unknown_setting": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, _http_backend_with(bogus=1)), "run.json: bad backend config"),
     "gen_max_attempts_zero": (2, lambda root, tmp: (
         "guidelines", "gen", "--store", tmp / "store.json", "--tags", "person",
         "--mock", "canned", "--max-attempts", "0"), "--max-attempts"),
