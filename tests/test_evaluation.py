@@ -263,6 +263,7 @@ def test_tier_report_tallies_parse_statuses_outside_score_json(tmp_path, rng):
     report, statuses = ev.tier_report(bench, gold, records, GRID)
     assert statuses == {"ok": len(cells) - 3, "recovered": 1, "failed": 2}
     assert "parse_statuses" not in json.dumps(report)
+    assert set(report) == {"benchmark_id", "variant", "semantics", "run_manifest", "tiers"}
 
 
 def test_score_report_json_round_trip(tmp_path, rng):
