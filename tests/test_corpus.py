@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -82,6 +83,76 @@ def test_parse_bio_rejects_bad_prefix_and_columns():
         corpus.parse_bio(["Roma B-LOC"])  # space, not tab
     with pytest.raises(BioParseError):
         corpus.parse_bio(["Roma\tB-LOC\textra"])
+
+
+def _decoded(stream, **kwargs) -> list:
+    """What parse_bio returns for stream, as plain data: each document's
+    (doc_id, text, domain, mentions), or the error's class, message and line."""
+    try:
+        docs = corpus.parse_bio(stream, **kwargs)
+    except BioParseError as e:
+        return [type(e).__name__, str(e), e.line_no]
+    return [[d.doc_id, d.text, d.domain, [[m.tag_id, m.surface, m.start, m.end]
+                                          for m in d.mentions]] for d in docs]
+
+
+def _seeded_bio_stream(rng: random.Random) -> list:
+    """Documents of text lines and (token, label) pairs mixed, split by blank
+    lines and None; orphan I- labels, tag switches, aliased tags and not."""
+    items: list = []
+    for _ in range(rng.randint(1, 5)):
+        for _ in range(rng.choice([0, 1, 2, 3, 4, 6, 9])):
+            token = rng.choice(["Roma", "De", "Gasperi", "città", "«", "l'", "di", "FIAT"])
+            label = rng.choice(["O", "O", "O", "B-PER", "I-PER", "B-LOC", "I-LOC",
+                                "B-ORG", "I-ORG", "I-Misc", "B-Misc"])
+            items.append(f"{token}\t{label}\n" if rng.random() < 0.5 else (token, label))
+        items.extend(rng.choice([None, "", "\n", " \t\n"]) for _ in range(rng.randint(0, 2)))
+    return items
+
+
+# Malformed streams; each raises where it is, except that a label error
+# waits for the end of its document.
+_MALFORMED_BIO = [
+    ["Roma\tB-LOC", "Milano"],
+    ["Roma\tB-LOC", "Milano\tB-LOC\tx"],
+    ["Roma\tB-LOC", "\tO"],
+    [("Roma", "B-LOC"), ("", "O")],
+    [("Roma", "B-LOC"), (None, "O")],
+    [("Roma", "B-LOC", "x")],
+    [("Roma",)],
+    [5],
+    [b"Roma\tO"],
+    ["Roma\tB-LOC", "Milano\tX-LOC"],
+    ["Roma\tB-", "Milano\tO"],
+    ["Roma\tB", "Milano\tO"],
+    ["Roma\tO\r\n"],
+    [("Roma", "LOC")],
+    ["Roma\tX-LOC", "Milano\tO", "Torino\tO\tO"],  # column error first
+    ["Roma\tX-LOC", "", "Torino\tO\tO"],  # label error first
+    [None, "Roma\tO", None, None, "", "Milano\tI-", "Po\tO"],
+]
+
+
+def test_parse_bio_decodes_a_seeded_stream_as_pinned():
+    rng = random.Random(20241019)
+    aliases = {"PER": "person", "LOC": "location", "Misc": "miscellaneous"}
+    out = []
+    for i in range(150):
+        stream = _seeded_bio_stream(rng)
+        kwargs = {"aliases": aliases} if i % 3 else {}
+        if i % 5 == 0:
+            kwargs.update(domain="wiki", doc_id_prefix=f"s{i}")
+        out.append(_decoded(stream, **kwargs))
+        out.append(_decoded(iter(stream), strict=True, **kwargs))
+    out.extend(_decoded(stream) for stream in _MALFORMED_BIO)
+    out.extend(_decoded(stream, strict=True) for stream in [
+        ["Roma\tI-LOC"], ["Roma\tB-LOC", "FIAT\tI-ORG"], ["Roma\tB-LOC", "", "Po\tI-LOC"]])
+    errors = [o for o in out if o and isinstance(o[0], str)]
+    docs = [d for o in out if o and not isinstance(o[0], str) for d in o]
+    assert (len(errors), len(docs), sum(len(d[3]) for d in docs)) == (150, 341, 1169)
+    data = json.dumps(out, ensure_ascii=False).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == ("6475d85cc643df6d7ac8909fa20f7a74"
+                                                "74a74b61c94ae9064a98cc16e5a1d424")
 
 
 def test_encode_bio_round_trip_small(rng):
