@@ -144,10 +144,7 @@ def ingest(inputs, output, aliases, domain, doc_id_prefix, strict):
          arg("--json", dest="as_json", action="store_true", help="Machine-readable output."))
 def inventory(dataset, as_json):
     """Tag support counts for a dataset file."""
-    path = Path(dataset)
-    if not path.is_file():
-        raise ConfigError(f"dataset not found: {path}")
-    docs = corpus.load_dataset(path)
+    docs = corpus.load_dataset(dataset)
     support = corpus.tag_inventory(docs)
     if as_json:
         print(json.dumps({"documents": len(docs), "tags": dict(sorted(support.items()))},
@@ -177,8 +174,6 @@ def benchmark(config, output):
     resolved: dict[str, Path] = {}
     for key, rel in check_field(cfg, dict, f"{where}: datasets", key="datasets").items():
         ds_path = _resolve(check_field(rel, str, f"{where}: dataset {key!r}"), config_path.parent)
-        if not ds_path.is_file():
-            raise ConfigError(f"dataset {key!r}: file not found: {ds_path}")
         datasets[key] = corpus.load_dataset(ds_path)
         resolved[key] = ds_path
     bench = corpus.assemble_benchmark(datasets, cfg, where)
@@ -423,7 +418,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
                                  "requests_per_minute")}
         backend_raw.update(endpoint_url="mock://", model_name=f"mock:{mock}")
     elif not backend_raw:
-        raise ConfigError("run config needs a 'backend' object (or pass --mock)")
+        raise ConfigError(f"run config {config_path}: needs a 'backend' object (or pass --mock)")
     knobs = _backend_config(backend_raw, f"run config {config_path}")
     if max_parallel is not None:  # checked again, with no file to name
         knobs = dataclasses.replace(knobs, max_parallel=max_parallel)

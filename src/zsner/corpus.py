@@ -11,6 +11,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -33,13 +34,6 @@ TIER_KINDS = (TIER_IN_DOMAIN, TIER_OUT_OF_DOMAIN, TIER_UNSEEN_NE)
 DEFAULT_MIN_SUPPORT = 5
 
 _TOKEN_RE = re.compile(r"\S+")
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    start: int
-    end: int
 
 
 @dataclass(frozen=True)
@@ -80,21 +74,6 @@ class Document:
                 )
 
 
-def default_detok(tokens: Sequence[str]) -> tuple[str, list[Token]]:
-    """Join tokens with single spaces, tracking character offsets."""
-    parts: list[str] = []
-    offsets: list[Token] = []
-    pos = 0
-    for tok in tokens:
-        if parts:
-            parts.append(" ")
-            pos += 1
-        offsets.append(Token(tok, pos, pos + len(tok)))
-        parts.append(tok)
-        pos += len(tok)
-    return "".join(parts), offsets
-
-
 def _split_label(label: str, line_no: int | None) -> tuple[str, str]:
     if label == "O":
         return "O", ""
@@ -108,6 +87,34 @@ def _canonical_tag(raw_tag: str, aliases: dict[str, str] | None) -> str:
     if aliases and raw_tag in aliases:
         return aliases[raw_tag]
     return raw_tag.lower()
+
+
+def _bio_document(rows: list[tuple[str, str, int]], doc_id: str, domain: str,
+                  aliases: dict[str, str] | None, strict: bool) -> Document:
+    """One document from its (token, label, line_no) rows: the tokens joined
+    with single spaces, the labels decoded into mentions in one walk."""
+    text = " ".join(token for token, _, _ in rows)
+    spans: list[list] = []  # [tag, start, end]; the last is open while open_tag is set
+    open_tag: str | None = None
+    pos = 0
+    for token, label, line_no in rows:
+        start = pos
+        pos += len(token) + 1
+        prefix, raw_tag = _split_label(label, line_no)
+        if prefix == "O":
+            open_tag = None
+            continue
+        tag = _canonical_tag(raw_tag, aliases)
+        if prefix == "I" and open_tag == tag:
+            spans[-1][2] = pos - 1
+            continue
+        if prefix == "I" and strict:
+            raise BioParseError(
+                f"orphan I-{raw_tag} (previous entity is {open_tag or 'none'})", line_no
+            )
+        open_tag = tag  # B-, or an orphan I- that opens an entity
+        spans.append([tag, start, pos - 1])
+    return Document(doc_id, text, domain, [Mention(tag, text[s:e], s, e) for tag, s, e in spans])
 
 
 def parse_bio(
@@ -125,64 +132,16 @@ def parse_bio(
     documents). Orphan I- labels open a new entity unless ``strict``.
     """
     docs: list[Document] = []
-    tokens: list[str] = []
-    labels: list[str] = []
-    pending_lines: list[int | None] = []
-
-    def flush():
-        if not tokens:
-            return
-        text, offsets = default_detok(tokens)
-        mentions: list[Mention] = []
-        open_tag: str | None = None
-        span_start = span_end = 0
-
-        def close():
-            nonlocal open_tag
-            if open_tag is not None:
-                mentions.append(
-                    Mention(open_tag, text[span_start:span_end], span_start, span_end)
-                )
-                open_tag = None
-
-        for tok, label, line_no in zip(offsets, labels, pending_lines):
-            prefix, raw_tag = _split_label(label, line_no)
-            tag = _canonical_tag(raw_tag, aliases) if raw_tag else ""
-            if prefix == "O":
-                close()
-            elif prefix == "B":
-                close()
-                open_tag = tag
-                span_start, span_end = tok.start, tok.end
-            else:  # I-
-                if open_tag == tag:
-                    span_end = tok.end
-                else:
-                    if strict:
-                        raise BioParseError(
-                            f"orphan I-{raw_tag} (previous entity is "
-                            f"{open_tag or 'none'})",
-                            line_no,
-                        )
-                    close()
-                    open_tag = tag
-                    span_start, span_end = tok.start, tok.end
-        close()
-        docs.append(
-            Document(f"{doc_id_prefix}-{len(docs):05d}", text, domain, mentions)
-        )
-        tokens.clear()
-        labels.clear()
-        pending_lines.clear()
-
-    for line_no, item in enumerate(token_tag_stream, start=1):
-        if item is None:
-            flush()
+    rows: list[tuple[str, str, int]] = []
+    # the None after the last item ends the last document
+    for line_no, item in enumerate(chain(token_tag_stream, [None]), start=1):
+        if item is None or isinstance(item, str) and not item.strip():
+            if rows:
+                docs.append(_bio_document(rows, f"{doc_id_prefix}-{len(docs):05d}", domain,
+                                          aliases, strict))
+                rows = []
             continue
         if isinstance(item, str):
-            if not item.strip():
-                flush()
-                continue
             fields = item.rstrip("\n").split("\t")
             if len(fields) != 2:
                 raise BioParseError(
@@ -196,23 +155,20 @@ def parse_bio(
                 raise BioParseError(f"expected (token, label) pair, got {item!r}", line_no)
         if not token:
             raise BioParseError("empty token text", line_no)
-        tokens.append(token)
-        labels.append(label)
-        pending_lines.append(line_no)
-    flush()
+        rows.append((token, label, line_no))
     return docs
 
 
 def encode_bio(doc: Document) -> list[tuple[str, str]]:
     """Inverse of parse_bio for documents whose mentions align to tokens."""
-    tokens = [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(doc.text)]
+    tokens = list(_TOKEN_RE.finditer(doc.text))
     labels = ["O"] * len(tokens)
     for m in sorted(doc.mentions, key=lambda m: m.start):
-        covered = [i for i, t in enumerate(tokens) if t.start < m.end and t.end > m.start]
+        covered = [i for i, t in enumerate(tokens) if t.start() < m.end and t.end() > m.start]
         if (
             not covered
-            or tokens[covered[0]].start != m.start
-            or tokens[covered[-1]].end != m.end
+            or tokens[covered[0]].start() != m.start
+            or tokens[covered[-1]].end() != m.end
         ):
             raise EncodingAlignmentError(
                 f"{doc.doc_id}: mention {m.tag_id} {m.surface!r} @{m.start}..{m.end} "
@@ -224,7 +180,7 @@ def encode_bio(doc: Document) -> list[tuple[str, str]]:
                     f"{doc.doc_id}: mention {m.tag_id} {m.surface!r} overlaps another mention"
                 )
             labels[i] = ("B-" if j == 0 else "I-") + m.tag_id
-    return [(t.surface, label) for t, label in zip(tokens, labels)]
+    return [(t.group(), label) for t, label in zip(tokens, labels)]
 
 
 def tag_inventory(docs: Iterable[Document]) -> dict[str, int]:
@@ -259,8 +215,8 @@ def save_dataset(docs: Sequence[Document], path: str | Path) -> None:
 def load_dataset(path: str | Path) -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -288,8 +244,10 @@ def load_dataset(path: str | Path) -> list[Document]:
                     )
                 seen.add(doc.doc_id)
                 docs.append(doc)
-        except UnicodeDecodeError as e:  # raised while reading, not by json.loads
-            raise DatasetFormatError(f"{path} is not UTF-8: {e}")
+    except UnicodeDecodeError as e:  # raised while reading, not by json.loads
+        raise DatasetFormatError(f"{path} is not UTF-8: {e}")
+    except OSError as e:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read dataset {path}: {e.strerror}") from None
     return docs
 
 
@@ -561,8 +519,6 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
         ds_path = Path(benchmark.dataset_paths[key])
         if not ds_path.is_absolute():
             ds_path = path.parent / ds_path
-        if not ds_path.exists():
-            raise ConfigError(f"dataset {key!r}: file not found: {ds_path}")
         loaded = load_dataset(ds_path)
         for doc in loaded:
             if docs.setdefault(doc.doc_id, doc).text != doc.text:

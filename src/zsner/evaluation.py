@@ -15,7 +15,7 @@ from zsner.corpus import Benchmark, Document
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
 from zsner.errors import RunDirectoryError, check_field
 from zsner.parsing import Extraction, normalize_surface
-from zsner.prompts import job_id_for
+from zsner.prompts import WITH_DG, WITHOUT_DG, job_id_for
 
 MULTISET = "multiset"
 SET = "set"
@@ -229,6 +229,10 @@ def delta_report(with_report: dict, without_report: dict) -> dict:
         if with_report[key] != without_report[key]:
             raise ComparisonError(f"reports compare different {what}: "
                                   f"{with_report[key]!r} vs {without_report[key]!r}")
+    variants = (with_report["variant"], without_report["variant"])
+    if variants[0] not in ("", WITH_DG) or variants[1] not in ("", WITHOUT_DG):
+        raise ComparisonError(f"reports must be of variants {WITH_DG!r} and {WITHOUT_DG!r}, "
+                              f"in that order: got {variants[0]!r} and {variants[1]!r}")
     if set(with_report["tiers"]) != set(without_report["tiers"]):
         raise ComparisonError(
             f"tier mismatch: {sorted(with_report['tiers'])} vs "
@@ -273,7 +277,7 @@ def render_report(report: dict) -> str:
     for name, tier in report["tiers"].items():
         lines.append("")
         lines.append(f"tier: {name} ({tier['kind']})")
-        width = max([len("tag")] + [len(t) for t in tier["per_tag"]])
+        width = max([len("tag"), len("macro F1")] + [len(t) for t in tier["per_tag"]])
         header = f"{'tag':<{width}} {'tp':>6} {'fp':>6} {'fn':>6} {'P':>7} {'R':>7} {'F1':>7}"
         lines.append(header)
         lines.append("-" * len(header))

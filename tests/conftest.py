@@ -43,14 +43,12 @@ def make_document(rng: random.Random, doc_id: str, mention_tags, domain=""):
         spans.append((start, length, tag))
         for _ in range(rng.randint(1, 3)):
             tokens.append(rng.choice(FILLER))
-    text, offsets = corpus.default_detok(tokens)
+    text = " ".join(tokens)
+    starts = [0]  # token i spans starts[i] .. starts[i + 1] - 1
+    for tok in tokens:
+        starts.append(starts[-1] + len(tok) + 1)
     mentions = [
-        corpus.Mention(
-            tag,
-            text[offsets[s].start : offsets[s + n - 1].end],
-            offsets[s].start,
-            offsets[s + n - 1].end,
-        )
+        corpus.Mention(tag, text[starts[s] : starts[s + n] - 1], starts[s], starts[s + n] - 1)
         for s, n, tag in spans
     ]
     return corpus.Document(doc_id, text, domain, mentions)

@@ -380,6 +380,18 @@ def test_report_refuses_scores_of_different_semantics(tree, capsys):
     assert not (root / "delta.json").exists()
 
 
+def test_report_refuses_a_score_given_under_the_wrong_option(tree, capsys):
+    root, _ = tree
+    assert run_and_score(root, "without_dg", "drop_k:1", "r", with_store=False) == 0
+    score = root / "r" / "score.json"
+    capsys.readouterr()
+    assert run_cli("report", "--with-report", score, "--without-report", score,
+                   "-o", root / "delta.json") == 4
+    err = capsys.readouterr().err
+    assert "got 'without_dg' and 'without_dg'" in err and "Traceback" not in err
+    assert not (root / "delta.json").exists()
+
+
 def test_commands_after_assembly_do_not_read_training_data(tmp_path, rng, capsys):
     build_benchmark_tree(tmp_path, rng)  # dataset files and the same tiers
     config = {
@@ -1075,6 +1087,16 @@ _BAD_INPUTS = {
         _manifest_with(root, tmp, lambda m: m["datasets"].update(
             mn_test=str(_write(tmp / "in.jsonl", _NOT_UTF8_DATASET)))),
         "--variant", "without_dg", "-o", tmp / "j.jsonl"), "in.jsonl"),
+    "benchmark_dataset_missing": (2, lambda root, tmp: (
+        "render", "--benchmark",
+        _manifest_with(root, tmp, lambda m: m["datasets"].update(wn_test=str(tmp / "no.jsonl"))),
+        "--variant", "without_dg", "-o", tmp / "j.jsonl"), "no.jsonl: No such file"),
+    "inventory_dataset_missing": (2, lambda root, tmp: (
+        "inventory", tmp / "no.jsonl"), "cannot read dataset"),
+    "benchmark_config_dataset_missing": (2, lambda root, tmp: (
+        "benchmark", _write(tmp / "b.json", json.dumps(
+            {"datasets": {"train": "no.jsonl"}}).encode()), "-o", tmp / "m.json"),
+        "no.jsonl: No such file"),
     "manifest_tag_ids_text": (2, lambda root, tmp: (
         "render", "--benchmark",
         _manifest_with(root, tmp, lambda m: m["tiers"][1].update(tag_ids="location")),
@@ -1103,6 +1125,10 @@ _BAD_INPUTS = {
         root, tmp, _http_backend_with(requests_per_minute=-1)), "run.json: requests_per_minute"),
     "max_parallel_option_zero": (2, lambda root, tmp: _run_with_backend(
         root, tmp, {}, "--mock", "empty", "--max-parallel", "0"), "max_parallel"),
+    "backend_missing": (2, lambda root, tmp: (
+        "run", _write(tmp / "run.json", json.dumps(
+            {"benchmark": str(root / "manifest.json"), "variant": "without_dg"}).encode()),
+        "--run-dir", tmp / "r"), "run.json: needs a 'backend' object"),
     "backend_not_an_object": (2, lambda root, tmp: _run_with_backend(
         root, tmp, [4], "--mock", "empty"), "'backend'"),
     "mock_max_retries_text": (2, lambda root, tmp: _run_with_backend(
@@ -1201,6 +1227,23 @@ def test_bad_input_exits_with_its_code(shared_tree, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
     assert not (tmp_path / "r").exists()  # refused before the run directory
+
+
+@pytest.mark.parametrize("command", ["render", "benchmark"])
+def test_a_dataset_path_naming_a_directory_exits_2(shared_tree, tmp_path, capsys, command):
+    folder = tmp_path / "wn_test.d"
+    folder.mkdir()
+    if command == "render":
+        args = ("render", "--benchmark", _manifest_with(
+            shared_tree, tmp_path, lambda m: m["datasets"].update(wn_test=str(folder))),
+            "--variant", "without_dg", "-o", tmp_path / "j.jsonl")
+    else:
+        args = ("benchmark", _write(tmp_path / "b.json", json.dumps(
+            {"datasets": {"train": str(folder)}}).encode()), "-o", tmp_path / "m.json")
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read dataset {folder}: Is a directory" in err and "Traceback" not in err
 
 
 # Usage errors, refused while the command line is parsed: the arguments,

@@ -324,6 +324,16 @@ def test_delta_report_refuses_different_semantics():
         ev.check_score_report({**wo, "semantics": "sets"})
 
 
+def test_delta_report_refuses_reports_of_the_wrong_variant():
+    w = _mini_report("b1", {"plant": 0.5}, "with_dg")
+    wo = _mini_report("b1", {"plant": 0.5}, "without_dg")
+    for pair in [(wo, wo), (w, w), (wo, w)]:
+        with pytest.raises(ComparisonError, match="variants 'with_dg' and 'without_dg'"):
+            ev.delta_report(*pair)
+    # a report from before variants were recorded reads as either
+    ev.delta_report({**w, "variant": ""}, {**wo, "variant": ""})
+
+
 def test_format_conventions():
     assert ev.format_pct(0.5465) == "54.65"
     assert ev.format_pct(0.0) == "0.00"
@@ -342,3 +352,11 @@ def test_render_report_mentions_all_tags(tmp_path, rng):
         for tag in tier.tag_ids:
             assert tag in text
     assert "micro" in text and "macro" in text
+
+
+def test_render_report_aligns_micro_and_macro_under_a_short_tag():
+    report = {**_mini_report("b1", {"per": 0.5}, "with_dg"), "semantics": ev.MULTISET}
+    header, rule, *rows = ev.render_report(report).splitlines()[3:]
+    assert [row.split()[0] for row in rows] == ["per", "micro", "macro"]
+    # each number ends under its column, the last under F1
+    assert {len(row) for row in rows} == {len(header)} == {len(rule)}
