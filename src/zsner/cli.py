@@ -348,47 +348,29 @@ def _backend_config(raw: dict, where: str) -> inference.BackendConfig:
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _load_inputs(benchmark_path: Path, store_path, display_names: str,
-                 template: str, adapter: str):
-    """(benchmark, docs, store, specs, template, adapter) of one grid."""
-    bench, docs = corpus.load_benchmark(benchmark_path)
-    store = dg.load_store(store_path) if store_path else None
-    names = resources.load_display_names(display_names)
-    specs = _tag_specs(bench.all_tags(), store, names)
-    return (bench, docs, store, specs, resources.load_template(template),
-            resources.load_adapter(adapter))
-
-
-def _load_run_inputs(cfg: dict, config_path: Path):
-    """(benchmark, docs, specs, template, adapter, variant), after filling in
-    cfg the defaults of its text settings and checking them."""
-    where = f"run config {config_path}"
-    check_field(cfg, str, f"{where}: 'benchmark'", key="benchmark")
-    for key, default in (("store", ""), ("display_names", "it"), ("template", "default_it"),
-                         ("adapter", "openai_chat"), ("system_text", "")):
-        cfg[key] = check_field(cfg.get(key, default), str, f"{where}: {key!r}")
-    variant = cfg.get("variant", prompts.WITH_DG)
+def _load_grid(benchmark_path, store_path, variant: str, display_names: str, template: str,
+               adapter: str, system_text: str):
+    """(benchmark, docs, specs, template, adapter, jobs) of one variant's grid. A
+    with_dg grid needs a store giving each benchmark tag non-empty fields."""
     if variant not in prompts.VARIANTS:
-        raise ConfigError(
-            f"variant must be one of {prompts.VARIANTS}, got {variant!r}"
-        )
-    if variant == prompts.WITH_DG and not cfg["store"]:
-        raise ConfigError("with_dg runs need a 'store' path in the run config")
-
-    base = config_path.parent
-    bench, docs, store, specs, template, adapter = _load_inputs(
-        _resolve(cfg["benchmark"], base), _resolve(cfg["store"], base) if cfg["store"] else None,
-        cfg["display_names"], cfg["template"], cfg["adapter"])
+        raise ConfigError(f"variant must be one of {prompts.VARIANTS}, got {variant!r}")
+    if variant == prompts.WITH_DG and not store_path:
+        raise ConfigError("with_dg needs a guideline store ('store' in a run config, "
+                          "--store for render)")
+    bench, docs = corpus.load_benchmark(benchmark_path)
+    tags = bench.all_tags()
+    store = dg.load_store(store_path) if store_path else None
+    specs = _tag_specs(tags, store, resources.load_display_names(display_names))
+    template, adapter = resources.load_template(template), resources.load_adapter(adapter)
     if variant == prompts.WITH_DG:
-        report = dg.validate_store(store, bench.all_tags())
-        problems = set(report["missing"]) | set(report["empty_fields"])
-        relevant = sorted(problems & set(bench.all_tags()))
-        if relevant:
-            raise CoverageError(
-                f"store lacks usable definitions/guidelines for benchmark tags: "
-                f"{', '.join(relevant)}"
-            )
-    return bench, docs, specs, template, adapter, variant
+        report = dg.validate_store(store, tags)
+        gaps = set(report["missing"]).union(report["empty_fields"]).intersection(tags)
+        if gaps:
+            raise CoverageError(f"store lacks usable definitions/guidelines for benchmark "
+                                f"tags: {', '.join(sorted(gaps))}")
+    jobs = prompts.expand_benchmark_jobs(bench, docs, specs, variant, template, adapter,
+                                         system_text)
+    return bench, docs, specs, template, adapter, jobs
 
 
 @command("run",
@@ -402,14 +384,18 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     """Execute one prompt variant over the benchmark grid into a run directory."""
     config_path = Path(config)
     cfg = read_json(config_path, "run config")
-    bench, docs, specs, template, adapter, variant = _load_run_inputs(cfg, config_path)
-    base = config_path.parent
+    where, base = f"run config {config_path}", config_path.parent
+    check_field(cfg, str, f"{where}: 'benchmark'", key="benchmark")
+    for key, default in (("store", ""), ("variant", prompts.WITH_DG), ("display_names", "it"),
+                         ("template", "default_it"), ("adapter", "openai_chat"),
+                         ("system_text", "")):
+        cfg[key] = check_field(cfg.get(key, default), str, f"{where}: {key!r}")
+    bench, docs, _, template, adapter, jobs = _load_grid(
+        _resolve(cfg["benchmark"], base), cfg["store"] and _resolve(cfg["store"], base),
+        cfg["variant"], cfg["display_names"], cfg["template"], cfg["adapter"],
+        cfg["system_text"])
 
-    jobs = prompts.expand_benchmark_jobs(
-        bench, docs, specs, variant, template, adapter, cfg["system_text"]
-    )
-
-    backend_raw = check_field(cfg.get("backend", {}), dict, f"run config {config_path}: 'backend'")
+    backend_raw = check_field(cfg.get("backend", {}), dict, f"{where}: 'backend'")
     if mock is not None:
         kind, k = _parse_mock(mock)
         # a mock honours only the runner settings of the backend object
@@ -418,8 +404,8 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
                                  "requests_per_minute")}
         backend_raw.update(endpoint_url="mock://", model_name=f"mock:{mock}")
     elif not backend_raw:
-        raise ConfigError(f"run config {config_path}: needs a 'backend' object (or pass --mock)")
-    knobs = _backend_config(backend_raw, f"run config {config_path}")
+        raise ConfigError(f"{where}: needs a 'backend' object (or pass --mock)")
+    knobs = _backend_config(backend_raw, where)
     if max_parallel is not None:  # checked again, with no file to name
         knobs = dataclasses.replace(knobs, max_parallel=max_parallel)
     if mock is None:
@@ -438,7 +424,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
             "benchmark_path": str(_resolve(cfg["benchmark"], base).resolve()),
             "store_path": str(_resolve(cfg["store"], base).resolve()) if cfg["store"] else "",
             "display_names": cfg["display_names"],
-            "variant": variant,
+            "variant": cfg["variant"],
             "template_id": template.template_id,
             "adapter_id": adapter.adapter_id,
             "system_text": cfg["system_text"],
@@ -481,11 +467,8 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
 def render(benchmark_path, store_path, variant, template, adapter, display_names,
            system_text, doc_id, tag_id, output):
     """Inspect rendered prompts, or export the full payload grid."""
-    if variant == prompts.WITH_DG and not store_path:
-        raise ConfigError("with_dg rendering needs --store")
-    bench, docs, _, specs, template_obj, adapter_obj = _load_inputs(
-        benchmark_path, store_path, display_names, template, adapter
-    )
+    _, docs, specs, template_obj, _, jobs = _load_grid(
+        benchmark_path, store_path, variant, display_names, template, adapter, system_text)
 
     if (doc_id is None) != (tag_id is None):
         raise ConfigError("--doc and --tag go together")
@@ -498,9 +481,6 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
         print(prompts.render(match, specs[tag_id], variant, template_obj))
         return
 
-    jobs = prompts.expand_benchmark_jobs(
-        bench, docs, specs, variant, template_obj, adapter_obj, system_text
-    )
     if output is None:
         raise ConfigError("give -o to export jobs, or --doc/--tag to preview one")
     out = Path(output)

@@ -23,6 +23,7 @@ from zsner.errors import (
     EncodingAlignmentError,
     check_field,
     read_json,
+    read_jsonl,
     write_json,
 )
 
@@ -59,9 +60,10 @@ class Document:
         if not self.doc_id:
             raise DatasetFormatError("document with empty doc_id")
         for m in self.mentions:
-            if not (isinstance(m.tag_id, str) and type(m.start) is int and type(m.end) is int):
-                for key, value, kind in (("tag", m.tag_id, str), ("start", m.start, int),
-                                         ("end", m.end, int)):
+            if not (isinstance(m.tag_id, str) and isinstance(m.surface, str)
+                    and type(m.start) is int and type(m.end) is int):
+                for key, value, kind in (("tag", m.tag_id, str), ("surface", m.surface, str),
+                                         ("start", m.start, int), ("end", m.end, int)):
                     check_field(value, kind, f"{self.doc_id}: mention {key!r}", DatasetFormatError)
             if m.end <= m.start:
                 raise DatasetFormatError(
@@ -153,6 +155,8 @@ def parse_bio(
                 token, label = item
             except (TypeError, ValueError):
                 raise BioParseError(f"expected (token, label) pair, got {item!r}", line_no)
+            if token and not (isinstance(token, str) and isinstance(label, str)):
+                raise BioParseError(f"expected a pair of strings, got {item!r}", line_no)
         if not token:
             raise BioParseError("empty token text", line_no)
         rows.append((token, label, line_no))
@@ -216,36 +220,20 @@ def load_dataset(path: str | Path) -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({e})")
-                try:
-                    doc = Document(
-                        rec["doc_id"],
-                        rec["text"],
-                        rec.get("domain", ""),
-                        [
-                            Mention(m["tag"], m["surface"], m["start"], m["end"])
-                            for m in rec.get("mentions", [])
-                        ],
-                    )
-                except (KeyError, TypeError) as e:
-                    raise DatasetFormatError(f"{path}:{line_no}: missing field ({e})")
-                except DatasetFormatError as e:
-                    raise DatasetFormatError(f"{path}:{line_no}: {e}")
-                if doc.doc_id in seen:
-                    raise DatasetFormatError(
-                        f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}"
-                    )
-                seen.add(doc.doc_id)
-                docs.append(doc)
-    except UnicodeDecodeError as e:  # raised while reading, not by json.loads
-        raise DatasetFormatError(f"{path} is not UTF-8: {e}")
+        for line_no, rec in read_jsonl(path, DatasetFormatError):
+            try:
+                mentions = rec.get("mentions", [])
+                if not (type(mentions) is list and all(type(m) is dict for m in mentions)):
+                    check_field(mentions, list[dict], "'mentions'", DatasetFormatError)
+                doc = Document(rec.get("doc_id"), rec.get("text"), rec.get("domain", ""), [
+                    Mention(m.get("tag"), m.get("surface"), m.get("start"), m.get("end"))
+                    for m in mentions])
+            except DatasetFormatError as e:
+                raise DatasetFormatError(f"{path}:{line_no}: {e}") from None
+            if doc.doc_id in seen:
+                raise DatasetFormatError(f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}")
+            seen.add(doc.doc_id)
+            docs.append(doc)
     except OSError as e:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read dataset {path}: {e.strerror}") from None
     return docs

@@ -1,9 +1,10 @@
-"""Exception hierarchy, each failure class carrying the CLI exit code, and
-the one reader and writer of whole-file JSON objects and the one check of
-the fields read from them."""
+"""Exception hierarchy, each failure class carrying the CLI exit code, the
+one reader and writer of whole-file JSON objects, the one reader of
+JSON-lines files and the one check of the fields read from them."""
 
 import json
 import reprlib
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -112,6 +113,26 @@ def read_json(path, what: str, error=ConfigError) -> dict:
     if not isinstance(data, dict):
         raise error(f"{what} {path} must be a JSON object")
     return data
+
+
+def read_jsonl(path, error) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each non-blank line of a UTF-8 JSON-lines file,
+    read as iterated; error, naming path:line, for a line that is not JSON or
+    not an object, and naming the path for a file that is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        data = json.loads(line)
+                    except (ValueError, RecursionError) as e:
+                        raise error(f"{path}:{line_no}: invalid JSON ({e})") from None
+                    if type(data) is not dict:
+                        raise error(f"{path}:{line_no}: must be a JSON object, "
+                                    f"got {reprlib.repr(data)}")
+                    yield line_no, data
+        except UnicodeDecodeError as e:  # raised while reading, not by json.loads
+            raise error(f"{path} is not UTF-8: {e}") from None
 
 
 _KINDS = {str: "a string", int: "an integer", float: "a number", dict: "an object",

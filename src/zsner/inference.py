@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from zsner.errors import AuthError, CacheError, InputFormatError, RunDirectoryError
-from zsner.errors import check_field, read_json, write_json
+from zsner.errors import check_field, read_json, read_jsonl, write_json
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -586,7 +586,7 @@ def run(
             return CachedRecord(f'{{"job_id": {encode_basestring_ascii(job_id)}{m[1]}0{m[2]}')
         try:
             rec = CompletionRecord.from_record(json.loads(text))
-        except (ValueError, KeyError):  # torn, or not a record
+        except (ValueError, KeyError, RecursionError):  # torn, or not a record
             return None
         rec.job_id, rec.attempt_count = job_id, 0
         return rec
@@ -750,14 +750,9 @@ def load_run(run_dir) -> tuple[Iterator[CompletionRecord], dict]:
 
 
 def _read_records(path: Path) -> Iterator[CompletionRecord]:
-    with open(path, encoding="utf-8") as fh:
+    for line_no, rec in read_jsonl(path, InputFormatError):
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    try:
-                        rec = CompletionRecord.from_record(json.loads(line))
-                    except (ValueError, TypeError, KeyError, RecursionError) as e:
-                        raise InputFormatError(f"{path}:{line_no}: bad record ({e!r})")
-                    yield rec
-        except UnicodeDecodeError as e:  # raised while reading, not by json.loads
-            raise InputFormatError(f"{path} is not UTF-8: {e}")
+            record = CompletionRecord.from_record(rec)
+        except (ValueError, KeyError) as e:
+            raise InputFormatError(f"{path}:{line_no}: bad record ({e!r})") from None
+        yield record

@@ -82,6 +82,17 @@ def test_ingest_bad_bio_is_input_error(tmp_path):
     assert run_cli("ingest", bad, "-o", tmp_path / "x.jsonl") == 3
 
 
+def test_ingest_of_two_files_with_one_stem_asks_for_a_prefix(tmp_path, capsys):
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "x.bio").write_text(BIO, encoding="utf-8")
+    assert run_cli("ingest", tmp_path / "a" / "x.bio", tmp_path / "b" / "x.bio",
+                   "-o", tmp_path / "d.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "duplicate doc_id 'x-00000'" in err and "--doc-id-prefix" in err
+    assert not (tmp_path / "d.jsonl").exists()
+
+
 def test_benchmark_command_writes_manifest(tmp_path, rng, capsys):
     build_benchmark_tree(tmp_path, rng)  # reuse its dataset files
     config = {
@@ -614,8 +625,33 @@ def test_render_export_with_uncovered_tag_writes_nothing(tree, capsys):
     del store["records"][bench.tiers[-1].tag_ids[-1]]
     (root / "store.json").write_text(json.dumps(store), encoding="utf-8")
     assert run_cli("render", "--benchmark", root / "manifest.json",
-                   "--store", root / "store.json", "-o", root / "jobs.jsonl") == 2
+                   "--store", root / "store.json", "-o", root / "jobs.jsonl") == 4
     assert not (root / "jobs.jsonl").exists()
+
+
+@pytest.mark.parametrize("gap", ["missing_tag", "empty_display_name"])
+def test_run_and_render_refuse_a_store_gap_alike(tree, capsys, gap):
+    """One coverage rule: both commands exit 4 with one message, writing nothing."""
+    root, bench = tree
+    _gen_store(root)
+    store = json.loads((root / "store.json").read_text(encoding="utf-8"))
+    tag = bench.tiers[-1].tag_ids[-1]
+    if gap == "missing_tag":
+        del store["records"][tag]
+    else:
+        store["records"][tag]["display_name"] = " "
+    (root / "store.json").write_text(json.dumps(store), encoding="utf-8")
+    capsys.readouterr()
+    errors = []
+    for args in [("run", _write_run_config(root, "with_dg"), "--run-dir", root / "r",
+                  "--mock", "empty"),
+                 ("render", "--benchmark", root / "manifest.json", "--store",
+                  root / "store.json", "-o", root / "jobs.jsonl")]:
+        assert run_cli(*args) == 4
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"error: store lacks usable definitions/guidelines for benchmark tags: {tag}\n")
+    assert not (root / "r").exists() and not (root / "jobs.jsonl").exists()
 
 
 def test_run_stops_with_exit_5_on_rejected_credentials(tree, endpoint, capsys):
@@ -1210,6 +1246,24 @@ _BAD_INPUTS = {
        for key, value in [("job_id", 5), ("raw_text", 5), ("status", 5), ("error_kind", None),
                           ("latency_ms", "0"), ("attempt_count", True), ("fingerprint", []),
                           ("timestamp", 1.5)]},
+    **{f"dataset_{name}": (3, lambda root, tmp, line=line: (
+        "inventory", _write(tmp / "in.jsonl", line)), needle)
+       for name, line, needle in [
+           ("not_json", b'{"doc_id": "d",\n', "in.jsonl:1: invalid JSON"),
+           ("nested_too_deep", b"[" * 100_000 + b"\n", "in.jsonl:1: invalid JSON"),
+           ("doc_id_nested_too_deep", b'{"doc_id": ' + b"[" * 100_000 + b"\n",
+            "in.jsonl:1: invalid JSON"),
+           ("line_array", b'["d", "Roma"]\n', "in.jsonl:1: must be a JSON object"),
+           ("text_missing", b'{"doc_id": "d"}\n', "in.jsonl:1: 'text'"),
+           ("mentions_null", _dataset_line(mentions=None), "in.jsonl:1: 'mentions'"),
+           ("mention_list", _dataset_line(mentions=[["person", "Roma", 0, 4]]),
+            "in.jsonl:1: 'mentions'"),
+           ("mention_surface_missing", _dataset_line(mentions=[
+               {"tag": "location", "start": 0, "end": 4}]), "in.jsonl:1: d: mention 'surface'"),
+       ]},
+    "replies_nested_too_deep": (3, lambda root, tmp: (
+        "score", _run_dir_with(root, tmp, replies='{"job_id": ' + "[" * 100_000 + "\n")),
+        "replies.jsonl:1: invalid JSON"),
     "tier_dataset_text_number": (3, lambda root, tmp: (
         "render", "--benchmark",
         _manifest_with(root, tmp, lambda m: m["datasets"].update(
@@ -1227,6 +1281,34 @@ def test_bad_input_exits_with_its_code(shared_tree, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
     assert not (tmp_path / "r").exists()  # refused before the run directory
+
+
+# Hand edits of a benchmark manifest that validate_benchmark refuses: the
+# edit of its tiers (in_domain, out_of_domain, unseen_ne) and the message.
+_BAD_MANIFEST_TIERS = {
+    "unknown_kind": (lambda tiers: tiers[1].update(kind="cross_domain"),
+                     "tier 'out_of_domain': unknown kind 'cross_domain'"),
+    "no_tags": (lambda tiers: tiers[1].update(tag_ids=[]), "tier 'out_of_domain' has no tags"),
+    "unseen_overlaps_training": (lambda tiers: tiers[2]["tag_ids"].append("person"),
+                                 "unseen tier 'unseen_ne' overlaps training tags: ['person']"),
+    "in_domain_outside_training": (
+        lambda tiers: tiers[0]["tag_ids"].append("animal"),
+        "in-domain tier 'in_domain' has tags outside training: ['animal']"),
+    "unknown_dataset": (lambda tiers: tiers[0]["dataset_ids"].append("nope"),
+                        "tier 'in_domain' references unloaded datasets ['nope']"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_MANIFEST_TIERS))
+def test_render_refuses_a_hand_edited_manifest(shared_tree, tmp_path, capsys, name):
+    edit, needle = _BAD_MANIFEST_TIERS[name]
+    manifest = _manifest_with(shared_tree, tmp_path, lambda m: edit(m["tiers"]))
+    capsys.readouterr()
+    assert run_cli("render", "--benchmark", manifest, "--variant", "without_dg",
+                   "-o", tmp_path / "jobs.jsonl") == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "jobs.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["render", "benchmark"])

@@ -155,6 +155,16 @@ def test_parse_bio_decodes_a_seeded_stream_as_pinned():
                                                 "74a74b61c94ae9064a98cc16e5a1d424")
 
 
+# Pairs that are not two strings. They stay out of _MALFORMED_BIO, whose
+# decoding the seeded pin above hashes.
+@pytest.mark.parametrize("pair", [("Roma", 5), (5, "O"), b"ab"],
+                         ids=["label_number", "token_number", "bytes"])
+def test_parse_bio_rejects_a_pair_that_is_not_two_strings(pair):
+    with pytest.raises(BioParseError) as exc:
+        corpus.parse_bio([("Milano", "B-LOC"), pair])
+    assert exc.value.line_no == 2 and "expected a pair of strings" in str(exc.value)
+
+
 def test_encode_bio_round_trip_small(rng):
     docs = make_dataset(rng, {"person": 9, "location": 7}, "rt")
     for doc in docs:

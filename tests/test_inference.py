@@ -7,10 +7,13 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import closed_port, completion
+from zsner import corpus
 from zsner import inference as inf
-from zsner.errors import AuthError, CacheError, RunDirectoryError
+from zsner.errors import AuthError, CacheError, RunDirectoryError, ZsnerError
 
 
 def job(job_id="j1", doc_id="d1", tag_id="plant", payload=None):
@@ -602,6 +605,16 @@ def test_a_cache_line_that_is_no_record_is_a_miss(tmp_path, record):
     assert json.loads(replies)["raw_text"] == "fetched" and rec.attempt_count == 1
 
 
+def test_a_cache_line_nested_too_deep_is_a_miss(tmp_path):
+    text = '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    j = job("j1")
+    key = inf.cache_key(inf.payload_json(j.payload), "m:0")
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "responses.jsonl").write_text(f"{key}\t{text}\n", encoding="utf-8")
+    rec, replies = _serve_one(tmp_path / "cache", j)
+    assert json.loads(replies)["raw_text"] == "fetched" and rec.attempt_count == 1
+
+
 def test_response_cache_serves_lines_from_before_and_after_a_reopen(tmp_path):
     cache = inf.ResponseCache(tmp_path / "cache")
     long_text = "Città " * 2000  # a line longer than one read
@@ -912,6 +925,74 @@ def test_failed_stream_leaves_no_replies_manifest_or_journal(tmp_path, fault):
 def test_load_run_rejects_non_run_dir(tmp_path):
     with pytest.raises(RunDirectoryError):
         inf.load_run(tmp_path)
+
+
+# The contract of the two JSON-lines readers: a line mutated anyhow reads,
+# or is an input error (exit 3) naming the file; nothing else escapes.
+_VALID_LINES = {
+    "dataset": {"doc_id": "d-1", "text": "Alcide De Gasperi visitò Roma", "domain": "wiki",
+                "mentions": [{"tag": "person", "surface": "Alcide De Gasperi",
+                              "start": 0, "end": 17},
+                             {"tag": "location", "surface": "Roma", "start": 25, "end": 29}]},
+    "replies": inf.CompletionRecord("j1", '["Città"]', "ok", latency_ms=3,
+                                    fingerprint="m:0", timestamp="t").to_record(),
+}
+_NEST = "\x00nest\x00"
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def _mutated_line(draw, obj) -> bytes:
+    """obj's JSON line with a value at some path swapped for one of another
+    type or nested deep, cut at some byte, or with a byte that is not UTF-8."""
+    path = draw(st.sampled_from(list(_paths(obj))))
+    kind = draw(st.sampled_from(["swap", "nest", "cut", "byte"]))
+    if kind == "swap":
+        new = draw(st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], {}, ["x"], {"a": 1}]))
+        return json.dumps(_replaced(obj, path, new), ensure_ascii=False).encode()
+    if kind == "nest":
+        depth = draw(st.sampled_from([3, 100_000]))
+        text = json.dumps(_replaced(obj, path, _NEST), ensure_ascii=False)
+        return text.replace(json.dumps(_NEST), "[" * depth + "]" * depth).encode()
+    line = json.dumps(obj, ensure_ascii=False).encode()
+    at = draw(st.integers(0, len(line)))
+    if kind == "cut":
+        return line[:at]
+    return line[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + line[at:]
+
+
+@pytest.mark.parametrize("reader", list(_VALID_LINES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_line_reads_or_is_an_input_error(tmp_path_factory, reader, data):
+    line = data.draw(_mutated_line(_VALID_LINES[reader]))
+    folder = tmp_path_factory.getbasetemp() / f"mutated_{reader}"
+    folder.mkdir(exist_ok=True)
+    path = folder / ("in.jsonl" if reader == "dataset" else "replies.jsonl")
+    path.write_bytes(line + b"\n")
+    try:
+        if reader == "dataset":
+            corpus.load_dataset(path)
+        else:
+            (folder / "manifest.json").write_text("{}", encoding="utf-8")
+            list(inf.load_run(folder)[0])
+    except ZsnerError as e:
+        assert e.exit_code == 3 and str(path) in str(e)
 
 
 def test_mock_backend_tracks_concurrency(tmp_path):
