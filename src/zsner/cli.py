@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,7 +72,7 @@ def _tag_specs(
 ) -> dict[str, dg.TagSpec]:
     specs = {}
     for tag in tags:
-        spec = store.get(tag) if store else None
+        spec = store.records.get(tag) if store else None
         if spec is None:
             spec = dg.TagSpec(
                 tag_id=tag,
@@ -208,25 +207,21 @@ def _required_tags(benchmark_path, tags, base: Path) -> list[str]:
 
 
 class _CannedBackend:
-    """The offline generator: the canned entry for the quoted display name in
-    the meta prompt, or one built from that name."""
+    """The offline generator: a job's id is its tag, and its reply the canned
+    entry for the tag's display name, or one built from that name."""
 
-    def __init__(self, table: dict[str, dict]):
-        self.table = table
+    def __init__(self, table: dict[str, dict], names: dict[str, str]):
+        self.table, self.names = table, names
 
     def complete(self, job) -> str:
-        content = job.payload["messages"][-1]["content"]
-        entry = next((e for name, e in self.table.items() if f'"{name}"' in content), None)
-        if entry is None:
-            m = re.search(r'"([^"]+)"', content)
-            name = m.group(1) if m else "entità"
-            entry = {
-                "definizione": f"'{name.upper()}' si riferisce a entità del tipo \"{name}\".",
-                "linee guida": (
-                    f"Etichetta ogni menzione esplicita di tipo \"{name}\" così come compare "
-                    f"nel testo. NON etichettare menzioni generiche o pronominali."
-                ),
-            }
+        name = self.names[job.job_id]
+        entry = self.table.get(name) or {
+            "definizione": f"'{name.upper()}' si riferisce a entità del tipo \"{name}\".",
+            "linee guida": (
+                f"Etichetta ogni menzione esplicita di tipo \"{name}\" così come compare "
+                f"nel testo. NON etichettare menzioni generiche o pronominali."
+            ),
+        }
         return json.dumps({k: entry[k] for k in ("definizione", "linee guida")},
                           ensure_ascii=False)
 
@@ -278,10 +273,11 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
     if not store.meta_prompt_id:
         store.meta_prompt_id = meta_id
 
+    name_map = {t: names.get(t, t.replace("_", " ")) for t in required}
     if mock is not None:
         if mock != "canned":
             raise ConfigError(f"unknown guideline mock {mock!r}; only 'canned'")
-        backend = _CannedBackend(resources.load_canned_dg())
+        backend = _CannedBackend(resources.load_canned_dg(), name_map)
         generator_model = "canned"
         runner = {}
     else:
@@ -291,7 +287,6 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
         generator_model = backend_cfg.model_name
         runner = _runner_settings(backend_cfg)
 
-    name_map = {t: names.get(t, t.replace("_", " ")) for t in required}
     known = len(store.records)
     try:
         generated = dg.generate_missing(

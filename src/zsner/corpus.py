@@ -65,10 +65,10 @@ class Document:
                 for key, value, kind in (("tag", m.tag_id, str), ("surface", m.surface, str),
                                          ("start", m.start, int), ("end", m.end, int)):
                     check_field(value, kind, f"{self.doc_id}: mention {key!r}", DatasetFormatError)
-            if m.end <= m.start:
+            if not 0 <= m.start < m.end <= len(self.text):
                 raise DatasetFormatError(
-                    f"{self.doc_id}: mention {m.tag_id!r} has empty span {m.start}..{m.end}"
-                )
+                    f"{self.doc_id}: mention {m.tag_id!r} has span {m.start}..{m.end}, empty "
+                    f"or outside the text of {len(self.text)} characters")
             if self.text[m.start : m.end] != m.surface:
                 raise DatasetFormatError(
                     f"{self.doc_id}: mention surface {m.surface!r} does not match "
@@ -202,7 +202,8 @@ def tag_inventory(docs: Iterable[Document]) -> dict[str, int]:
 def save_dataset(docs: Sequence[Document], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    # a lone surrogate is written as a JSON escape
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         for d in docs:
             rec = {
                 "doc_id": d.doc_id,

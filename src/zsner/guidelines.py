@@ -50,9 +50,6 @@ class GuidelineStore:
     created_at: str = ""
     meta_prompt_id: str = ""
 
-    def get(self, tag_id: str) -> TagSpec | None:
-        return self.records.get(tag_id)
-
 
 def save_store(store: GuidelineStore, path) -> None:
     write_json({
@@ -155,11 +152,6 @@ def parse_dg_reply(raw_text: str) -> tuple[str, str]:
     )
 
 
-def build_meta_payload(meta_prompt: str, display_name: str) -> dict:
-    content = meta_prompt.replace("{display_name}", display_name)
-    return {"messages": [{"role": "user", "content": content}]}
-
-
 def generate_missing(
     store: GuidelineStore,
     display_names: dict[str, str],
@@ -188,8 +180,9 @@ def generate_missing(
     for attempt in range(1, max_attempts + 1):
         if not missing:
             break
-        jobs = [SimpleNamespace(job_id=tag, payload=build_meta_payload(meta_prompt, name))
-                for tag, name in missing.items()]
+        jobs = [SimpleNamespace(job_id=tag, payload={"messages": [{"role": "user", "content":
+                                meta_prompt.replace("{display_name}", name)}]})
+                for tag, name in missing.items()]  # a job's id is its tag
         failed = []
         with closing(inference.run(jobs, backend, None, **runner)) as records:
             for rec in records:

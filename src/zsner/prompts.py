@@ -42,53 +42,28 @@ class PromptTemplate:
     without_dg_body: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        outside: list[str] = []  # lines kept either way
-        inside: list[str] = []  # lines of the D&G block
-        in_block = False
-        seen_block = False
         lines = self.body.split("\n")
-        for line in lines:
-            stripped = line.strip()
-            if stripped == DG_BEGIN:
-                if in_block or seen_block:
-                    raise RenderError(
-                        f"template {self.template_id!r}: more than one "
-                        f"{DG_BEGIN} block"
-                    )
-                in_block = True
-                seen_block = True
-            elif stripped == DG_END:
-                if not in_block:
-                    raise RenderError(
-                        f"template {self.template_id!r}: {DG_END} without "
-                        f"{DG_BEGIN}"
-                    )
-                in_block = False
-            else:
-                (inside if in_block else outside).append(line)
-        if in_block:
-            raise RenderError(f"template {self.template_id!r}: unclosed {DG_BEGIN}")
-        kept = "\n".join(outside)
+        # the marker lines (whose strip() is a marker): none, or one begin and then one end
+        marks = [i for i, line in enumerate(lines) if line.strip() in (DG_BEGIN, DG_END)]
+        if [lines[i].strip() for i in marks] not in ([], [DG_BEGIN, DG_END]):
+            raise RenderError(f"template {self.template_id!r}: the marker lines must be one "
+                              f"{DG_BEGIN} and then one {DG_END}, or none")
+        begin, end = marks or (len(lines), len(lines))
+        inside = lines[begin + 1 : end]  # lines of the D&G block
+        kept = "\n".join(lines[:begin] + lines[end + 1 :])  # the lines kept either way
         block = "\n".join(inside)
         for name in ("text", "display_name"):
             if "{%s}" % name not in kept:
-                raise RenderError(
-                    f"template {self.template_id!r}: missing {{{name}}} outside "
-                    f"the D&G block"
-                )
+                raise RenderError(f"template {self.template_id!r}: missing {{{name}}} "
+                                  f"outside the D&G block")
         for name in ("definition", "guidelines"):
             ph = "{%s}" % name
             if ph in kept:
-                raise RenderError(
-                    f"template {self.template_id!r}: {ph} outside the D&G block"
-                )
+                raise RenderError(f"template {self.template_id!r}: {ph} outside the D&G block")
             if inside and ph not in block:
-                raise RenderError(
-                    f"template {self.template_id!r}: D&G block lacks {ph}"
-                )
+                raise RenderError(f"template {self.template_id!r}: D&G block lacks {ph}")
         object.__setattr__(self, "with_dg_body", "\n".join(
-            line for line in lines if line.strip() not in (DG_BEGIN, DG_END)
-        ))
+            lines[:begin] + inside + lines[end + 1 :]))
         object.__setattr__(self, "without_dg_body", kept)
 
 

@@ -16,6 +16,7 @@ import pytest
 from conftest import add_twin, build_benchmark_tree, closed_port, completion
 from zsner import corpus, inference, prompts
 from zsner.cli import main
+from zsner.resources import load_canned_dg
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,6 +75,13 @@ def test_ingest_and_inventory(tmp_path, capsys):
     assert run_cli("inventory", out, "--json") == 0
     data = json.loads(capsys.readouterr().out)
     assert data["tags"] == {"location": 2, "organization": 1, "person": 1}
+    assert run_cli("inventory", out) == 0  # the text table: by support, then by tag
+    assert capsys.readouterr().out == (
+        "2 documents, 3 tags\n"
+        "tag           support\n"
+        "location            2\n"
+        "organization        1\n"
+        "person              1\n")
 
 
 def test_ingest_bad_bio_is_input_error(tmp_path):
@@ -163,6 +171,19 @@ def test_guidelines_validate_missing_tags_is_coverage_error(tree, capsys):
     assert run_cli("guidelines", "validate", "--store", root / "store.json",
                    "--tags", "person,ghost_tag") == 4
     assert "ghost_tag" in capsys.readouterr().out
+
+
+def test_canned_generator_answers_by_tag_under_a_custom_meta_prompt(tmp_path, capsys):
+    meta = _write(tmp_path / "meta.txt",
+                  'Scrivi "definizione" e "linee guida" per il tipo "{display_name}".'.encode())
+    store = tmp_path / "store.json"
+    assert run_cli("guidelines", "gen", "--store", store, "--tags", "space_ship,plant",
+                   "--mock", "canned", "--meta-prompt", meta) == 0
+    records = json.loads(store.read_text(encoding="utf-8"))["records"]
+    assert records["space_ship"]["definition"] == (
+        "'SPACE SHIP' si riferisce a entità del tipo \"space ship\".")
+    assert records["plant"]["display_name"] == "pianta"
+    assert records["plant"]["definition"] == load_canned_dg()["pianta"]["definizione"]
 
 
 def test_render_preview_and_export(tree, capsys):
@@ -1078,6 +1099,19 @@ def _manifest_with(root, tmp, edit) -> Path:
     return _write(tmp / "manifest.json", json.dumps(manifest).encode())
 
 
+def _bench_config_with(root, tmp, edit):
+    """benchmark arguments for a config over root's datasets, changed in place by edit(config)."""
+    config = {"training": {"dataset": "train", "tags": ["person", "organization", "location"]},
+              "datasets": {k: str(root / f"{k}.jsonl")
+                           for k in ("train", "wn_test", "fic_test", "mn_test")},
+              "tiers": [{"name": name, "kind": name, "datasets": [ds]} for name, ds in (
+                  ("in_domain", "wn_test"), ("out_of_domain", "fic_test"),
+                  ("unseen_ne", "mn_test"))]}
+    edit(config)
+    return ("benchmark", _write(tmp / "b.json", json.dumps(config).encode()),
+            "-o", tmp / "m.json")
+
+
 _NOT_UTF8_DATASET = b'{"doc_id": "d\xff", "text": "Roma"}\n'
 
 
@@ -1261,6 +1295,26 @@ _BAD_INPUTS = {
            ("mention_surface_missing", _dataset_line(mentions=[
                {"tag": "location", "start": 0, "end": 4}]), "in.jsonl:1: d: mention 'surface'"),
        ]},
+    "dataset_mention_outside_text": (3, lambda root, tmp: (
+        "inventory", _write(tmp / "in.jsonl", _dataset_line(mentions=[
+            {"tag": "location", "surface": "oma", "start": -3, "end": 4}]))),
+        "in.jsonl:1: d: mention 'location' has span -3..4, empty or outside the text"),
+    "run_manifest_benchmark_id_changed": (4, lambda root, tmp: (
+        "score", _run_dir_with(root, tmp, benchmark_id="other")),
+        "benchmark changed since the run: manifest has other"),
+    "mock_parameter_not_taken": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {}, "--mock", "empty:3"), "mock 'empty' takes no parameter"),
+    "mock_drop_k_negative": (2, lambda root, tmp: _run_with_backend(
+        root, tmp, {}, "--mock", "drop_k:-1"), "drop_k parameter must be >= 0"),
+    "benchmark_config_training_dataset_unknown": (2, lambda root, tmp: _bench_config_with(
+        root, tmp, lambda c: c["training"].update(dataset="dev")),
+        "training dataset 'dev' not loaded"),
+    "benchmark_config_tier_without_datasets": (2, lambda root, tmp: _bench_config_with(
+        root, tmp, lambda c: c["tiers"][1].update(datasets=[])),
+        "tier #1 (out_of_domain): no datasets listed"),
+    "benchmark_config_tier_names_shared": (2, lambda root, tmp: _bench_config_with(
+        root, tmp, lambda c: c["tiers"][2].update(name="in_domain")),
+        "duplicate tier names: ['in_domain', 'out_of_domain', 'in_domain']"),
     "replies_nested_too_deep": (3, lambda root, tmp: (
         "score", _run_dir_with(root, tmp, replies='{"job_id": ' + "[" * 100_000 + "\n")),
         "replies.jsonl:1: invalid JSON"),

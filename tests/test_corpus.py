@@ -186,6 +186,10 @@ def test_document_offset_integrity_enforced():
         corpus.Document("d", "Roma", mentions=[corpus.Mention("loc", "Milano", 0, 4)])
     with pytest.raises(DatasetFormatError):
         corpus.Document("d", "Roma", mentions=[corpus.Mention("loc", "", 2, 2)])
+    # a span outside the text, even one whose slice equals the surface
+    for mention in (corpus.Mention("x", "oma", -3, 4), corpus.Mention("x", "", 10, 12)):
+        with pytest.raises(DatasetFormatError, match="empty or outside the text of 4 characters"):
+            corpus.Document("d", "Roma", mentions=[mention])
 
 
 def test_tag_inventory(rng):
@@ -200,6 +204,10 @@ def test_dataset_round_trip(tmp_path, rng):
     corpus.save_dataset(docs, path)
     back = corpus.load_dataset(path)
     assert back == docs
+    # a lone surrogate is written as its escape, and the lines after it too
+    docs = [corpus.Document(doc_id, "Roma") for doc_id in ("ok", "x\ud800y", "z")]
+    corpus.save_dataset(docs, path)
+    assert corpus.load_dataset(path) == docs
 
 
 def test_load_dataset_rejects_duplicate_ids(tmp_path):
@@ -220,6 +228,11 @@ def test_load_dataset_rejects_bad_offsets(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(DatasetFormatError):
+        corpus.load_dataset(path)
+    path.write_text('{"doc_id": "d", "text": "Roma", "mentions": [{"tag": "loc", '
+                    '"surface": "Roma", "start": 0, "end": 1' + "0" * 100 + '}]}\n',
+                    encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="bad.jsonl:1: d: mention 'loc' has span 0..1"):
         corpus.load_dataset(path)
 
 

@@ -14,6 +14,7 @@ from conftest import closed_port, completion
 from zsner import corpus
 from zsner import inference as inf
 from zsner.errors import AuthError, CacheError, RunDirectoryError, ZsnerError
+from zsner.guidelines import load_store
 
 
 def job(job_id="j1", doc_id="d1", tag_id="plant", payload=None):
@@ -927,8 +928,9 @@ def test_load_run_rejects_non_run_dir(tmp_path):
         inf.load_run(tmp_path)
 
 
-# The contract of the two JSON-lines readers: a line mutated anyhow reads,
-# or is an input error (exit 3) naming the file; nothing else escapes.
+# The contract of the two JSON-lines readers and of the store reader: a line
+# mutated anyhow reads, or is an input error (exit 3) naming the file;
+# nothing else escapes.
 _VALID_LINES = {
     "dataset": {"doc_id": "d-1", "text": "Alcide De Gasperi visitò Roma", "domain": "wiki",
                 "mentions": [{"tag": "person", "surface": "Alcide De Gasperi",
@@ -936,8 +938,16 @@ _VALID_LINES = {
                              {"tag": "location", "surface": "Roma", "start": 25, "end": 29}]},
     "replies": inf.CompletionRecord("j1", '["Città"]', "ok", latency_ms=3,
                                     fingerprint="m:0", timestamp="t").to_record(),
+    "store": {"language": "it", "meta_prompt_id": "dg_it_v1", "created_at": "t",
+              "records": {"plant": {"display_name": "pianta", "definition": "d",
+                                    "guidelines": "g", "provenance": "generated",
+                                    "generator_model": "m"}}},
 }
-_NEST = "\x00nest\x00"
+_RAW_MARK = "\x00raw\x00"
+# JSON text put for a value: nested 3 or 100 000 deep, a number that is not
+# finite, an integer past the parser's 4 300 digits or of 100 digits, a lone surrogate
+_RAW = ["[" * 3 + "]" * 3, "[" * 100_000 + "]" * 100_000, "NaN", "Infinity", "-Infinity",
+        "1" * 4301, "1" * 100, '"\\ud800"']
 
 
 def _paths(value, path=()):
@@ -959,16 +969,15 @@ def _replaced(value, path, new):
 @st.composite
 def _mutated_line(draw, obj) -> bytes:
     """obj's JSON line with a value at some path swapped for one of another
-    type or nested deep, cut at some byte, or with a byte that is not UTF-8."""
+    type or for a piece of _RAW, cut at some byte, or with a byte that is not UTF-8."""
     path = draw(st.sampled_from(list(_paths(obj))))
-    kind = draw(st.sampled_from(["swap", "nest", "cut", "byte"]))
+    kind = draw(st.sampled_from(["swap", "raw", "cut", "byte"]))
     if kind == "swap":
         new = draw(st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], {}, ["x"], {"a": 1}]))
         return json.dumps(_replaced(obj, path, new), ensure_ascii=False).encode()
-    if kind == "nest":
-        depth = draw(st.sampled_from([3, 100_000]))
-        text = json.dumps(_replaced(obj, path, _NEST), ensure_ascii=False)
-        return text.replace(json.dumps(_NEST), "[" * depth + "]" * depth).encode()
+    if kind == "raw":
+        text = json.dumps(_replaced(obj, path, _RAW_MARK), ensure_ascii=False)
+        return text.replace(json.dumps(_RAW_MARK), draw(st.sampled_from(_RAW))).encode()
     line = json.dumps(obj, ensure_ascii=False).encode()
     at = draw(st.integers(0, len(line)))
     if kind == "cut":
@@ -983,11 +992,14 @@ def test_a_mutated_line_reads_or_is_an_input_error(tmp_path_factory, reader, dat
     line = data.draw(_mutated_line(_VALID_LINES[reader]))
     folder = tmp_path_factory.getbasetemp() / f"mutated_{reader}"
     folder.mkdir(exist_ok=True)
-    path = folder / ("in.jsonl" if reader == "dataset" else "replies.jsonl")
+    name = {"dataset": "in.jsonl", "replies": "replies.jsonl", "store": "store.json"}[reader]
+    path = folder / name
     path.write_bytes(line + b"\n")
     try:
         if reader == "dataset":
             corpus.load_dataset(path)
+        elif reader == "store":
+            load_store(path)
         else:
             (folder / "manifest.json").write_text("{}", encoding="utf-8")
             list(inf.load_run(folder)[0])

@@ -110,6 +110,19 @@ def test_template_validation_errors():
         prompts.PromptTemplate(
             "bad", "{text} {display_name}\n{dg:begin}\n{definition}\n{dg:end}"
         )
+    # the marker lines must be none, or one begin and then one end; a padded
+    # marker line is still a marker line
+    head, block = "{text} {display_name}", "{definition} {guidelines}"
+    for markers in (("{dg:end}", "{dg:begin}"), ("{dg:begin}", "{dg:end}", "{dg:end}"),
+                    ("{dg:begin}", "{dg:end}", "{dg:begin}"),
+                    ("{dg:begin}", "{dg:end}", "　 {dg:end}\t")):
+        body = "\n".join([head, markers[0], block, *markers[1:]])
+        with pytest.raises(RenderError, match="'bad': the marker lines must be one"):
+            prompts.PromptTemplate("bad", body)
+    with pytest.raises(RenderError, match="lacks {definition}"):  # a blank line is a line
+        prompts.PromptTemplate("bad", f"{head}\n{{dg:begin}}\n\n{{dg:end}}")
+    padded = prompts.PromptTemplate("t", f"{head}\n {{dg:begin}}\n{block}\n{{dg:end}}\r")
+    assert (padded.with_dg_body, padded.without_dg_body) == (f"{head}\n{block}", head)
     # a template with no block at all is fine (both variants identical)
     t = prompts.PromptTemplate("plain", "{display_name}: {text}")
     assert t.template_id == "plain"
