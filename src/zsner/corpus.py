@@ -376,7 +376,7 @@ def assemble_benchmark(
                                f"{source}: excluded_tags"))
 
     if training_dataset not in datasets:
-        raise ConfigError(f"training dataset {training_dataset!r} not loaded")
+        raise ConfigError(f"{source}: training dataset {training_dataset!r} not loaded")
 
     referenced = {training_dataset}
     seen_doc_ids: dict[str, str] = {}
@@ -393,7 +393,8 @@ def assemble_benchmark(
     for i, spec in enumerate(tier_specs):
         kind = spec.get("kind")
         if kind not in TIER_KINDS:
-            raise ConfigError(f"tier #{i}: kind must be one of {TIER_KINDS}, got {kind!r}")
+            raise ConfigError(f"{source}: tier #{i}: kind must be one of {TIER_KINDS}, "
+                              f"got {kind!r}")
         what = f"{source}: tier #{i} ({kind})"
         ds_keys = check_field(spec.get("datasets", []), list[str], f"{what} datasets")
         if not ds_keys:
@@ -420,7 +421,7 @@ def assemble_benchmark(
 
     names = [t.name for t in tiers]
     if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate tier names: {names}")
+        raise ConfigError(f"{source}: duplicate tier names: {names}")
 
     dataset_paths = {k: str(v) for k, v in config.get("datasets", {}).items()}
     benchmark_id = (check_field(config.get("benchmark_id", ""), str, f"{source}: benchmark_id")

@@ -53,7 +53,6 @@ class BackendError(Exception):
         super().__init__(message)
         self.kind = kind
         self.transient = transient
-        self.attempts = 1  # set by call_with_retries
 
 
 # (field, type, minimum) of each BackendConfig field, checked on construction;
@@ -504,26 +503,11 @@ JOURNAL = "replies.jsonl.partial"  # replies.jsonl while a run writes it
 
 # A record line as put writes it (to_record's keys, json.dumps's escapes, %s for
 # the fingerprint): a hit on one is served with job_id and attempt_count swapped.
-_STR, _INT = r'"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*)*"', "(?:0|[1-9][0-9]*)"
+_STR = r'"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*)*"'
+_INT = "(?:0|[1-9][0-9]{0,18})"  # a longer one is parsed, and json refuses one past its limit
 _PUT_LINE = (rf'\{{"job_id": {_STR}(, "raw_text": {_STR}, "status": {_STR}, "error_kind": {_STR}'
              rf', "latency_ms": {_INT}, "attempt_count": ){_INT}(, "fingerprint": %s'
              rf', "timestamp": {_STR}\}})')
-
-
-def call_with_retries(call, max_retries: int, base_delay: float, sleep=time.sleep):
-    """(call(), attempts). A transient BackendError from attempt n is retried
-    after base_delay * 2^(n-1), at most max_retries times; the last
-    BackendError propagates with .attempts set."""
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return call(), attempts
-        except BackendError as exc:
-            if not exc.transient or attempts > max_retries:
-                exc.attempts = attempts
-                raise
-        sleep(base_delay * 2 ** (attempts - 1))
 
 
 class RecordStream:
@@ -553,7 +537,7 @@ def run(
     max_retries: int = 3,
     retry_base_delay: float = 0.5,
     limiter: RateLimiter | None = None,
-    sleep=time.sleep,
+    sleep=None,
     stats: RunStats | None = None,
 ) -> RecordStream:
     """Execute jobs, yielding one record per job in job order.
@@ -565,19 +549,22 @@ def run(
     a cache. Records wait in a reorder buffer behind the oldest unfinished
     miss; once W = max(MAX_PENDING, 16 * max_parallel) misses and hits wait
     there, no further job is read until the older half is out. With no miss
-    pending a hit is yielded at once. Transient failures back off
-    exponentially (base * 2^n) up to max_retries extra attempts; a job that
-    still fails yields an error record and the rest of the batch proceeds.
-    A rejected credential (a non-transient `auth` error) stops the run
-    instead: no further job is read or sent, calls in flight finish (a
-    cache keeps their replies), and AuthError is raised.
+    pending a hit is yielded at once. A transient failure of attempt n backs
+    off base * 2^(n-1) (on `sleep` if given, else on the stop flag) up to
+    max_retries extra attempts; a job that still fails yields an error
+    record and the rest of the batch proceeds. A rejected credential (a
+    non-transient `auth` error) stops the run instead: no further job is
+    read or sent, even one waiting on the limiter; calls in flight finish,
+    their replies are yielded (and cached), and AuthError is raised. The
+    stream's end (closed, interrupted or raising) stops the run too.
     """
     if max_parallel < 1:
         raise ValueError("max_parallel must be >= 1")
     stats = stats if stats is not None else RunStats()
     fingerprint = getattr(backend, "fingerprint", "")
-    rejected: list[BackendError] = []  # the run stops once this is not empty
-    lock = threading.Lock()
+    stop = threading.Event()  # once set, no request is sent
+    pause = sleep or stop.wait  # a stop wakes a backoff
+    rejected: list[BackendError] = []  # the rejection AuthError names
     put_line = re.compile(_PUT_LINE % re.escape(encode_basestring_ascii(fingerprint)))
 
     def hit(text: str, job_id: str):
@@ -592,26 +579,27 @@ def run(
         return rec
 
     def fetch(job, key) -> CompletionRecord | None:
-        started = 0.0
-
-        def attempt() -> str | None:
-            nonlocal started
-            if rejected:
-                return None  # the run is stopping: nothing more is sent
-            if limiter is not None:
+        """The job's record; None if the run stopped first or rejected its call."""
+        attempts = 0
+        while True:
+            if limiter is not None and not stop.is_set():
                 limiter.acquire()
+            if stop.is_set():  # checked again after the limiter's wait
+                return None
+            attempts += 1
             started = time.monotonic()
-            return backend.complete(job)
-
-        try:
-            raw, attempts = call_with_retries(attempt, max_retries, retry_base_delay, sleep)
-            status, kind = STATUS_OK, ""
-        except BackendError as exc:
-            if exc.kind == KIND_AUTH:
-                rejected.append(exc)
-            raw, attempts, status, kind = "", exc.attempts, STATUS_ERROR, exc.kind
-        if raw is None:
-            return None
+            try:
+                raw, status, kind = backend.complete(job), STATUS_OK, ""
+                break
+            except BackendError as exc:
+                if exc.kind == KIND_AUTH:
+                    rejected.append(exc)
+                    stop.set()
+                    return None
+                raw, status, kind = "", STATUS_ERROR, exc.kind
+                if not exc.transient or attempts > max_retries:
+                    break
+            pause(retry_base_delay * 2 ** (attempts - 1))
         rec = CompletionRecord(
             job_id=job.job_id,
             raw_text=raw,
@@ -624,11 +612,6 @@ def run(
         )
         if status == STATUS_OK and cache is not None:
             cache.put(key, rec.to_record())
-        with lock:
-            if status == STATUS_OK:
-                stats.fetched += 1
-            else:
-                stats.failed += 1
         return rec
 
     def records() -> Iterator[CompletionRecord]:
@@ -638,18 +621,22 @@ def run(
 
         def drain(keep: int) -> Iterator[CompletionRecord]:
             """Yield from the front down to `keep` waiting, then every record
-            up to the next pending miss."""
+            up to the next pending miss; a miss never sent yields nothing."""
             while waiting and (len(waiting) > keep or not callable(waiting[0])):
                 rec = waiting.popleft()
                 if callable(rec):
                     rec = rec()
-                if rejected:
-                    return
+                    if rec is None:
+                        continue
+                    if rec.status == STATUS_OK:  # counted on this thread, as hits are
+                        stats.fetched += 1
+                    else:
+                        stats.failed += 1
                 yield rec
 
         try:
             for job in jobs:
-                if rejected:
+                if stop.is_set():
                     break
                 key = rec = None
                 if cache is not None:
@@ -664,7 +651,7 @@ def run(
                         pool = ThreadPoolExecutor(max_workers=max_parallel)
                     waiting.append(pool.submit(fetch, job, key).result)
                 else:
-                    stats.cached += 1  # only this thread counts hits
+                    stats.cached += 1
                     if not waiting:
                         yield rec
                         continue
@@ -673,7 +660,7 @@ def run(
                     yield from drain(window // 2)
             yield from drain(0)
         finally:
-            # queued jobs are dropped; calls in flight finish and reach the cache
+            stop.set()  # calls in flight end after their current attempt; queued jobs are dropped
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
         if rejected:

@@ -147,6 +147,16 @@ def add_twin(root, suffix: str = "") -> str:
     return twin.doc_id
 
 
+@pytest.fixture(autouse=True)
+def no_runner_thread_outlives_its_test():
+    """Every record stream, run out, closed or stopped, joins its workers."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith("ThreadPoolExecutor")]
+    assert not left, f"worker threads still alive after the test: {left}"
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

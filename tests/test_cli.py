@@ -1308,13 +1308,16 @@ _BAD_INPUTS = {
         root, tmp, {}, "--mock", "drop_k:-1"), "drop_k parameter must be >= 0"),
     "benchmark_config_training_dataset_unknown": (2, lambda root, tmp: _bench_config_with(
         root, tmp, lambda c: c["training"].update(dataset="dev")),
-        "training dataset 'dev' not loaded"),
+        "b.json: training dataset 'dev' not loaded"),
     "benchmark_config_tier_without_datasets": (2, lambda root, tmp: _bench_config_with(
         root, tmp, lambda c: c["tiers"][1].update(datasets=[])),
         "tier #1 (out_of_domain): no datasets listed"),
     "benchmark_config_tier_names_shared": (2, lambda root, tmp: _bench_config_with(
         root, tmp, lambda c: c["tiers"][2].update(name="in_domain")),
-        "duplicate tier names: ['in_domain', 'out_of_domain', 'in_domain']"),
+        "b.json: duplicate tier names: ['in_domain', 'out_of_domain', 'in_domain']"),
+    "benchmark_config_tier_kind_unknown": (2, lambda root, tmp: _bench_config_with(
+        root, tmp, lambda c: c["tiers"][1].update(kind="cross_domain")),
+        "b.json: tier #1: kind must be one of"),
     "replies_nested_too_deep": (3, lambda root, tmp: (
         "score", _run_dir_with(root, tmp, replies='{"job_id": ' + "[" * 100_000 + "\n")),
         "replies.jsonl:1: invalid JSON"),

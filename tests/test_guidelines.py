@@ -1,13 +1,15 @@
 import json
+import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsner import guidelines as dg
-from zsner.errors import DGFormatError, GenerationError, StoreFormatError
+from zsner.errors import AuthError, DGFormatError, GenerationError, StoreFormatError
 from zsner.inference import BackendError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -165,6 +167,25 @@ def test_generate_missing_backend_failure_ends_after_its_round():
                             backend, "meta {display_name}", max_retries=0)
     assert list(store.records) == ["animal"]
     assert len(backend.calls) == 3  # tree's second attempt is never made
+
+
+def test_generate_missing_stores_a_reply_in_flight_at_a_rejection():
+    """aa's call is in flight when bb's 401 stops the run: its reply is stored."""
+    rejected = threading.Event()
+
+    def complete(job):
+        if job.job_id == "bb":
+            rejected.set()
+            raise BackendError("auth rejected (401)", "auth", transient=False)
+        assert rejected.wait(timeout=30)
+        time.sleep(0.2)  # the worker is done with bb
+        return GOOD_JSON
+
+    store = dg.GuidelineStore()
+    with pytest.raises(AuthError, match="401"):
+        dg.generate_missing(store, {"aa": "a", "bb": "b"}, SimpleNamespace(complete=complete),
+                            "meta {display_name}", max_parallel=2)
+    assert list(store.records) == ["aa"]
 
 
 def test_generate_missing_skips_warm_tags(tmp_path):

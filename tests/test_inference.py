@@ -463,6 +463,72 @@ def test_run_drops_queued_jobs_when_a_call_raises():
     assert len(calls) < 10  # not all 50: the queued ones were cancelled
 
 
+def test_run_yields_a_reply_that_arrived_before_a_later_rejection():
+    rejected = threading.Event()
+
+    def complete(j):
+        if j.job_id == "aa":
+            return '["Roma"]'
+        rejected.set()
+        raise inf.BackendError("auth rejected (401)", "auth", transient=False)
+
+    def jobs():  # ends only once bb's 401 is in
+        yield job("aa")
+        yield job("bb")
+        assert rejected.wait(timeout=30)
+        time.sleep(0.2)  # and the worker is done with bb
+
+    got = []
+    with pytest.raises(AuthError, match="401"):
+        for rec in inf.run(jobs(), SimpleNamespace(complete=complete), None, max_parallel=1):
+            got.append((rec.job_id, rec.raw_text))
+    assert got == [("aa", '["Roma"]')]
+
+
+def test_a_job_waiting_on_the_limiter_at_a_rejection_sends_nothing(tmp_path):
+    """j1 waits for a limiter slot while j0 is rejected; it gets the slot only
+    once the stream has yielded the hit behind j0."""
+    jobs = [job("j0"), job("hit"), job("j1")]
+    cache = _filled_cache(tmp_path / "cache", jobs[1:2], "m:0")
+    first_slot, queued, past_j0 = threading.Semaphore(), threading.Event(), threading.Event()
+    sent = []
+
+    def acquire():
+        if not first_slot.acquire(blocking=False):
+            queued.set()
+            past_j0.wait(timeout=5)
+
+    def complete(j):
+        sent.append(j.job_id)
+        assert queued.wait(timeout=30)  # the other job waits on the limiter
+        raise inf.BackendError("auth rejected (401)", "auth", transient=False)
+
+    backend = SimpleNamespace(complete=complete, fingerprint="m:0")
+    got = []
+    try:
+        with pytest.raises(AuthError):
+            for rec in inf.run(jobs, backend, cache, max_parallel=2,
+                               limiter=SimpleNamespace(acquire=acquire)):
+                got.append(rec.job_id)
+                past_j0.set()
+    finally:
+        past_j0.set()
+        cache.close()
+    assert got == ["hit"]
+    assert len(sent) == 1
+
+
+def test_closing_the_stream_ends_the_backoff_of_calls_in_flight():
+    backend = inf.MockBackend("empty", fail_plan={"j1": 9, "j2": 9})
+    records = inf.run([job(f"j{i}") for i in range(3)], backend, None, max_parallel=3,
+                      retry_base_delay=0.5)
+    assert next(iter(records)).job_id == "j0"
+    started = time.monotonic()
+    records.close()
+    assert time.monotonic() - started < 1.0  # not the 3.5 s of j1's and j2's backoff
+    assert backend.calls <= 3
+
+
 def _filled_cache(path, jobs, fingerprint):
     """A cache holding an ok reply for each of `jobs`."""
     cache = inf.ResponseCache(path)
@@ -563,6 +629,20 @@ def test_a_cache_line_cut_anywhere_is_a_miss_or_the_whole_record(tmp_path):
             assert rec.attempt_count == 1
 
 
+def test_a_cached_integer_too_long_to_read_back_is_a_miss(tmp_path):
+    j = job("j1")
+    key = inf.cache_key(inf.payload_json(j.payload), "m:0")
+    line = inf.CompletionRecord("x", "[]", "ok", fingerprint="m:0", timestamp="t").to_json()
+    for digits, served in ((19, "[]"), (4301, "fetched")):
+        cache_dir = tmp_path / str(digits) / "cache"
+        cache_dir.mkdir(parents=True)
+        record = line.replace('"latency_ms": 0', '"latency_ms": ' + "9" * digits)
+        (cache_dir / "responses.jsonl").write_text(f"{key}\t{record}\n")
+        rec, _ = _serve_one(cache_dir, j)
+        [back] = inf.load_run(cache_dir.parent / "run")[0]
+        assert rec.raw_text == back.raw_text == served
+
+
 def test_partial_and_foreign_cache_lines_are_parsed(tmp_path):
     j = job("j1")
     key = inf.cache_key(inf.payload_json(j.payload), "m:0")
@@ -643,30 +723,29 @@ def test_response_cache_serves_lines_from_before_and_after_a_reopen(tmp_path):
     reopened.close()
 
 
-def test_call_with_retries_backs_off_then_raises():
-    sleeps, outcomes = [], iter([True, True, False])
-
-    def call():
-        if next(outcomes):
-            raise inf.BackendError("busy", "server", transient=True)
-        return "ok"
-
-    assert inf.call_with_retries(call, 3, 0.5, sleeps.append) == ("ok", 3)
+def test_run_backs_off_a_transient_failure_then_gives_up():
+    """Attempt n that fails transiently is retried after base * 2^(n-1), at
+    most max_retries times; a failure that is not transient is not retried."""
+    sleeps = []
+    backend = inf.MockBackend("empty", fail_plan={"j1": 2})
+    [rec] = inf.run([job()], backend, None, max_retries=3, sleep=sleeps.append)
+    assert (rec.status, rec.raw_text, rec.attempt_count) == ("ok", "[]", 3)
     assert sleeps == [0.5, 1.0]
 
-    def failing():
-        raise inf.BackendError("busy", "server", transient=True)
+    sleeps.clear()
+    backend = inf.MockBackend("empty", fail_plan={"j1": 9})
+    [rec] = inf.run([job()], backend, None, max_retries=2, sleep=sleeps.append)
+    assert (rec.status, rec.error_kind, rec.attempt_count) == ("error", "server", 3)
+    assert sleeps == [0.5, 1.0] and backend.calls == 3
 
-    with pytest.raises(inf.BackendError) as exc:
-        inf.call_with_retries(failing, 2, 0.5, sleeps.append)
-    assert exc.value.attempts == 3 and sleeps == [0.5, 1.0, 0.5, 1.0]
+    def refused(j):
+        raise inf.BackendError("request rejected (400)", "request", transient=False)
 
-    def rejected():
-        raise inf.BackendError("no", "auth", transient=False)
-
-    with pytest.raises(inf.BackendError) as exc:
-        inf.call_with_retries(rejected, 5, 0.5, sleeps.append)
-    assert exc.value.attempts == 1 and len(sleeps) == 4
+    sleeps.clear()
+    [rec] = inf.run([job()], SimpleNamespace(complete=refused), None, max_retries=5,
+                    sleep=sleeps.append)
+    assert (rec.status, rec.error_kind, rec.attempt_count) == ("error", "request", 1)
+    assert sleeps == []
 
 
 def test_mock_backend_builds_its_gold_index_on_first_call():
@@ -930,7 +1009,7 @@ def test_load_run_rejects_non_run_dir(tmp_path):
 
 # The contract of the two JSON-lines readers and of the store reader: a line
 # mutated anyhow reads, or is an input error (exit 3) naming the file;
-# nothing else escapes.
+# nothing else escapes. A mutated cache line is a hit or a miss, never an error.
 _VALID_LINES = {
     "dataset": {"doc_id": "d-1", "text": "Alcide De Gasperi visitò Roma", "domain": "wiki",
                 "mentions": [{"tag": "person", "surface": "Alcide De Gasperi",
@@ -943,6 +1022,8 @@ _VALID_LINES = {
                                     "guidelines": "g", "provenance": "generated",
                                     "generator_model": "m"}}},
 }
+# ASCII, so that the line is laid out as put writes it and a hit on it is copied
+_VALID_LINES["cache"] = dict(_VALID_LINES["replies"], raw_text='["Roma"]')
 _RAW_MARK = "\x00raw\x00"
 # JSON text put for a value: nested 3 or 100 000 deep, a number that is not
 # finite, an integer past the parser's 4 300 digits or of 100 digits, a lone surrogate
@@ -992,6 +1073,16 @@ def test_a_mutated_line_reads_or_is_an_input_error(tmp_path_factory, reader, dat
     line = data.draw(_mutated_line(_VALID_LINES[reader]))
     folder = tmp_path_factory.getbasetemp() / f"mutated_{reader}"
     folder.mkdir(exist_ok=True)
+    if reader == "cache":  # a hit or a miss, and the replies written read back
+        j = job()
+        (folder / "cache").mkdir(exist_ok=True)
+        (folder / "cache" / "responses.jsonl").write_bytes(
+            inf.cache_key(inf.payload_json(j.payload), "m:0").encode() + b"\t" + line + b"\n")
+        rec, _ = _serve_one(folder / "cache", j)
+        [back] = inf.load_run(folder / "run")[0]
+        assert (back.job_id, back.attempt_count) == ("j1", rec.attempt_count)
+        assert back.attempt_count == 0 or back.raw_text == "fetched"
+        return
     name = {"dataset": "in.jsonl", "replies": "replies.jsonl", "store": "store.json"}[reader]
     path = folder / name
     path.write_bytes(line + b"\n")
