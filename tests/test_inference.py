@@ -529,6 +529,41 @@ def test_closing_the_stream_ends_the_backoff_of_calls_in_flight():
     assert backend.calls <= 3
 
 
+def test_a_reply_in_flight_when_the_stream_is_closed_is_cached(tmp_path):
+    def complete(j):
+        time.sleep(0.05 if j.job_id == "j0" else 0.3)
+        return f'["{j.job_id}"]'
+
+    jobs = [job("j0"), job("j1")]
+    cache = inf.ResponseCache(tmp_path / "cache")
+    records = inf.run(jobs, SimpleNamespace(complete=complete, fingerprint="m:0"), cache,
+                      max_parallel=2)
+    assert next(iter(records)).job_id == "j0"
+    records.close()  # j1's call is still in flight
+    cache.close()
+    reopened = inf.ResponseCache(tmp_path / "cache")
+    try:
+        key = inf.cache_key(inf.payload_json(jobs[1].payload), "m:0")
+        assert len(reopened) == 2
+        assert json.loads(reopened.get(key))["raw_text"] == '["j1"]'
+    finally:
+        reopened.close()
+
+
+def test_a_call_that_raises_is_raised_after_the_records_before_it():
+    def complete(j):
+        if j.job_id == "j3":
+            raise RuntimeError("backend bug")
+        return "[]"
+
+    got = []
+    with pytest.raises(RuntimeError, match="backend bug"):
+        for rec in inf.run([job(f"j{i}") for i in range(8)], SimpleNamespace(complete=complete),
+                           None, max_parallel=2):
+            got.append(rec.job_id)
+    assert got == ["j0", "j1", "j2"]
+
+
 def _filled_cache(path, jobs, fingerprint):
     """A cache holding an ok reply for each of `jobs`."""
     cache = inf.ResponseCache(path)
