@@ -1,6 +1,6 @@
 """Chat-completions inference with concurrency, retries, and caching.
 
-The runner takes prompt jobs, fans them out over a bounded thread pool,
+The runner takes prompt jobs, sends the misses to a few worker threads,
 and yields one completion record per job in job order. Successful
 replies are cached on disk keyed by payload content plus a decoding
 fingerprint, so reruns and ablation reruns never repeat a request.
@@ -9,6 +9,7 @@ fingerprint, so reruns and ablation reruns never repeat a request.
 import hashlib
 import json
 import os
+import queue
 import re
 import select
 import shutil
@@ -230,17 +231,19 @@ class ResponseCache:
 class RateLimiter:
     """Sliding-window limiter: at most `per_minute` acquisitions per 60s."""
 
-    def __init__(self, per_minute: int, clock=time.monotonic, sleep=time.sleep):
+    def __init__(self, per_minute: int, clock=time.monotonic, sleep=None):
         if per_minute < 1:
             raise ValueError("per_minute must be >= 1")
         self.per_minute = per_minute
         self.clock = clock
-        self.sleep = sleep
+        self.sleep = sleep  # waits out the window; None: wait on the stop flag
         self._stamps: deque[float] = deque()
         self._lock = threading.Lock()
 
-    def acquire(self) -> None:
-        while True:
+    def acquire(self, stop: threading.Event | None = None) -> None:
+        """Take a slot, waiting for one; once `stop` is set, return without one."""
+        stop = stop or threading.Event()
+        while not stop.is_set():
             with self._lock:
                 now = self.clock()
                 while self._stamps and now - self._stamps[0] >= 60.0:
@@ -249,7 +252,7 @@ class RateLimiter:
                     self._stamps.append(now)
                     return
                 wait = 60.0 - (now - self._stamps[0])
-            self.sleep(max(wait, 0.0))
+            (self.sleep or stop.wait)(max(wait, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -501,6 +504,8 @@ MAX_PENDING = 1024
 
 JOURNAL = "replies.jsonl.partial"  # replies.jsonl while a run writes it
 
+WORKER_NAME = "zsner-runner"  # the runner's worker threads are WORKER_NAME-<i>
+
 # A record line as put writes it (to_record's keys, json.dumps's escapes, %s for
 # the fingerprint): a hit on one is served with job_id and attempt_count swapped.
 _STR = r'"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*)*"'
@@ -544,19 +549,20 @@ def run(
 
     Jobs are read as the runner reaches them. Cache hits are served on the
     calling thread, at no backend call and no limiter slot, and come back
-    with attempt_count 0; each miss goes to the thread pool, which the
-    first miss starts, as soon as it is found. No key is computed without
-    a cache. Records wait in a reorder buffer behind the oldest unfinished
-    miss; once W = max(MAX_PENDING, 16 * max_parallel) misses and hits wait
-    there, no further job is read until the older half is out. With no miss
-    pending a hit is yielded at once. A transient failure of attempt n backs
-    off base * 2^(n-1) (on `sleep` if given, else on the stop flag) up to
+    with attempt_count 0; each miss is queued at once for max_parallel
+    worker threads, which the first miss starts. A worker only calls the
+    backend: this thread builds, counts and caches each record as its reply
+    arrives. No key is computed without a cache. Records wait behind the
+    oldest unfinished miss; once W = max(MAX_PENDING, 16 * max_parallel)
+    wait, no job is read until the older half is out. With no miss pending
+    a hit is yielded at once. A transient failure of attempt n backs off
+    base * 2^(n-1) (on `sleep` if given, else on the stop flag) up to
     max_retries extra attempts; a job that still fails yields an error
-    record and the rest of the batch proceeds. A rejected credential (a
-    non-transient `auth` error) stops the run instead: no further job is
-    read or sent, even one waiting on the limiter; calls in flight finish,
-    their replies are yielded (and cached), and AuthError is raised. The
-    stream's end (closed, interrupted or raising) stops the run too.
+    record. A rejected credential (an `auth` error) stops the run: nothing
+    more is read or sent, replies in flight are yielded and cached, and
+    AuthError is raised. The stream's end (closed, interrupted or raising)
+    stops the run too, and still caches replies in flight. Any other
+    exception from the backend is raised when its job's turn comes.
     """
     if max_parallel < 1:
         raise ValueError("max_parallel must be >= 1")
@@ -565,6 +571,7 @@ def run(
     stop = threading.Event()  # once set, no request is sent
     pause = sleep or stop.wait  # a stop wakes a backoff
     rejected: list[BackendError] = []  # the rejection AuthError names
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()  # misses to the workers, and back
     put_line = re.compile(_PUT_LINE % re.escape(encode_basestring_ascii(fingerprint)))
 
     def hit(text: str, job_id: str):
@@ -578,12 +585,12 @@ def run(
         rec.job_id, rec.attempt_count = job_id, 0
         return rec
 
-    def fetch(job, key) -> CompletionRecord | None:
-        """The job's record; None if the run stopped first or rejected its call."""
+    def fetch(job) -> tuple | None:
+        """(raw, status, kind, attempts, latency_ms); None if stopped first or rejected."""
         attempts = 0
         while True:
             if limiter is not None and not stop.is_set():
-                limiter.acquire()
+                limiter.acquire(stop)
             if stop.is_set():  # checked again after the limiter's wait
                 return None
             attempts += 1
@@ -600,42 +607,59 @@ def run(
                 if not exc.transient or attempts > max_retries:
                     break
             pause(retry_base_delay * 2 ** (attempts - 1))
-        rec = CompletionRecord(
-            job_id=job.job_id,
-            raw_text=raw,
-            status=status,
-            error_kind=kind,
-            latency_ms=int((time.monotonic() - started) * 1000),
-            attempt_count=attempts,
-            fingerprint=fingerprint,
-            timestamp=_utc_now(),
-        )
-        if status == STATUS_OK and cache is not None:
-            cache.put(key, rec.to_record())
-        return rec
+        return raw, status, kind, attempts, int((time.monotonic() - started) * 1000)
+
+    def work() -> None:
+        """A worker: fetch each (n, job, key) until None; hand back what it returned or raised."""
+        while (miss := todo.get()) is not None:
+            try:
+                done.put((miss, fetch(miss[1])))
+            except Exception as exc:  # raised when its job's turn comes
+                done.put((miss, exc))
 
     def records() -> Iterator[CompletionRecord]:
         window = max(MAX_PENDING, 16 * max_parallel)
-        waiting: deque = deque()  # records, and pending misses' Future.result, in job order
-        pool = None  # started at the first miss: a run of hits starts no thread
+        waiting: deque = deque()  # records, and pending misses' numbers, in job order
+        arrived: dict = {}  # miss number -> its record, None if never sent, or what it raised
+        workers: list[threading.Thread] = []  # started at the first miss
+        misses = 0
+
+        def take(block: bool) -> None:
+            """Build, count and cache each result that has arrived (if block, wait for one)."""
+            while block or not done.empty():
+                (n, job, key), out = done.get()
+                block = False
+                if out is not None and not isinstance(out, Exception):
+                    raw, status, kind, attempts, latency_ms = out
+                    out = CompletionRecord(job.job_id, raw, status, kind, latency_ms,
+                                           attempts, fingerprint, _utc_now())
+                    if status == STATUS_OK:
+                        stats.fetched += 1
+                        if cache is not None:
+                            cache.put(key, out.to_record())
+                    else:
+                        stats.failed += 1
+                arrived[n] = out
 
         def drain(keep: int) -> Iterator[CompletionRecord]:
             """Yield from the front down to `keep` waiting, then every record
             up to the next pending miss; a miss never sent yields nothing."""
-            while waiting and (len(waiting) > keep or not callable(waiting[0])):
+            while waiting and (len(waiting) > keep or type(waiting[0]) is not int):
                 rec = waiting.popleft()
-                if callable(rec):
-                    rec = rec()
+                if type(rec) is int:
+                    while rec not in arrived:
+                        take(True)
+                    rec = arrived.pop(rec)
                     if rec is None:
                         continue
-                    if rec.status == STATUS_OK:  # counted on this thread, as hits are
-                        stats.fetched += 1
-                    else:
-                        stats.failed += 1
+                    if isinstance(rec, Exception):
+                        raise rec
                 yield rec
 
         try:
             for job in jobs:
+                if workers and not done.empty():
+                    take(False)  # replies are cached as they arrive, before the next read
                 if stop.is_set():
                     break
                 key = rec = None
@@ -645,11 +669,14 @@ def run(
                     text = cache.get(key)
                     rec = hit(text, job.job_id) if text is not None else None
                 if rec is None:
-                    if pool is None:
-                        from concurrent.futures import ThreadPoolExecutor
-
-                        pool = ThreadPoolExecutor(max_workers=max_parallel)
-                    waiting.append(pool.submit(fetch, job, key).result)
+                    if not workers:
+                        workers = [threading.Thread(target=work, name=f"{WORKER_NAME}-{i}",
+                                                    daemon=True) for i in range(max_parallel)]
+                        for worker in workers:
+                            worker.start()
+                    todo.put((misses, job, key))
+                    waiting.append(misses)
+                    misses += 1
                 else:
                     stats.cached += 1
                     if not waiting:
@@ -660,9 +687,12 @@ def run(
                     yield from drain(window // 2)
             yield from drain(0)
         finally:
-            stop.set()  # calls in flight end after their current attempt; queued jobs are dropped
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+            stop.set()  # calls in flight end after their current attempt; queued jobs send nothing
+            for worker in workers:
+                todo.put(None)
+            for worker in workers:
+                worker.join()
+            take(False)  # a reply in flight at the stop is cached too
         if rejected:
             raise AuthError(
                 f"endpoint rejected the credentials: {rejected[0]}; replies received "

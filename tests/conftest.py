@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from zsner import corpus
+from zsner import corpus, inference
 
 FILLER = (
     "il la un una di da in con su per tra fra e ma se poi qui era sono "
@@ -153,7 +153,7 @@ def no_runner_thread_outlives_its_test():
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate()
-            if t not in before and t.name.startswith("ThreadPoolExecutor")]
+            if t not in before and t.name.startswith(inference.WORKER_NAME)]
     assert not left, f"worker threads still alive after the test: {left}"
 
 

@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -890,27 +889,20 @@ def test_all_hit_rerun_builds_no_payload_and_starts_no_thread(tree, monkeypatch)
     root, bench = tree
     _gen_store(root)
     cfg = _write_run_config(root, "with_dg")
-    wraps, pools, starts = [], [], []
+    wraps, starts = [], []
     wrap, start = prompts.wrap, threading.Thread.start
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
     monkeypatch.setattr(prompts, "wrap", lambda *a: wraps.append(1) or wrap(*a))
     monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
-                   "--quiet") == 0
-    assert len(pools) == 1 and starts  # the cold run fetches through the pool
-    del wraps[:], pools[:], starts[:]
+                   "--quiet", "--max-parallel", "3") == 0
+    assert sorted(t.name for t in starts) == [f"{inference.WORKER_NAME}-{i}" for i in range(3)]
+    del wraps[:], starts[:]
     assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
                    "--quiet", "--overwrite") == 0
     counts = json.loads((root / "r" / "manifest.json").read_text(encoding="utf-8"))["counts"]
     assert counts["cached"] == counts["jobs"] == len(bench.cells())
     assert 0 < len(wraps) <= 2 * len(bench.all_tags())  # per tag, never per job
-    assert pools == [] and starts == []
+    assert starts == []
 
 
 def test_guidelines_gen_backend_retries_then_fails(tmp_path, endpoint, capsys):
@@ -999,7 +991,7 @@ def test_guidelines_gen_opens_max_parallel_connections(tmp_path, endpoint):
 def test_guidelines_gen_honours_requests_per_minute(tmp_path, endpoint, monkeypatch):
     acquired = []
     monkeypatch.setattr(inference.RateLimiter, "acquire",
-                        lambda self: acquired.append(self.per_minute))
+                        lambda self, stop: acquired.append(self.per_minute))
     endpoint.respond = lambda body: _DG_REPLY
     assert run_cli(*_gen_with_backend(tmp_path, endpoint, "aa,bb,cc",
                                       requests_per_minute=1)) == 0

@@ -493,7 +493,7 @@ def test_a_job_waiting_on_the_limiter_at_a_rejection_sends_nothing(tmp_path):
     first_slot, queued, past_j0 = threading.Semaphore(), threading.Event(), threading.Event()
     sent = []
 
-    def acquire():
+    def acquire(stop):
         if not first_slot.acquire(blocking=False):
             queued.set()
             past_j0.wait(timeout=5)
@@ -548,6 +548,37 @@ def test_a_reply_in_flight_when_the_stream_is_closed_is_cached(tmp_path):
         assert json.loads(reopened.get(key))["raw_text"] == '["j1"]'
     finally:
         reopened.close()
+
+
+def test_every_put_runs_on_the_thread_that_iterates_the_stream(tmp_path):
+    gold = {(f"d{i}", "plant"): [f"s{i}"] for i in range(30)}
+    jobs = [job(f"j{i}", f"d{i}") for i in range(30)]
+    cache = inf.ResponseCache(tmp_path / "cache")
+    puts = []
+    put = cache.put
+    cache.put = lambda key, record: puts.append(threading.get_ident()) or put(key, record)
+    backend = inf.MockBackend("gold_oracle", gold, delay=0.002)
+    records = list(inf.run(jobs, backend, cache, max_parallel=4))
+    cache.close()
+    assert [r.raw_text for r in records] == [f'["s{i}"]' for i in range(30)]
+    assert puts == [threading.get_ident()] * 30
+
+
+def test_closing_the_stream_wakes_a_worker_waiting_on_the_limiter():
+    sent = []
+
+    def complete(j):
+        sent.append(j.job_id)
+        time.sleep(0.2)
+        return "[]"
+
+    records = inf.run([job("j0"), job("j1")], SimpleNamespace(complete=complete), None,
+                      max_parallel=2, limiter=inf.RateLimiter(1))
+    assert next(iter(records)).job_id == "j0"
+    started = time.monotonic()
+    records.close()  # j1 waits for the next minute's slot
+    assert time.monotonic() - started < 2.0
+    assert sent == ["j0"]
 
 
 def test_a_call_that_raises_is_raised_after_the_records_before_it():
@@ -904,7 +935,7 @@ def test_http_backend_reconnects_when_server_closed_idle_connection(endpoint, ba
     backend = backends(_config(endpoint.url, auth_env=""))
     jobs = [job(f"j{i}") for i in range(5)]
     # before each attempt, wait until the server has closed the last socket
-    limiter = SimpleNamespace(acquire=lambda: endpoint.wait_all_closed())
+    limiter = SimpleNamespace(acquire=lambda stop: endpoint.wait_all_closed())
     records = list(inf.run(jobs, backend, None, max_parallel=1, limiter=limiter,
                            retry_base_delay=0.0))
     assert [(r.status, r.attempt_count) for r in records] == [("ok", 1)] * 5
