@@ -9,7 +9,6 @@ fingerprint, so reruns and ablation reruns never repeat a request.
 import hashlib
 import json
 import os
-import queue
 import re
 import select
 import shutil
@@ -571,7 +570,6 @@ def run(
     stop = threading.Event()  # once set, no request is sent
     pause = sleep or stop.wait  # a stop wakes a backoff
     rejected: list[BackendError] = []  # the rejection AuthError names
-    todo, done = queue.SimpleQueue(), queue.SimpleQueue()  # misses to the workers, and back
     put_line = re.compile(_PUT_LINE % re.escape(encode_basestring_ascii(fingerprint)))
 
     def hit(text: str, job_id: str):
@@ -586,7 +584,7 @@ def run(
         return rec
 
     def fetch(job) -> tuple | None:
-        """(raw, status, kind, attempts, latency_ms); None if stopped first or rejected."""
+        """(raw, status, kind, latency_ms, attempts); None if stopped first or rejected."""
         attempts = 0
         while True:
             if limiter is not None and not stop.is_set():
@@ -607,22 +605,23 @@ def run(
                 if not exc.transient or attempts > max_retries:
                     break
             pause(retry_base_delay * 2 ** (attempts - 1))
-        return raw, status, kind, attempts, int((time.monotonic() - started) * 1000)
-
-    def work() -> None:
-        """A worker: fetch each (n, job, key) until None; hand back what it returned or raised."""
-        while (miss := todo.get()) is not None:
-            try:
-                done.put((miss, fetch(miss[1])))
-            except Exception as exc:  # raised when its job's turn comes
-                done.put((miss, exc))
+        return raw, status, kind, int((time.monotonic() - started) * 1000), attempts
 
     def records() -> Iterator[CompletionRecord]:
         window = max(MAX_PENDING, 16 * max_parallel)
         waiting: deque = deque()  # records, and pending misses' numbers, in job order
         arrived: dict = {}  # miss number -> its record, None if never sent, or what it raised
+        todo = done = None  # the workers' queues: misses out, results back
         workers: list[threading.Thread] = []  # started at the first miss
         misses = 0
+
+        def work() -> None:
+            """A worker: fetch each (n, job, key) until None; hand back the outcome."""
+            while (miss := todo.get()) is not None:
+                try:
+                    done.put((miss, fetch(miss[1])))
+                except Exception as exc:  # raised when its job's turn comes
+                    done.put((miss, exc))
 
         def take(block: bool) -> None:
             """Build, count and cache each result that has arrived (if block, wait for one)."""
@@ -630,10 +629,8 @@ def run(
                 (n, job, key), out = done.get()
                 block = False
                 if out is not None and not isinstance(out, Exception):
-                    raw, status, kind, attempts, latency_ms = out
-                    out = CompletionRecord(job.job_id, raw, status, kind, latency_ms,
-                                           attempts, fingerprint, _utc_now())
-                    if status == STATUS_OK:
+                    out = CompletionRecord(job.job_id, *out, fingerprint, _utc_now())
+                    if out.status == STATUS_OK:
                         stats.fetched += 1
                         if cache is not None:
                             cache.put(key, out.to_record())
@@ -670,6 +667,8 @@ def run(
                     rec = hit(text, job.job_id) if text is not None else None
                 if rec is None:
                     if not workers:
+                        from queue import SimpleQueue  # not imported by a run of hits
+                        todo, done = SimpleQueue(), SimpleQueue()
                         workers = [threading.Thread(target=work, name=f"{WORKER_NAME}-{i}",
                                                     daemon=True) for i in range(max_parallel)]
                         for worker in workers:
@@ -692,7 +691,8 @@ def run(
                 todo.put(None)
             for worker in workers:
                 worker.join()
-            take(False)  # a reply in flight at the stop is cached too
+            if workers:
+                take(False)  # a reply in flight at the stop is cached too
         if rejected:
             raise AuthError(
                 f"endpoint rejected the credentials: {rejected[0]}; replies received "
