@@ -572,8 +572,13 @@ def test_closing_the_stream_wakes_a_worker_waiting_on_the_limiter():
         time.sleep(0.2)
         return "[]"
 
-    records = inf.run([job("j0"), job("j1")], SimpleNamespace(complete=complete), None,
-                      max_parallel=2, limiter=inf.RateLimiter(1))
+    def jobs():
+        yield job("j0")
+        _wait_until(lambda: sent)  # j0 holds the minute's one slot
+        yield job("j1")
+
+    records = inf.run(jobs(), SimpleNamespace(complete=complete), None, max_parallel=2,
+                      limiter=inf.RateLimiter(1))
     assert next(iter(records)).job_id == "j0"
     started = time.monotonic()
     records.close()  # j1 waits for the next minute's slot
