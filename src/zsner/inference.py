@@ -620,7 +620,7 @@ def run(
             while (miss := todo.get()) is not None:
                 try:
                     done.put((miss, fetch(miss[1])))
-                except Exception as exc:  # raised when its job's turn comes
+                except BaseException as exc:  # the reading thread raises it in its job's turn
                     done.put((miss, exc))
 
         def take(block: bool) -> None:
@@ -628,7 +628,7 @@ def run(
             while block or not done.empty():
                 (n, job, key), out = done.get()
                 block = False
-                if out is not None and not isinstance(out, Exception):
+                if out is not None and not isinstance(out, BaseException):
                     out = CompletionRecord(job.job_id, *out, fingerprint, _utc_now())
                     if out.status == STATUS_OK:
                         stats.fetched += 1
@@ -649,7 +649,7 @@ def run(
                     rec = arrived.pop(rec)
                     if rec is None:
                         continue
-                    if isinstance(rec, Exception):
+                    if isinstance(rec, BaseException):
                         raise rec
                 yield rec
 
