@@ -27,6 +27,7 @@ from zsner.errors import (
     check_field,
     read_json,
     write_json,
+    write_lines,
 )
 
 MOCK_SYNTAX = "gold_oracle | empty | malformed | drop_k:N"
@@ -436,7 +437,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
 
     records = inference.run(jobs, backend, cache, stats=stats, **_runner_settings(knobs))
     try:
-        inference.persist_run(records, manifest, run_path, overwrite=True)
+        inference.persist_run(records, manifest, run_path)
     finally:
         records.close()  # stops the pool before the cache closes
         cache.close()
@@ -478,12 +479,8 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
 
     if output is None:
         raise ConfigError("give -o to export jobs, or --doc/--tag to preview one")
-    out = Path(output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # a lone surrogate (from --system, say) is written as a JSON escape
-    with open(out, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.writelines(job.export_line() + "\n" for job in jobs)
-    print(f"wrote {len(jobs)} jobs to {out}")
+    write_lines(output, (job.export_line() for job in jobs))
+    print(f"wrote {len(jobs)} jobs to {Path(output)}")
 
 
 # --------------------------------------------------------------------------

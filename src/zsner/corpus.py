@@ -25,6 +25,7 @@ from zsner.errors import (
     read_json,
     read_jsonl,
     write_json,
+    write_lines,
 )
 
 TIER_IN_DOMAIN = "in_domain"
@@ -200,21 +201,10 @@ def tag_inventory(docs: Iterable[Document]) -> dict[str, int]:
 
 
 def save_dataset(docs: Sequence[Document], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # a lone surrogate is written as a JSON escape
-    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        for d in docs:
-            rec = {
-                "doc_id": d.doc_id,
-                "text": d.text,
-                "domain": d.domain,
-                "mentions": [
-                    {"tag": m.tag_id, "surface": m.surface, "start": m.start, "end": m.end}
-                    for m in d.mentions
-                ],
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_lines(path, (json.dumps({
+        "doc_id": d.doc_id, "text": d.text, "domain": d.domain,
+        "mentions": [{"tag": m.tag_id, "surface": m.surface, "start": m.start, "end": m.end}
+                     for m in d.mentions]}, ensure_ascii=False) for d in docs))
 
 
 def load_dataset(path: str | Path) -> list[Document]:

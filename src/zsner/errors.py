@@ -1,10 +1,11 @@
 """Exception hierarchy, each failure class carrying the CLI exit code, the
 one reader and writer of whole-file JSON objects, the one reader of
-JSON-lines files and the one check of the fields read from them."""
+JSON-lines files, the one check of the fields read from them and the one
+writer of whole output files."""
 
 import json
 import reprlib
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
@@ -159,8 +160,13 @@ def check_field(data, kind, what: str, error=ConfigError, *, key=None, minimum=N
 
 def write_json(data: dict, path) -> None:
     """Write data with sorted keys, a 2-space indent, non-ASCII kept and a final
-    newline, creating the parent directory; a lone surrogate becomes a JSON escape."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    newline, through write_lines."""
+    write_lines(path, [json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True)])
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line and a newline to a UTF-8 file, creating the parent
+    directory; a lone surrogate is written as a backslash escape."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+        fh.writelines(line + "\n" for line in lines)

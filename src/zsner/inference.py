@@ -716,36 +716,29 @@ def prepare_run_dir(run_dir, overwrite: bool = False) -> Path:
     if run_dir.exists():
         contents = [p for p in run_dir.iterdir() if p.name != "cache"]
         if contents and not overwrite:
-            raise RunDirectoryError(
-                f"run directory {run_dir} already has outputs; "
-                f"pass overwrite to replace them"
-            )
+            raise RunDirectoryError(f"run directory {run_dir} already has outputs; "
+                                    f"pass overwrite to replace them")
         for p in contents:
-            if p.is_dir():
-                shutil.rmtree(p)
-            else:
-                p.unlink()
+            shutil.rmtree(p) if p.is_dir() else p.unlink()
     run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
 
 
-def persist_run(
-    records, manifest: Callable[[], dict], run_dir, overwrite: bool = False
-) -> None:
-    """Write replies.jsonl and manifest.json into run_dir.
+def persist_run(records, manifest: Callable[[], dict], run_dir) -> None:
+    """Write replies.jsonl and manifest.json into run_dir, which the caller
+    has claimed with prepare_run_dir.
 
     Records go to cache/JOURNAL as they are read; once all are written,
     manifest() goes to manifest.json and the journal becomes replies.jsonl.
     If the records raise, or the process is interrupted, the journal is
     deleted; a killed process leaves it for the next run to truncate.
     """
-    run_dir = prepare_run_dir(run_dir, overwrite)
+    run_dir = Path(run_dir)
     journal = run_dir / "cache" / JOURNAL
-    journal.parent.mkdir(exist_ok=True)
+    journal.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(journal, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(rec.to_json() + "\n")
+            fh.writelines(rec.to_json() + "\n" for rec in records)
         data = dict(manifest())
         data.setdefault("written_at", _utc_now())
         write_json(data, run_dir / "manifest.json")

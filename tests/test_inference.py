@@ -671,7 +671,7 @@ def _serve_one(cache_dir, j):
         records = list(inf.run([j], backend, cache, max_parallel=1))
     finally:
         cache.close()
-    inf.persist_run(records, dict, cache_dir.parent / "run", overwrite=True)
+    inf.persist_run(records, dict, cache_dir.parent / "run")
     return records[0], (cache_dir.parent / "run" / "replies.jsonl").read_text(encoding="utf-8")
 
 
@@ -1011,12 +1011,12 @@ def test_persist_and_load_run(tmp_path):
     assert "written_at" in manifest
 
 
-def test_persist_run_refuses_overwrite_without_flag(tmp_path):
+def test_prepare_run_dir_refuses_overwrite_without_flag(tmp_path):
     run_dir = tmp_path / "run"
-    inf.persist_run(_records(), dict, run_dir)
+    inf.persist_run(_records(), dict, inf.prepare_run_dir(run_dir))
     with pytest.raises(RunDirectoryError):
-        inf.persist_run(_records(), dict, run_dir)
-    inf.persist_run(_records(1), dict, run_dir, overwrite=True)
+        inf.prepare_run_dir(run_dir)
+    inf.persist_run(_records(1), dict, inf.prepare_run_dir(run_dir, overwrite=True))
     records = list(inf.load_run(run_dir)[0])
     assert len(records) == 1
 
