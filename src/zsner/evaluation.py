@@ -6,6 +6,7 @@ gold mention; extras count as false positives). Tier headline numbers pool
 counts across documents and tags; macro-F1 is reported alongside.
 """
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
@@ -210,7 +211,7 @@ def tier_report(
         # tier.tag_ids order: macro_f1 sums its floats in this order
         counts = {tag: totals[tier.name, tag] for tag in tier.tag_ids}
         per_tag = {tag: _score(c) for tag, c in counts.items()}
-        macro = sum(s["f1"] for s in per_tag.values()) / len(per_tag) if per_tag else 0.0
+        macro = math.fsum(s["f1"] for s in per_tag.values()) / len(per_tag) if per_tag else 0.0
         tiers[tier.name] = {"kind": tier.kind, "micro": _score(sum(counts.values(), Counts())),
                             "macro_f1": macro, "per_tag": per_tag}
     report = {"benchmark_id": benchmark.benchmark_id, "variant": grid[0],

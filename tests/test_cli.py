@@ -501,7 +501,8 @@ def _masked(path) -> str:
 
 
 # The golden files are the score.json this run gave before scoring became one
-# pass over Benchmark.cells(); a change to them is a change of scores.
+# pass over Benchmark.cells(), with macro_f1 summed by math.fsum so that every
+# interpreter writes the same digits; a change to them is a change of scores.
 @pytest.mark.parametrize("semantics", ["multiset", "set"])
 def test_score_json_matches_golden_bytes(tmp_path, semantics, capsys):
     mixed_run(tmp_path)
