@@ -427,19 +427,14 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
             "model_name": knobs.model_name,
             "fingerprint": getattr(backend, "fingerprint", ""),
             "mock": mock or "",
-            "counts": {
-                "jobs": len(jobs),
-                "cached": stats.cached,
-                "fetched": stats.fetched,
-                "failed": stats.failed,
-            },
+            "counts": {"jobs": len(jobs), **vars(stats)},
         }
 
     records = inference.run(jobs, backend, cache, stats=stats, **_runner_settings(knobs))
     try:
         inference.persist_run(records, manifest, run_path)
     finally:
-        records.close()  # stops the pool before the cache closes
+        records.close()  # stops the runner's workers before the cache closes
         cache.close()
         if mock is None:
             backend.close()

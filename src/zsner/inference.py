@@ -17,7 +17,6 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -151,7 +150,7 @@ def cache_key(key_json: str, fingerprint: str) -> str:
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 # --------------------------------------------------------------------------

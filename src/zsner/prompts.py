@@ -162,7 +162,7 @@ class _TagPlan(NamedTuple):  # what the jobs of one tag share: see _tag_plan
 class PromptJob:
     """One request. A hand-built job takes its payload; one from
     expand_benchmark_jobs builds it when read (by a backend, on a miss) and
-    its key JSON and export line from its tag's pieces. Equal on the ids."""
+    its key JSON and export line from its tag's pieces."""
 
     __slots__ = (*_IDS, "_payload", "_text", "_plan")
     _ids = property(attrgetter(*_IDS))
@@ -173,12 +173,6 @@ class PromptJob:
         self.variant, self.template_id, self.adapter_id = variant, template_id, adapter_id
         # text: the document's (text, JSON-escaped text); plan: its tag's _TagPlan
         self._payload, self._text, self._plan = payload, text, plan
-
-    def __eq__(self, other):
-        return self._ids == other._ids if isinstance(other, PromptJob) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._ids)
 
     @property
     def payload(self) -> dict:  # an expanded job's is built on each read

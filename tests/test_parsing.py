@@ -69,6 +69,16 @@ def test_extract_list_long_unclosed_reply_is_fast(text):
     assert (result.status, result.surfaces) == (PARSE_FAILED, [])
 
 
+def test_extract_list_deep_closed_brackets_are_fast():
+    # json gives up on a span nested past the recursion limit, so the scan
+    # must skip it rather than hand each of its outer spans to json
+    started = time.perf_counter()
+    result = extract_list("[" * 100_000 + "]" * 100_000)
+    assert time.perf_counter() - started < 3.0
+    assert result.status in (PARSE_RECOVERED, PARSE_FAILED)
+    assert result.surfaces == []
+
+
 # pieces that make string state, escapes and bracket depth collide
 _SCAN_PIECES = [
     "[", "]", '"', "\\", "a", " ", ",", "1", '{"k": ', "}",
