@@ -208,7 +208,6 @@ def tier_report(
             totals[name, tag] += Counts(*c)
     tiers = {}
     for tier in benchmark.tiers:
-        # tier.tag_ids order: macro_f1 sums its floats in this order
         counts = {tag: totals[tier.name, tag] for tag in tier.tag_ids}
         per_tag = {tag: _score(c) for tag, c in counts.items()}
         macro = math.fsum(s["f1"] for s in per_tag.values()) / len(per_tag) if per_tag else 0.0
