@@ -6,18 +6,19 @@ benchmark, generate the definition-and-guideline store, run inference
 
 Exit codes: 1 unexpected, 2 configuration, 3 input format, 4 coverage or
 comparison mismatch, 5 authentication.
+
+Each command imports the zsner modules it runs, so building the parser
+loads none of them.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from zsner import __version__, corpus, evaluation, inference, parsing, prompts, resources
-from zsner import guidelines as dg
+from zsner import __version__
 from zsner.errors import (
     BioParseError,
     ConfigError,
@@ -32,6 +33,10 @@ from zsner.errors import (
 
 MOCK_SYNTAX = "gold_oracle | empty | malformed | drop_k:N"
 SHOW_DEFAULT = "[default: %(default)s]"
+# corpus.VARIANTS, and evaluation's MULTISET and SET, written out here so
+# that the parser's choices import neither module
+VARIANTS = ("with_dg", "without_dg")
+SEMANTICS = ("multiset", "set")
 
 # "name" or "group name" -> the command: its function and add_argument specs
 COMMANDS: dict[str, SimpleNamespace] = {}
@@ -69,8 +74,9 @@ def _resolve(path_str: str, base: Path) -> Path:
 
 
 def _tag_specs(
-    tags, store: dg.GuidelineStore | None, display_names: dict[str, str]
-) -> dict[str, dg.TagSpec]:
+    tags, store: "dg.GuidelineStore | None", display_names: dict[str, str]
+) -> "dict[str, dg.TagSpec]":
+    from zsner import guidelines as dg
     specs = {}
     for tag in tags:
         spec = store.records.get(tag) if store else None
@@ -84,6 +90,7 @@ def _tag_specs(
 
 
 def _parse_mock(mock: str) -> tuple[str, int]:
+    from zsner import inference
     kind, _, param = mock.partition(":")
     if kind not in inference.MOCK_KINDS:
         raise ConfigError(f"unknown mock {mock!r}; syntax: {MOCK_SYNTAX}")
@@ -113,6 +120,7 @@ def _parse_mock(mock: str) -> tuple[str, int]:
          arg("--strict", action="store_true", help="Reject orphan I- labels."))
 def ingest(inputs, output, aliases, domain, doc_id_prefix, strict):
     """Convert BIO-tagged token files (token<TAB>label) into a dataset file."""
+    from zsner import corpus, resources
     alias_map = resources.load_alias_table(aliases) if aliases else None
     docs: list[corpus.Document] = []
     seen: set[str] = set()
@@ -144,6 +152,7 @@ def ingest(inputs, output, aliases, domain, doc_id_prefix, strict):
          arg("--json", dest="as_json", action="store_true", help="Machine-readable output."))
 def inventory(dataset, as_json):
     """Tag support counts for a dataset file."""
+    from zsner import corpus
     docs = corpus.load_dataset(dataset)
     support = corpus.tag_inventory(docs)
     if as_json:
@@ -167,6 +176,7 @@ def benchmark(config, output):
     optional min_support / excluded_tags; tier tag sets are resolved from
     the data and written into the manifest.
     """
+    from zsner import corpus
     config_path = Path(config)
     cfg = read_json(config_path, "benchmark config")
     where = f"benchmark config {config_path}"
@@ -197,6 +207,7 @@ def _required_tags(benchmark_path, tags, base: Path) -> list[str]:
     if benchmark_path and tags:
         raise ConfigError("give either --benchmark or --tags, not both")
     if benchmark_path:
+        from zsner import corpus
         bench, _ = corpus.load_benchmark(_resolve(benchmark_path, base))
         return bench.all_tags()
     if tags:
@@ -227,15 +238,17 @@ class _CannedBackend:
                           ensure_ascii=False)
 
 
-def _http_backend(backend_cfg: inference.BackendConfig) -> inference.HttpBackend:
+def _http_backend(backend_cfg: "inference.BackendConfig") -> "inference.HttpBackend":
+    from zsner import inference
     try:
         return inference.HttpBackend(backend_cfg)
     except ValueError as e:  # endpoint or proxy URL it cannot use
         raise ConfigError(f"bad backend config: {e}")
 
 
-def _runner_settings(knobs: inference.BackendConfig) -> dict:
+def _runner_settings(knobs: "inference.BackendConfig") -> dict:
     """inference.run's keyword arguments for a backend config's runner settings."""
+    from zsner import inference
     return {
         "max_parallel": knobs.max_parallel,
         "max_retries": knobs.max_retries,
@@ -259,6 +272,7 @@ def _runner_settings(knobs: inference.BackendConfig) -> dict:
 def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
                    language, mock, backend_path, max_attempts):
     """Fill in definition/guideline records for tags missing from the store."""
+    from zsner import guidelines as dg, resources
     check_field(max_attempts, int, "--max-attempts", minimum=1)
     required = _required_tags(benchmark_path, tags, Path.cwd())
     names = resources.load_display_names(display_names)
@@ -315,6 +329,7 @@ def guidelines_gen(store_path, benchmark_path, tags, display_names, meta_prompt,
          arg("--tags", help="Comma-separated tag ids."))
 def guidelines_validate(store_path, benchmark_path, tags):
     """Check the store covers the required tags with non-empty fields."""
+    from zsner import guidelines as dg
     required = _required_tags(benchmark_path, tags, Path.cwd())
     store = dg.load_store(store_path)
     report = dg.validate_store(store, required)
@@ -335,7 +350,8 @@ def guidelines_validate(store_path, benchmark_path, tags):
 # inference commands
 
 
-def _backend_config(raw: dict, where: str) -> inference.BackendConfig:
+def _backend_config(raw: dict, where: str) -> "inference.BackendConfig":
+    from zsner import inference
     try:
         return inference.BackendConfig(**raw)
     except TypeError as e:  # a field it does not know, or none for a required one
@@ -348,9 +364,11 @@ def _load_grid(benchmark_path, store_path, variant: str, display_names: str, tem
                adapter: str, system_text: str):
     """(benchmark, docs, specs, template, adapter, jobs) of one variant's grid. A
     with_dg grid needs a store giving each benchmark tag non-empty fields."""
-    if variant not in prompts.VARIANTS:
-        raise ConfigError(f"variant must be one of {prompts.VARIANTS}, got {variant!r}")
-    if variant == prompts.WITH_DG and not store_path:
+    from zsner import corpus, prompts, resources
+    from zsner import guidelines as dg
+    if variant not in corpus.VARIANTS:
+        raise ConfigError(f"variant must be one of {corpus.VARIANTS}, got {variant!r}")
+    if variant == corpus.WITH_DG and not store_path:
         raise ConfigError("with_dg needs a guideline store ('store' in a run config, "
                           "--store for render)")
     bench, docs = corpus.load_benchmark(benchmark_path)
@@ -358,7 +376,7 @@ def _load_grid(benchmark_path, store_path, variant: str, display_names: str, tem
     store = dg.load_store(store_path) if store_path else None
     specs = _tag_specs(tags, store, resources.load_display_names(display_names))
     template, adapter = resources.load_template(template), resources.load_adapter(adapter)
-    if variant == prompts.WITH_DG:
+    if variant == corpus.WITH_DG:
         report = dg.validate_store(store, tags)
         gaps = set(report["missing"]).union(report["empty_fields"]).intersection(tags)
         if gaps:
@@ -378,11 +396,12 @@ def _load_grid(benchmark_path, store_path, variant: str, display_names: str, tem
          arg("--quiet", action="store_true"))
 def run(config, run_dir, mock, overwrite, max_parallel, quiet):
     """Execute one prompt variant over the benchmark grid into a run directory."""
+    from zsner import corpus, inference
     config_path = Path(config)
     cfg = read_json(config_path, "run config")
     where, base = f"run config {config_path}", config_path.parent
     check_field(cfg, str, f"{where}: 'benchmark'", key="benchmark")
-    for key, default in (("store", ""), ("variant", prompts.WITH_DG), ("display_names", "it"),
+    for key, default in (("store", ""), ("variant", corpus.WITH_DG), ("display_names", "it"),
                          ("template", "default_it"), ("adapter", "openai_chat"),
                          ("system_text", "")):
         cfg[key] = check_field(cfg.get(key, default), str, f"{where}: {key!r}")
@@ -403,7 +422,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
         raise ConfigError(f"{where}: needs a 'backend' object (or pass --mock)")
     knobs = _backend_config(backend_raw, where)
     if max_parallel is not None:  # checked again, with no file to name
-        knobs = dataclasses.replace(knobs, max_parallel=max_parallel)
+        knobs = inference.BackendConfig(**{**backend_raw, "max_parallel": max_parallel})
     if mock is None:
         backend = _http_backend(knobs)
     else:
@@ -447,7 +466,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
 @command("render",
          arg("--benchmark", dest="benchmark_path", required=True, type=_file),
          arg("--store", dest="store_path", type=_file),
-         arg("--variant", choices=prompts.VARIANTS, default=prompts.WITH_DG, help=SHOW_DEFAULT),
+         arg("--variant", choices=VARIANTS, default=VARIANTS[0], help=SHOW_DEFAULT),
          arg("--template", default="default_it", help=SHOW_DEFAULT),
          arg("--adapter", default="openai_chat", help=SHOW_DEFAULT),
          arg("--display-names", default="it", help=SHOW_DEFAULT),
@@ -458,6 +477,7 @@ def run(config, run_dir, mock, overwrite, max_parallel, quiet):
 def render(benchmark_path, store_path, variant, template, adapter, display_names,
            system_text, doc_id, tag_id, output):
     """Inspect rendered prompts, or export the full payload grid."""
+    from zsner import prompts
     _, docs, specs, template_obj, _, jobs = _load_grid(
         benchmark_path, store_path, variant, display_names, template, adapter, system_text)
 
@@ -486,11 +506,11 @@ def render(benchmark_path, store_path, variant, template, adapter, display_names
          arg("run_dir", type=_dir),
          arg("-o", "--output", type=_file,
              help="Report JSON path (default: <run_dir>/score.json)."),
-         arg("--semantics", choices=[evaluation.MULTISET, evaluation.SET],
-             default=evaluation.MULTISET, help=SHOW_DEFAULT),
+         arg("--semantics", choices=SEMANTICS, default=SEMANTICS[0], help=SHOW_DEFAULT),
          arg("--quiet", action="store_true"))
 def score(run_dir, output, semantics, quiet):
     """Score an archived run against gold annotations, per tier and tag."""
+    from zsner import corpus, evaluation, inference, parsing
     run_path = Path(run_dir)
     records, manifest = inference.load_run(run_path)
     where = f"run manifest {run_path / 'manifest.json'}"
@@ -526,6 +546,7 @@ def score(run_dir, output, semantics, quiet):
          arg("--quiet", action="store_true"))
 def report(with_path, without_path, output, quiet):
     """Per-tag and per-tier F1 deltas between the two prompt variants."""
+    from zsner import evaluation
     delta = evaluation.delta_report(*(
         evaluation.check_score_report(read_json(p, "score report"), f"score report {p}")
         for p in (with_path, without_path)))

@@ -10,10 +10,9 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from zsner.errors import (
     AssemblyError,
@@ -35,25 +34,28 @@ TIER_KINDS = (TIER_IN_DOMAIN, TIER_OUT_OF_DOMAIN, TIER_UNSEEN_NE)
 
 DEFAULT_MIN_SUPPORT = 5
 
+# the two prompt variants of a run: with and without the D&G block
+WITH_DG = "with_dg"
+WITHOUT_DG = "without_dg"
+VARIANTS = (WITH_DG, WITHOUT_DG)
+
 _TOKEN_RE = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     tag_id: str
     surface: str
     start: int
     end: int
 
 
-@dataclass
 class Document:
-    doc_id: str
-    text: str
-    domain: str = ""
-    mentions: list[Mention] = field(default_factory=list)
+    __slots__ = ("doc_id", "text", "domain", "mentions")
 
-    def __post_init__(self):
+    def __init__(self, doc_id: str, text: str, domain: str = "",
+                 mentions: list[Mention] | None = None):
+        self.doc_id, self.text, self.domain = doc_id, text, domain
+        self.mentions = [] if mentions is None else mentions
         if not (isinstance(self.doc_id, str) and isinstance(self.text, str)
                 and isinstance(self.domain, str)):
             for key in ("doc_id", "text", "domain"):
@@ -75,6 +77,10 @@ class Document:
                     f"{self.doc_id}: mention surface {m.surface!r} does not match "
                     f"text[{m.start}:{m.end}] = {self.text[m.start:m.end]!r}"
                 )
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Document and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def _split_label(label: str, line_no: int | None) -> tuple[str, str]:
@@ -234,23 +240,25 @@ def load_dataset(path: str | Path) -> list[Document]:
 # benchmark assembly
 
 
-@dataclass(frozen=True)
-class BenchmarkTier:
+class BenchmarkTier(NamedTuple):
     name: str
     kind: str
     dataset_ids: tuple[str, ...]
     tag_ids: tuple[str, ...]
 
 
-@dataclass
 class Benchmark:
-    benchmark_id: str
-    training_dataset: str
-    training_tags: tuple[str, ...]
-    tiers: list[BenchmarkTier]
-    min_support: int
-    dataset_paths: dict[str, str] = field(default_factory=dict)
-    doc_ids: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    __slots__ = ("benchmark_id", "training_dataset", "training_tags", "tiers", "min_support",
+                 "dataset_paths", "doc_ids")
+
+    def __init__(self, benchmark_id: str, training_dataset: str, training_tags: tuple[str, ...],
+                 tiers: list[BenchmarkTier], min_support: int,
+                 dataset_paths: dict[str, str] | None = None,
+                 doc_ids: dict[str, tuple[str, ...]] | None = None):
+        self.benchmark_id, self.training_dataset = benchmark_id, training_dataset
+        self.training_tags, self.tiers, self.min_support = training_tags, tiers, min_support
+        self.dataset_paths = {} if dataset_paths is None else dataset_paths
+        self.doc_ids = {} if doc_ids is None else doc_ids
 
     def tier(self, name: str) -> BenchmarkTier:
         for t in self.tiers:
@@ -306,6 +314,30 @@ class Benchmark:
                                 yield (doc_id, tag), names
 
         return Grid(size, walk)
+
+
+def job_id_for(doc_id: str, tag_id: str, variant: str, template_id: str, adapter_id: str) -> str:
+    key = "\x1e".join([doc_id, tag_id, variant, template_id, adapter_id])
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
+
+def grid_job_ids(cells: Iterable, grid: tuple[str, str, str]) -> Iterator[tuple]:
+    """(job_id_for(*cell, *grid), cell, tier names) of each cell of a
+    Benchmark.cells() walk, in its order; `grid` is (variant, template_id,
+    adapter_id). The key's document part is hashed once per run of one
+    document's cells, and the hash copied for each tag."""
+    tails: dict[str, bytes] = {}  # tag -> the key after "<doc_id>\x1e"
+    last = None
+    for cell, names in cells:
+        if cell[0] != last:
+            last = cell[0]
+            primed = hashlib.sha256(f"{last}\x1e".encode())
+        tail = tails.get(cell[1])
+        if tail is None:
+            tail = tails[cell[1]] = "\x1e".join([cell[1], *grid]).encode()
+        digest = primed.copy()
+        digest.update(tail)
+        yield digest.hexdigest()[:16], cell, names
 
 
 class Grid:

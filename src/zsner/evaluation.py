@@ -8,29 +8,26 @@ counts across documents and tags; macro-F1 is reported alongside.
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from zsner import parsing
-from zsner.corpus import Benchmark, Document
+from zsner import corpus, parsing
+from zsner.corpus import WITH_DG, WITHOUT_DG, Benchmark, Document
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
 from zsner.errors import RunDirectoryError, check_field
 from zsner.parsing import Extraction, normalize_surface
-from zsner.prompts import WITH_DG, WITHOUT_DG, job_id_for
 
 MULTISET = "multiset"
 SET = "set"
 
 
-@dataclass(frozen=True)
-class Counts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+class Counts(NamedTuple("Counts", [("tp", int), ("fp", int), ("fn", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tp < 0 or self.fp < 0 or self.fn < 0:
+    def __new__(cls, tp: int = 0, fp: int = 0, fn: int = 0):
+        self = super().__new__(cls, tp, fp, fn)
+        if tp < 0 or fp < 0 or fn < 0:
             raise ValueError(f"negative counts: {self}")
+        return self
 
     def __add__(self, other: "Counts") -> "Counts":
         return Counts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
@@ -67,10 +64,12 @@ def _cell_counts(gold: list[str], pred: list[str], semantics: str) -> tuple[int,
         tp = len(gold & pred)
     elif semantics != MULTISET:
         raise ConfigError(f"unknown matching semantics {semantics!r}")
-    elif gold and pred:
-        tp = sum((Counter(gold) & Counter(pred)).values())
-    else:  # more than half of all cells: nothing to match
+    elif not gold or not pred:  # more than half of all cells: nothing to match
         tp = 0
+    elif len(pred) == 1:  # one predicted surface matches at most one gold one
+        tp = 1 if pred[0] in gold else 0
+    else:
+        tp = sum((Counter(gold) & Counter(pred)).values())
     return tp, len(pred) - tp, len(gold) - tp
 
 
@@ -127,31 +126,34 @@ def _lockstep(cells, records, grid):
     whose job_id is job_id_for(*cell, *grid).
 
     Yields (cell, in_tiers, record). `records` is read once, only as far as
-    the current cell needs; a record read early waits in a dict for its
-    cell. Two records for one job raise RunDirectoryError; after that, cells
-    with no record or records on no cell raise CoverageError.
+    the current cell needs; a record read before its cell waits in a dict,
+    and one read in its cell's turn never enters it. Two records for one job
+    raise RunDirectoryError; after that, cells with no record or records on
+    no cell raise CoverageError.
     """
     early: dict = {}
+    records, missing = iter(records), []
 
-    def read():
-        for rec in records:
-            if rec.job_id in early:
-                raise RunDirectoryError(f"duplicate record for job {rec.job_id}")
-            early[rec.job_id] = rec
-            yield rec.job_id
+    def wait(rec) -> None:
+        if rec.job_id in early:
+            raise RunDirectoryError(f"duplicate record for job {rec.job_id}")
+        early[rec.job_id] = rec
 
-    reader, missing = read(), []
-    for cell, in_tiers in cells:
-        k = job_id_for(*cell, *grid)
-        if k in early or k in reader:  # `in` reads on up to k, or to the end
-            yield cell, in_tiers, early.pop(k)
-        else:
-            missing.append(k)
-    for _ in reader:
-        pass
+    for k, cell, in_tiers in corpus.grid_job_ids(cells, grid):
+        rec = early.pop(k, None) if early else None
+        if rec is None:
+            for rec in records:  # read on up to k, or to the end
+                if rec.job_id == k:
+                    break
+                wait(rec)
+            else:
+                missing.append(k)
+                continue
+        yield cell, in_tiers, rec
+    for rec in records:
+        wait(rec)
     if early:  # a record whose cell has passed came twice, or is on no cell
-        for cell, _ in cells:
-            k = job_id_for(*cell, *grid)
+        for k, _, _ in corpus.grid_job_ids(cells, grid):
             if k in early:
                 raise RunDirectoryError(f"duplicate record for job {k}")
     if missing:

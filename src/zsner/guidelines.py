@@ -8,8 +8,7 @@ in a JSON store so inference runs never regenerate them.
 
 import json
 import re
-from contextlib import closing
-from dataclasses import dataclass, field
+from contextlib import ExitStack, closing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,25 +29,30 @@ _SECTION_RE = re.compile(
 )
 
 
-@dataclass
 class TagSpec:
-    tag_id: str
-    display_name: str
-    definition: str = ""
-    guidelines: str = ""
-    provenance: str = "generated"
-    generator_model: str = ""
+    __slots__ = ("tag_id", *STORE_FIELDS, "provenance", "generator_model")
+
+    def __init__(self, tag_id: str, display_name: str, definition: str = "",
+                 guidelines: str = "", provenance: str = "generated", generator_model: str = ""):
+        self.tag_id, self.display_name = tag_id, display_name
+        self.definition, self.guidelines = definition, guidelines
+        self.provenance, self.generator_model = provenance, generator_model
 
     def to_record(self) -> dict:
         return {f: getattr(self, f) for f in (*STORE_FIELDS, "provenance", "generator_model")}
 
+    def __eq__(self, other) -> bool:
+        return type(other) is TagSpec and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
-@dataclass
+
 class GuidelineStore:
-    language: str = "it"
-    records: dict[str, TagSpec] = field(default_factory=dict)
-    created_at: str = ""
-    meta_prompt_id: str = ""
+    __slots__ = ("language", "records", "created_at", "meta_prompt_id")
+
+    def __init__(self, language: str = "it", records: dict[str, TagSpec] | None = None,
+                 created_at: str = "", meta_prompt_id: str = ""):
+        self.language, self.created_at, self.meta_prompt_id = language, created_at, meta_prompt_id
+        self.records = {} if records is None else records
 
 
 def save_store(store: GuidelineStore, path) -> None:
@@ -177,38 +181,42 @@ def generate_missing(
         Path(reply_archive).parent.mkdir(parents=True, exist_ok=True)
     last: dict[str, str] = {}  # tag -> its latest unparseable reply
     generated = []
-    for attempt in range(1, max_attempts + 1):
-        if not missing:
-            break
-        jobs = [SimpleNamespace(job_id=tag, payload={"messages": [{"role": "user", "content":
-                                meta_prompt.replace("{display_name}", name)}]})
-                for tag, name in missing.items()]  # a job's id is its tag
-        failed = []
-        with closing(inference.run(jobs, backend, None, **runner)) as records:
-            for rec in records:
-                if rec.status != inference.STATUS_OK:
-                    failed.append(rec)
-                    continue
-                if reply_archive is not None:
-                    with open(reply_archive, "a", encoding="utf-8",
-                              errors="backslashreplace") as fh:
-                        fh.write(json.dumps({"tag_id": rec.job_id, "attempt": attempt,
-                                             "raw_text": rec.raw_text},
-                                            ensure_ascii=False) + "\n")
-                try:
-                    definition, guidelines = parse_dg_reply(rec.raw_text)
-                except DGFormatError:
-                    last[rec.job_id] = rec.raw_text
-                    continue
-                store.records[rec.job_id] = TagSpec(rec.job_id, missing.pop(rec.job_id), definition,
-                                                    guidelines, generator_model=generator_model)
-                generated.append(rec.job_id)
-        if failed:
-            rec = failed[0]
-            raise GenerationError(
-                f"generator backend failure: tag {rec.job_id!r}: {rec.error_kind} error "
-                f"after {rec.attempt_count} calls ({len(failed)} tags failed)"
-            )
+    archive = None  # the reply archive, opened at the first reply of this call
+    with ExitStack() as files:
+        for attempt in range(1, max_attempts + 1):
+            if not missing:
+                break
+            jobs = [SimpleNamespace(job_id=tag, payload={"messages": [{"role": "user", "content":
+                                    meta_prompt.replace("{display_name}", name)}]})
+                    for tag, name in missing.items()]  # a job's id is its tag
+            failed = []
+            with closing(inference.run(jobs, backend, None, **runner)) as records:
+                for rec in records:
+                    if rec.status != inference.STATUS_OK:
+                        failed.append(rec)
+                        continue
+                    if reply_archive is not None:
+                        archive = archive or files.enter_context(open(
+                            reply_archive, "a", encoding="utf-8", errors="backslashreplace"))
+                        archive.write(json.dumps({"tag_id": rec.job_id, "attempt": attempt,
+                                                  "raw_text": rec.raw_text},
+                                                 ensure_ascii=False) + "\n")
+                        archive.flush()
+                    try:
+                        definition, guidelines = parse_dg_reply(rec.raw_text)
+                    except DGFormatError:
+                        last[rec.job_id] = rec.raw_text
+                        continue
+                    store.records[rec.job_id] = TagSpec(rec.job_id, missing.pop(rec.job_id),
+                                                        definition, guidelines,
+                                                        generator_model=generator_model)
+                    generated.append(rec.job_id)
+            if failed:
+                rec = failed[0]
+                raise GenerationError(
+                    f"generator backend failure: tag {rec.job_id!r}: {rec.error_kind} error "
+                    f"after {rec.attempt_count} calls ({len(failed)} tags failed)"
+                )
     if missing:
         tag = next(iter(missing))
         raise GenerationError(

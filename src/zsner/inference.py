@@ -16,7 +16,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -70,36 +69,40 @@ _CONFIG_CHECKS = (
 )
 
 
-@dataclass
 class BackendConfig:
-    endpoint_url: str
-    model_name: str
-    auth_env: str = ""
-    max_parallel: int = 4
-    requests_per_minute: int | None = None
-    timeout: float = 60.0
-    max_retries: int = 3
-    temperature: float = 0.0
-    max_tokens: int = 512
-    retry_base_delay: float = 0.5
+    __slots__ = tuple(name for name, _, _ in _CONFIG_CHECKS)
 
-    def __post_init__(self):
+    def __init__(self, endpoint_url: str, model_name: str, auth_env: str = "",
+                 max_parallel: int = 4, requests_per_minute: int | None = None,
+                 timeout: float = 60.0, max_retries: int = 3, temperature: float = 0.0,
+                 max_tokens: int = 512, retry_base_delay: float = 0.5):
+        given = locals()  # the arguments by name
         for name, kind, minimum in _CONFIG_CHECKS:
-            value = getattr(self, name)
+            value = given[name]
             if value is not None or name != "requests_per_minute":  # null: no limit
                 check_field(value, kind, name, minimum=minimum)
+            setattr(self, name, value)
 
 
-@dataclass(slots=True)
+# (field, type) of each CompletionRecord field, in replies.jsonl's key order
+_RECORD_FIELDS = (("job_id", str), ("raw_text", str), ("status", str), ("error_kind", str),
+                  ("latency_ms", int), ("attempt_count", int), ("fingerprint", str),
+                  ("timestamp", str))
+
+
 class CompletionRecord:
-    job_id: str
-    raw_text: str
-    status: str
-    error_kind: str = ""
-    latency_ms: int = 0
-    attempt_count: int = 1
-    fingerprint: str = ""
-    timestamp: str = ""
+    __slots__ = tuple(name for name, _ in _RECORD_FIELDS)
+
+    def __init__(self, job_id: str, raw_text: str, status: str, error_kind: str = "",
+                 latency_ms: int = 0, attempt_count: int = 1, fingerprint: str = "",
+                 timestamp: str = ""):
+        self.job_id, self.raw_text, self.status, self.error_kind = (
+            job_id, raw_text, status, error_kind)
+        self.latency_ms, self.attempt_count, self.fingerprint, self.timestamp = (
+            latency_ms, attempt_count, fingerprint, timestamp)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CompletionRecord and self.to_record() == other.to_record()
 
     def to_json(self) -> str:  # ASCII escapes, as in the response log
         return json.dumps(self.to_record())
@@ -111,14 +114,14 @@ class CompletionRecord:
     def from_record(cls, rec: dict) -> "CompletionRecord":
         """The record of a replies.jsonl line; ValueError naming a field of
         the wrong type."""
-        r = cls(job_id=rec["job_id"], raw_text=rec.get("raw_text", ""),
-                status=rec.get("status", STATUS_ERROR), error_kind=rec.get("error_kind", ""),
-                latency_ms=rec.get("latency_ms", 0), attempt_count=rec.get("attempt_count", 1),
-                fingerprint=rec.get("fingerprint", ""), timestamp=rec.get("timestamp", ""))
+        get = rec.get
+        r = cls(rec["job_id"], get("raw_text", ""), get("status", STATUS_ERROR),
+                get("error_kind", ""), get("latency_ms", 0), get("attempt_count", 1),
+                get("fingerprint", ""), get("timestamp", ""))
         if not (type(r.job_id) is type(r.raw_text) is type(r.status) is type(r.error_kind)
                 is type(r.fingerprint) is type(r.timestamp) is str
                 and type(r.latency_ms) is type(r.attempt_count) is int):
-            for name, kind in cls.__annotations__.items():
+            for name, kind in _RECORD_FIELDS:
                 check_field(getattr(r, name), kind, repr(name), ValueError)
         return r
 
@@ -485,11 +488,11 @@ def gold_surface_index(docs) -> dict[tuple[str, str], list[str]]:
 # runner
 
 
-@dataclass
 class RunStats:
-    cached: int = 0
-    fetched: int = 0
-    failed: int = 0
+    """The runner's counts of cached, fetched and failed jobs; vars() gives them in that order."""
+
+    def __init__(self):
+        self.cached, self.fetched, self.failed = 0, 0, 0
 
 
 # How many jobs may wait behind the oldest unfinished miss before the runner

@@ -11,7 +11,7 @@ Replies are classified three ways, never raising:
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PARSE_OK = "ok"
 PARSE_RECOVERED = "recovered"
@@ -36,8 +36,7 @@ def normalize_surface(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     status: str
     surfaces: list[str]
     dropped: int = 0
@@ -143,6 +142,8 @@ def extract_list(raw_text: str) -> ParseResult:
     """Three-way classification of a raw model reply. Never raises."""
     if not isinstance(raw_text, str):  # e.g. a record whose raw_text is null
         return ParseResult(PARSE_FAILED, [])
+    if raw_text == "[]":  # most cells of a grid have no entity of their tag
+        return ParseResult(PARSE_OK, [])
     # json.loads can only return a list when the first character after JSON
     # whitespace (a subset of str.isspace) is '['; a failed call is costly
     if raw_text.lstrip().startswith("["):
@@ -161,14 +162,15 @@ def extract_list(raw_text: str) -> ParseResult:
     return ParseResult(PARSE_FAILED, [])
 
 
-@dataclass(slots=True)
 class Extraction:
     """Normalized surface multiset predicted (or gold) for one (doc, tag)."""
 
-    doc_id: str
-    tag_id: str
-    surfaces: list[str] = field(default_factory=list)
-    parse_status: str = PARSE_OK
+    __slots__ = ("doc_id", "tag_id", "surfaces", "parse_status")
+
+    def __init__(self, doc_id: str, tag_id: str, surfaces: list[str] | None = None,
+                 parse_status: str = PARSE_OK):
+        self.doc_id, self.tag_id, self.parse_status = doc_id, tag_id, parse_status
+        self.surfaces = [] if surfaces is None else surfaces
 
 
 def to_extraction(record, doc_id: str, tag_id: str) -> Extraction:
@@ -181,8 +183,8 @@ def to_extraction(record, doc_id: str, tag_id: str) -> Extraction:
         return Extraction(doc_id, tag_id, [], PARSE_FAILED)
 
     parsed = extract_list(record.raw_text)
-    if parsed.status == PARSE_FAILED:
-        return Extraction(doc_id, tag_id, [], PARSE_FAILED)
+    if not parsed.surfaces:  # failed, or an empty list
+        return Extraction(doc_id, tag_id, [], parsed.status)
     surfaces = [normalize_surface(s) for s in parsed.surfaces]
     surfaces = [s for s in surfaces if s]
     return Extraction(doc_id, tag_id, surfaces, parsed.status)

@@ -7,23 +7,18 @@ it wholesale. Placeholders are substituted in one pass; brace sequences
 inside document text or guideline text are never re-expanded.
 """
 
-import hashlib
 import json
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import NamedTuple
 
-from zsner.corpus import Benchmark, Document, Grid
+from zsner import corpus
+from zsner.corpus import VARIANTS, WITH_DG, WITHOUT_DG, Benchmark, Document, Grid
 from zsner.errors import ExpansionError, RenderError
 from zsner.guidelines import TagSpec
 from zsner.inference import payload_json
-
-WITH_DG = "with_dg"
-WITHOUT_DG = "without_dg"
-VARIANTS = (WITH_DG, WITHOUT_DG)
 
 DG_BEGIN = "{dg:begin}"
 DG_END = "{dg:end}"
@@ -32,17 +27,13 @@ _PLACEHOLDER_RE = re.compile(r"\{(text|display_name|definition|guidelines)\}")
 _SLOT_RE = re.compile(r"\{(system|user)\}")
 
 
-@dataclass(frozen=True)
 class PromptTemplate:
-    template_id: str
-    body: str
-    language: str = "it"
-    # the body each variant renders, worked out once from `body`
-    with_dg_body: str = field(init=False, repr=False, compare=False)
-    without_dg_body: str = field(init=False, repr=False, compare=False)
+    # with_dg_body and without_dg_body: the body each variant renders, worked out once
+    __slots__ = ("template_id", "body", "language", "with_dg_body", "without_dg_body")
 
-    def __post_init__(self):
-        lines = self.body.split("\n")
+    def __init__(self, template_id: str, body: str, language: str = "it"):
+        self.template_id, self.body, self.language = template_id, body, language
+        lines = body.split("\n")
         # the marker lines (whose strip() is a marker): none, or one begin and then one end
         marks = [i for i, line in enumerate(lines) if line.strip() in (DG_BEGIN, DG_END)]
         if [lines[i].strip() for i in marks] not in ([], [DG_BEGIN, DG_END]):
@@ -62,9 +53,8 @@ class PromptTemplate:
                 raise RenderError(f"template {self.template_id!r}: {ph} outside the D&G block")
             if inside and ph not in block:
                 raise RenderError(f"template {self.template_id!r}: D&G block lacks {ph}")
-        object.__setattr__(self, "with_dg_body", "\n".join(
-            lines[:begin] + inside + lines[end + 1 :]))
-        object.__setattr__(self, "without_dg_body", kept)
+        self.with_dg_body = "\n".join(lines[:begin] + inside + lines[end + 1 :])
+        self.without_dg_body = kept
 
 
 def render(
@@ -106,14 +96,13 @@ MESSAGES = "messages"
 SINGLE_STRING = "single_string"
 
 
-@dataclass(frozen=True)
 class ChatAdapter:
-    adapter_id: str
-    kind: str
-    with_system: str = ""
-    without_system: str = ""
+    __slots__ = ("adapter_id", "kind", "with_system", "without_system")
 
-    def __post_init__(self):
+    def __init__(self, adapter_id: str, kind: str, with_system: str = "",
+                 without_system: str = ""):
+        self.adapter_id, self.kind = adapter_id, kind
+        self.with_system, self.without_system = with_system, without_system
         if self.kind not in (MESSAGES, SINGLE_STRING):
             raise RenderError(
                 f"adapter {self.adapter_id!r}: unknown kind {self.kind!r}"
@@ -154,7 +143,6 @@ class _TagPlan(NamedTuple):  # what the jobs of one tag share: see _tag_plan
     segments: list[str]  # the prompt split at each {text}
     adapter: ChatAdapter
     system_text: str
-    id_tail: bytes  # job_id_for's key after "<doc_id>\x1e"
     key_pieces: list[str] | None  # key JSON split where the text goes
     line_pieces: list[str] | None  # export line after its doc_id, split likewise
 
@@ -195,13 +183,6 @@ class PromptJob:
                 f'{encode_basestring(self.doc_id)}, {self._text[1].join(pieces)}')
 
 
-def job_id_for(
-    doc_id: str, tag_id: str, variant: str, template_id: str, adapter_id: str
-) -> str:
-    key = "\x1e".join([doc_id, tag_id, variant, template_id, adapter_id])
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-
-
 # Stands for the document text while a tag's JSON is cut into pieces. JSON
 # escapes each character alone and leaves this one's characters as they are;
 # its first character occurs once in it, so no two occurrences overlap.
@@ -219,9 +200,8 @@ def _tag_plan(segments, adapter, system_text, tag, ids) -> _TagPlan:
         split = dumps(marked).split(_TEXT_MARK)
         return split if "".join(split) == dumps(empty) else None
 
-    return _TagPlan(segments, adapter, system_text, "\x1e".join([tag, *ids]).encode(),
-                    pieces(payload_json), pieces(lambda payload: json.dumps(
-                        {**head, "payload": payload}, ensure_ascii=False)[1:]))
+    return _TagPlan(segments, adapter, system_text, pieces(payload_json), pieces(
+        lambda payload: json.dumps({**head, "payload": payload}, ensure_ascii=False)[1:]))
 
 
 def expand_benchmark_jobs(
@@ -255,14 +235,10 @@ def expand_benchmark_jobs(
 
     def build() -> Iterator[PromptJob]:
         last = None
-        for (doc_id, tag), _ in cells:
+        for job_id, (doc_id, tag), _ in corpus.grid_job_ids(cells, ids):
             if doc_id != last:  # a document's cells come together
                 last, doc = doc_id, docs[doc_id]
                 text = doc.text, encode_basestring(doc.text)[1:-1]
-                primed = hashlib.sha256(f"{doc_id}\x1e".encode())  # job_id_for's key head
-            plan = plans[tag]
-            digest = primed.copy()
-            digest.update(plan.id_tail)
-            yield PromptJob(digest.hexdigest()[:16], doc_id, tag, *ids, None, text, plan)
+            yield PromptJob(job_id, doc_id, tag, *ids, None, text, plans[tag])
 
     return Grid(len(cells), build)

@@ -8,7 +8,6 @@ from importlib import resources
 from pathlib import Path
 
 from zsner.errors import ConfigError, check_field, read_json
-from zsner.prompts import ChatAdapter, PromptTemplate
 
 
 def _asset_root():
@@ -45,20 +44,22 @@ def _body_text(value, what: str) -> str:
     return check_field(value, str, what)
 
 
-def load_template(name_or_path: str) -> PromptTemplate:
+def load_template(name_or_path: str) -> "prompts.PromptTemplate":
+    from zsner import prompts  # here: ingest and guidelines gen need no prompts
     data = _read_object("templates", name_or_path)
     where = f"template {name_or_path}:"
-    return PromptTemplate(
+    return prompts.PromptTemplate(
         template_id=check_field(data, str, f"{where} 'template_id'", key="template_id"),
         body=_body_text(data.get("body"), f"{where} 'body'"),  # None if missing
         language=check_field(data.get("language", "it"), str, f"{where} 'language'"),
     )
 
 
-def load_adapter(name_or_path: str) -> ChatAdapter:
+def load_adapter(name_or_path: str) -> "prompts.ChatAdapter":
+    from zsner import prompts
     data = _read_object("adapters", name_or_path)
     where = f"adapter {name_or_path}:"
-    return ChatAdapter(
+    return prompts.ChatAdapter(
         adapter_id=check_field(data, str, f"{where} 'adapter_id'", key="adapter_id"),
         kind=check_field(data, str, f"{where} 'kind'", key="kind"),  # ChatAdapter checks its value
         with_system=_body_text(data.get("with_system", ""), f"{where} 'with_system'"),

@@ -189,3 +189,16 @@ def oracle_render(body: str, text: str, display_name: str, definition: str,
     values = {"text": text, "display_name": display_name,
               "definition": definition, "guidelines": guidelines}
     return _ORACLE_PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], body)
+
+
+def oracle_pairing(grid_ids, record_ids) -> str:
+    """What scoring records with these job ids on a grid of these ids must
+    do, decided from a count of the ids in a dict: "duplicate" if an id
+    repeats, else "coverage" unless the ids are exactly the grid's, else
+    "ok"."""
+    seen: dict = {}
+    for job_id in record_ids:
+        seen[job_id] = seen.get(job_id, 0) + 1
+    if any(n > 1 for n in seen.values()):
+        return "duplicate"
+    return "ok" if set(seen) == set(grid_ids) else "coverage"

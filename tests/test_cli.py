@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import add_twin, build_benchmark_tree, closed_port, completion
-from zsner import corpus, inference, prompts
+from zsner import cli, corpus, evaluation, inference, prompts
 from zsner.cli import main
 from zsner.resources import load_canned_dg
 
@@ -786,6 +786,22 @@ def test_score_walks_the_grid_once_and_reads_each_record_once(tree, monkeypatch)
     assert sorted(reads) == sorted(json.loads(line)["job_id"] for line in lines)
 
 
+def test_render_exports_the_job_ids_that_score_pairs_on(tree, monkeypatch):
+    root, _ = tree
+    _gen_store(root)
+    assert run_cli("render", "--benchmark", root / "manifest.json", "--store",
+                   root / "store.json", "-o", root / "jobs.jsonl") == 0
+    exported = [json.loads(line)["job_id"]
+                for line in (root / "jobs.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert run_cli("run", _write_run_config(root, "with_dg"), "--run-dir", root / "r",
+                   "--mock", "empty", "--quiet") == 0
+    paired, walk = [], corpus.grid_job_ids
+    monkeypatch.setattr(corpus, "grid_job_ids", lambda cells, grid: (
+        paired.append(k) or (k, cell, names) for k, cell, names in walk(cells, grid)))
+    assert run_cli("score", root / "r", "--quiet") == 0
+    assert paired == exported and len(set(paired)) == len(paired) > 0
+
+
 def _masked_replies(run_dir) -> list[dict]:
     """replies.jsonl without the fields a resumed run may change."""
     records = []
@@ -1319,6 +1335,40 @@ _BAD_INPUTS = {
         _manifest_with(root, tmp, lambda m: m["datasets"].update(
             mn_test=str(_write(tmp / "in.jsonl", _dataset_line(text=5))))),
         "--variant", "without_dg", "-o", tmp / "j.jsonl"), "in.jsonl:1: 'text'"),
+    # the refusals of each command, which it makes after importing its modules
+    "validate_tags_and_benchmark": (2, lambda root, tmp: (
+        "guidelines", "validate", "--store", tmp / "st.json", "--benchmark",
+        root / "manifest.json", "--tags", "person"),
+        "give either --benchmark or --tags, not both"),
+    "validate_tags_empty": (2, lambda root, tmp: (
+        "guidelines", "validate", "--store", tmp / "st.json", "--tags", " , "), "--tags is empty"),
+    "validate_no_tags": (2, lambda root, tmp: (
+        "guidelines", "validate", "--store", tmp / "st.json"),
+        "one of --benchmark or --tags is required"),
+    "gen_neither_mock_nor_backend": (2, lambda root, tmp: (
+        "guidelines", "gen", "--store", tmp / "st.json", "--tags", "person"),
+        "give exactly one of --mock or --backend"),
+    "gen_mock_unknown": (2, lambda root, tmp: (
+        "guidelines", "gen", "--store", tmp / "st.json", "--tags", "person", "--mock", "oracle"),
+        "unknown guideline mock 'oracle'; only 'canned'"),
+    "render_doc_without_tag": (2, lambda root, tmp: (
+        "render", "--benchmark", root / "manifest.json", "--variant", "without_dg",
+        "--doc", "wn-00000"), "--doc and --tag go together"),
+    "render_doc_unknown": (2, lambda root, tmp: (
+        "render", "--benchmark", root / "manifest.json", "--variant", "without_dg",
+        "--doc", "wn-99999", "--tag", "person"),
+        "no document 'wn-99999' in the benchmark datasets"),
+    "render_tag_unknown": (2, lambda root, tmp: (
+        "render", "--benchmark", root / "manifest.json", "--variant", "without_dg",
+        "--doc", "wn-00000", "--tag", "ghost"), "tag 'ghost' is not part of the benchmark"),
+    "render_no_output": (2, lambda root, tmp: (
+        "render", "--benchmark", root / "manifest.json", "--variant", "without_dg"),
+        "give -o to export jobs, or --doc/--tag to preview one"),
+    "run_config_variant_unknown": (2, lambda root, tmp: (
+        "run", _write(tmp / "run.json", json.dumps(
+            {"benchmark": str(root / "manifest.json"), "variant": "with_gd"}).encode()),
+        "--run-dir", tmp / "r", "--mock", "empty"),
+        "variant must be one of ('with_dg', 'without_dg'), got 'with_gd'"),
 }
 
 
@@ -1456,6 +1506,48 @@ def test_json_files_are_read_and_written_only_in_errors():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "json.load(" in line or "json.dump(" in line]
     assert calls == []
+
+
+# Modules a command must not load, and the code a child runs the command
+# with: it prints the names of the modules loaded at its end. The child
+# starts with -S, so no site hook loads a module before zsner does.
+_NOT_LOADED = {
+    "ingest": {"dataclasses"},
+    "score": {"dataclasses", "zsner.prompts", "zsner.guidelines", "zsner.resources"},
+    "report": {"dataclasses", "zsner.prompts", "zsner.guidelines", "zsner.resources",
+               "zsner.inference"},
+}
+_LOADED = ("import sys\nfrom zsner.cli import main\n"
+           "try:\n    main(sys.argv[1:])\nfinally:\n    print(' '.join(sys.modules))")
+
+
+def test_a_command_loads_only_the_modules_it_runs(tree, tmp_path, capsys):
+    root, _ = tree
+    _gen_store(root)
+    for variant in ("with_dg", "without_dg"):
+        assert run_cli("run", _write_run_config(root, variant), "--run-dir", root / variant,
+                       "--mock", "gold_oracle", "--quiet") == 0
+        assert run_cli("score", root / variant, "--quiet") == 0
+    bio = _write(tmp_path / "in.bio", BIO.encode())
+    args = {"ingest": (bio, "-o", tmp_path / "in.jsonl", "--aliases", "nermud"),
+            "score": (root / "with_dg", "-o", tmp_path / "score.json", "--quiet"),
+            "report": ("--with-report", root / "with_dg" / "score.json",
+                       "--without-report", root / "without_dg" / "score.json", "--quiet")}
+    src = Path(inference.__file__).parents[1]
+    for command, not_loaded in _NOT_LOADED.items():
+        proc = subprocess.run([sys.executable, "-S", "-c", _LOADED, command,
+                               *map(str, args[command])],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert {"zsner.cli", "zsner.errors"} <= loaded  # the names are module names
+        assert loaded & not_loaded == set(), command
+
+
+def test_the_parser_choices_are_the_module_constants():
+    assert cli.VARIANTS == corpus.VARIANTS
+    assert cli.SEMANTICS == (evaluation.MULTISET, evaluation.SET)
 
 
 def test_the_package_imports_only_the_standard_library():

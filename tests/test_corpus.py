@@ -485,3 +485,27 @@ def test_cells_len_does_not_walk_the_grid(tmp_path, rng):
     view._walk = lambda: walks.append(1) or iter(())
     assert len(view) == len(oracle_cells(bench.tiers, bench.doc_ids)) > 0
     assert walks == []
+
+
+def _two_tier_benchmark() -> corpus.Benchmark:
+    """Document "città-1" sits in datasets a and b, so in both tiers, and its
+    cells are not all next to each other in the walk."""
+    tiers = [corpus.BenchmarkTier("t0", "in_domain", ("a", "b"), ("person", "location")),
+             corpus.BenchmarkTier("t1", "unseen_ne", ("b", "c"), ("location", "plant"))]
+    return corpus.Benchmark("b", "train", ("person", "location"), tiers, 1,
+                            doc_ids={"a": ("d0", "città-1"), "b": ("città-1", "d2"),
+                                     "c": ("d3",)})
+
+
+@pytest.mark.parametrize("grid", [("with_dg", "default_it", "openai_chat"),
+                                  ("without_dg", "modèllo", "llama3_headers")])
+def test_grid_job_ids_gives_job_id_for_of_each_cell(tmp_path, rng, grid):
+    bench, _, _ = build_benchmark_tree(tmp_path, rng)
+    for b in (bench, _two_tier_benchmark()):
+        cells = list(b.cells())
+        walked = list(corpus.grid_job_ids(b.cells(), grid))
+        assert [(cell, names) for _, cell, names in walked] == cells
+        assert [k for k, _, _ in walked] == [corpus.job_id_for(*c, *grid) for c, _ in cells]
+    assert [f"{d}:{t}" for (d, t), _ in _two_tier_benchmark().cells()] == [
+        "d0:person", "d0:location", "città-1:person", "città-1:location", "d2:person",
+        "d2:location", "città-1:plant", "d2:plant", "d3:location", "d3:plant"]

@@ -1,19 +1,21 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_benchmark_tree, load_benchmark_tree
-from oracles import oracle_cell_counts, oracle_prf, oracle_set_cell_counts, random_cell
-from zsner import corpus
+from oracles import (oracle_cell_counts, oracle_pairing, oracle_prf, oracle_set_cell_counts,
+                     random_cell)
+from zsner import corpus, inference
 from zsner import evaluation as ev
+from zsner.corpus import job_id_for
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
-from zsner.errors import RunDirectoryError
+from zsner.errors import RunDirectoryError, ZsnerError
 from zsner.inference import CompletionRecord
 from zsner.parsing import Extraction, normalize_surface
-from zsner.prompts import job_id_for
 
 
 def counts(tp, fp, fn):
@@ -236,6 +238,53 @@ def test_tier_report_rejects_duplicate_cells(tmp_path, rng):
         ev.tier_report(bench, gold, [records[-1]] + records, GRID)
     with pytest.raises(RunDirectoryError, match="duplicate record"):  # outranks a gap
         ev.tier_report(bench, gold, records[1:] + [records[2]], GRID)
+
+
+@pytest.fixture(scope="module")
+def mock_run(tmp_path_factory):
+    """(benchmark, gold map, records in grid order, the clean report's JSON and
+    status tally) of a drop_k:1 mock run over the conftest tree on GRID."""
+    bench, docs = load_benchmark_tree(tmp_path_factory.mktemp("run"), random.Random(20240811))
+    jobs = [SimpleNamespace(job_id=k, doc_id=cell[0], tag_id=cell[1], payload={})
+            for k, cell, _ in corpus.grid_job_ids(bench.cells(), GRID)]
+    backend = inference.MockBackend("drop_k", inference.gold_surface_index(docs.values()), k=1)
+    records = list(inference.run(jobs, backend, None, max_parallel=1))
+    gold = ev.build_gold(docs.values())
+    report, statuses = ev.tier_report(bench, gold, records, GRID)
+    return bench, gold, records, json.dumps(report, ensure_ascii=False, indent=2,
+                                             sort_keys=True), statuses
+
+
+_STRAY_IDS = ("0000deadbeef0000", "ffff00000000ffff")
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_tier_report_pairs_records_as_the_dict_oracle_decides(mock_run, data):
+    """Shuffled, dropped, duplicated and stray records: the clean report byte
+    for byte when the ids are exactly the grid's, else RunDirectoryError if
+    an id repeats, else CoverageError."""
+    bench, gold, records, clean, clean_statuses = mock_run
+    n = len(records)
+    order = data.draw(st.permutations(range(n)))
+    dropped = data.draw(st.sets(st.sampled_from(range(n)), max_size=2))
+    got = [records[i] for i in order if i not in dropped]
+    extras = [records[i] for i in data.draw(st.lists(st.sampled_from(range(n)), max_size=2))]
+    extras += [CompletionRecord(k, "[]", "ok")
+               for k in data.draw(st.lists(st.sampled_from(_STRAY_IDS), max_size=2))]
+    for rec in extras:
+        got.insert(data.draw(st.integers(0, len(got))), rec)
+    want = oracle_pairing([rec.job_id for rec in records], [rec.job_id for rec in got])
+    event(want)
+    if want == "ok":
+        report, statuses = ev.tier_report(bench, gold, iter(got), GRID)
+        assert json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) == clean
+        assert statuses == clean_statuses
+    else:
+        error = RunDirectoryError if want == "duplicate" else CoverageError
+        with pytest.raises(ZsnerError) as exc:
+            ev.tier_report(bench, gold, iter(got), GRID)
+        assert type(exc.value) is error
 
 
 def test_tier_report_reads_a_one_shot_generator_in_any_order(tmp_path, rng):

@@ -143,6 +143,38 @@ def test_generate_dg_retries_then_succeeds(tmp_path):
     assert '"pianta"' in backend.calls[0].payload["messages"][0]["content"]
 
 
+def test_reply_archive_bytes_one_open_per_call_and_a_flush_per_line(tmp_path, monkeypatch):
+    """The first reply does not parse and one holds a lone surrogate. Each
+    line is the reply's JSON with non-ASCII kept and the surrogate escaped,
+    and a line is on disk before the next round's first call."""
+    archive = tmp_path / "d" / "store.json.replies.jsonl"
+    on_disk = []
+
+    class Backend(ScriptedBackend):
+        def complete(self, job):
+            if len(self.calls) == 2:  # the second round's first call
+                on_disk.append(archive.read_bytes())
+            return super().complete(job)
+
+    backend = Backend({"animal": ["non è un oggetto", GOOD_JSON],
+                       "plant": ["niente \ud800", GOOD_JSON]})
+    opened = []
+    monkeypatch.setattr(dg, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                        raising=False)
+    store = dg.GuidelineStore()
+    assert dg.generate_missing(store, {"plant": "pianta", "animal": "animale"}, backend,
+                               "meta {display_name}", max_attempts=2, max_parallel=1,
+                               reply_archive=archive) == ["animal", "plant"]
+    good = json.dumps(GOOD_JSON, ensure_ascii=False)
+    first = ('{"tag_id": "animal", "attempt": 1, "raw_text": "non è un oggetto"}\n'
+             '{"tag_id": "plant", "attempt": 1, "raw_text": "niente \\ud800"}\n').encode()
+    assert on_disk == [first]
+    assert archive.read_bytes() == first + (
+        f'{{"tag_id": "animal", "attempt": 2, "raw_text": {good}}}\n'
+        f'{{"tag_id": "plant", "attempt": 2, "raw_text": {good}}}\n').encode()
+    assert opened == [archive]
+
+
 def test_generate_dg_exhausts_attempts(tmp_path):
     backend = ScriptedBackend({"plant": ["mai utile"] * 2, "animal": [GOOD_JSON]})
     store = dg.GuidelineStore()

@@ -200,12 +200,12 @@ def test_job_id_is_stable_and_distinct(tmp_path, rng, template):
     assert not set(with_dg) & set(ids(prompts.WITHOUT_DG))
     assert all(len(i) == 16 for i in with_dg)
     (doc_id, tag), _ = next(iter(bench.cells()))
-    assert with_dg[0] == prompts.job_id_for(
+    assert with_dg[0] == corpus.job_id_for(
         doc_id, tag, prompts.WITH_DG, template.template_id, a.adapter_id
     )
     key = ("d", "t", prompts.WITH_DG, "tpl", "adapter")
-    moved = {prompts.job_id_for(*key[:i], key[i] + "x", *key[i + 1:]) for i in range(5)}
-    assert len(moved) == 5 and prompts.job_id_for(*key) not in moved
+    moved = {corpus.job_id_for(*key[:i], key[i] + "x", *key[i + 1:]) for i in range(5)}
+    assert len(moved) == 5 and corpus.job_id_for(*key) not in moved
 
 
 def test_benchmark_expansion_duplicate_document_ids(tmp_path, rng, template):
@@ -402,7 +402,7 @@ def test_expanded_jobs_match_one_pass_render_and_json_dumps(
         prompt = oracle_render(body, doc.text, spec.display_name, definition, guidelines)
         assert prompts.render(doc, spec, variant, template) == prompt
         assert (job.doc_id, job.tag_id) == (doc.doc_id, spec.tag_id)
-        assert job.job_id == prompts.job_id_for(doc.doc_id, spec.tag_id, variant,
+        assert job.job_id == corpus.job_id_for(doc.doc_id, spec.tag_id, variant,
                                                 template.template_id, adapter_id)
         assert job.payload == prompts.wrap(prompt, adapter, system)
         _check_serialized(job)
