@@ -6,7 +6,6 @@ original spacing). Benchmarks group datasets into in-domain, out-of-domain
 and unseen-entity-type tiers with support-based tag filtering.
 """
 
-import hashlib
 import json
 import re
 from collections import Counter
@@ -317,6 +316,7 @@ class Benchmark:
 
 
 def job_id_for(doc_id: str, tag_id: str, variant: str, template_id: str, adapter_id: str) -> str:
+    import hashlib  # here, as below: most commands hash nothing
     key = "\x1e".join([doc_id, tag_id, variant, template_id, adapter_id])
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
@@ -326,6 +326,7 @@ def grid_job_ids(cells: Iterable, grid: tuple[str, str, str]) -> Iterator[tuple]
     Benchmark.cells() walk, in its order; `grid` is (variant, template_id,
     adapter_id). The key's document part is hashed once per run of one
     document's cells, and the hash copied for each tag."""
+    import hashlib
     tails: dict[str, bytes] = {}  # tag -> the key after "<doc_id>\x1e"
     last = None
     for cell, names in cells:
@@ -462,6 +463,7 @@ def assemble_benchmark(
 
 
 def _derive_benchmark_id(training_dataset, training_tags, tiers, min_support) -> str:
+    import hashlib
     payload = json.dumps(
         {
             "training": [training_dataset, list(training_tags)],

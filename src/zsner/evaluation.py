@@ -10,11 +10,10 @@ import math
 from collections import Counter, defaultdict
 from typing import Iterable, NamedTuple
 
-from zsner import corpus, parsing
+from zsner import corpus
 from zsner.corpus import WITH_DG, WITHOUT_DG, Benchmark, Document
 from zsner.errors import ComparisonError, ConfigError, CoverageError, PairingError
 from zsner.errors import RunDirectoryError, check_field
-from zsner.parsing import Extraction, normalize_surface
 
 MULTISET = "multiset"
 SET = "set"
@@ -46,6 +45,7 @@ def build_gold(docs: Iterable[Document]) -> dict[str, dict[str, list[str]]]:
 
     A document with no mention of a tag has no entry for it.
     """
+    from zsner.parsing import normalize_surface  # here: report parses nothing
     by_doc: dict[str, dict[str, list[str]]] = {}
     for doc in docs:
         # the gold-side mirror of the reply parser, once per document
@@ -73,7 +73,8 @@ def _cell_counts(gold: list[str], pred: list[str], semantics: str) -> tuple[int,
     return tp, len(pred) - tp, len(gold) - tp
 
 
-def score_pair(gold: Extraction, pred: Extraction, semantics: str = MULTISET) -> Counts:
+def score_pair(gold: "parsing.Extraction", pred: "parsing.Extraction",
+               semantics: str = MULTISET) -> Counts:
     """TP/FP/FN for one (document, tag) cell."""
     if (gold.doc_id, gold.tag_id) != (pred.doc_id, pred.tag_id):
         raise PairingError(
@@ -181,6 +182,7 @@ def tier_report(
     exactly: a job recorded twice raises RunDirectoryError, and missing or
     stray records raise CoverageError rather than scoring as zeros.
     """
+    from zsner import parsing
     # counts are summed per (tiers, tag)
     sums: dict[tuple[tuple[str, ...], str], list[int]] = defaultdict(lambda: [0, 0, 0])
     statuses: Counter[str] = Counter()

@@ -236,7 +236,7 @@ def expand_benchmark_jobs(
     def build() -> Iterator[PromptJob]:
         last = None
         for job_id, (doc_id, tag), _ in corpus.grid_job_ids(cells, ids):
-            if doc_id != last:  # a document's cells come together
+            if doc_id != last:  # once per run of one document's cells
                 last, doc = doc_id, docs[doc_id]
                 text = doc.text, encode_basestring(doc.text)[1:-1]
             yield PromptJob(job_id, doc_id, tag, *ids, None, text, plans[tag])

@@ -1515,7 +1515,7 @@ _NOT_LOADED = {
     "ingest": {"dataclasses"},
     "score": {"dataclasses", "zsner.prompts", "zsner.guidelines", "zsner.resources"},
     "report": {"dataclasses", "zsner.prompts", "zsner.guidelines", "zsner.resources",
-               "zsner.inference"},
+               "zsner.inference", "zsner.parsing"},
 }
 _LOADED = ("import sys\nfrom zsner.cli import main\n"
            "try:\n    main(sys.argv[1:])\nfinally:\n    print(' '.join(sys.modules))")
