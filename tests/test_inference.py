@@ -403,14 +403,16 @@ def test_run_order_and_stats_under_frequent_thread_switches(tmp_path, monkeypatc
 
 
 def test_run_stops_on_rejected_credentials(tmp_path):
-    auth_seen = threading.Event()
+    auth_seen, j0_sent = threading.Event(), threading.Event()
     calls = []
 
     def complete(j):
         calls.append(j.job_id)
         if j.job_id == "j0":  # still in flight when the rejection comes
+            j0_sent.set()
             assert auth_seen.wait(timeout=30)
             return '["Roma"]'
+        assert j0_sent.wait(timeout=30)  # the other worker may not have sent j0 yet
         auth_seen.set()
         raise inf.BackendError("auth rejected (401)", "auth", transient=False)
 
