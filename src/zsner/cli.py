@@ -208,7 +208,9 @@ def _required_tags(benchmark_path, tags, base: Path) -> list[str]:
         raise ConfigError("give either --benchmark or --tags, not both")
     if benchmark_path:
         from zsner import corpus
-        bench, _ = corpus.load_benchmark(_resolve(benchmark_path, base))
+        bench, docs = corpus.open_benchmark(_resolve(benchmark_path, base))
+        for _ in docs:  # checks the datasets, keeping no document
+            pass
         return bench.all_tags()
     if tags:
         parsed = [t.strip() for t in tags.split(",") if t.strip()]
@@ -519,15 +521,15 @@ def score(run_dir, output, semantics, quiet):
         for k in ("benchmark_path", "variant", "template_id", "adapter_id"))
     benchmark_id = check_field(manifest.get("benchmark_id", ""), str, f"{where}: 'benchmark_id'",
                                RunDirectoryError)
-    bench, docs = corpus.load_benchmark(benchmark_path)
+    bench, docs = corpus.open_benchmark(benchmark_path)
+    # each document is read into the gold map and dropped; a bad dataset
+    # stops here, before the benchmark id is compared
+    gold = evaluation.build_gold(docs)
     if benchmark_id and benchmark_id != bench.benchmark_id:
         raise CoverageError(
             f"benchmark changed since the run: manifest has "
             f"{benchmark_id}, file has {bench.benchmark_id}"
         )
-
-    gold = evaluation.build_gold(docs.values())
-    del docs  # from here on memory holds the gold map, not the documents
     report, n = evaluation.tier_report(bench, gold, records, tuple(grid), semantics=semantics,
                                        run_manifest=str(run_path / "manifest.json"))
     out = Path(output) if output else run_path / "score.json"

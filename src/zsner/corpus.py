@@ -212,8 +212,11 @@ def save_dataset(docs: Sequence[Document], path: str | Path) -> None:
                      for m in d.mentions]}, ensure_ascii=False) for d in docs))
 
 
-def load_dataset(path: str | Path) -> list[Document]:
-    docs: list[Document] = []
+def iter_dataset(path: str | Path) -> Iterator[Document]:
+    """Each document of a dataset file, in file order, as its line is read;
+    the file is opened at the first step. A malformed line, a doc_id seen
+    before in the file or a line that is not UTF-8 raises DatasetFormatError
+    naming path:line (or the path), an unreadable file a ConfigError."""
     seen: set[str] = set()
     try:
         for line_no, rec in read_jsonl(path, DatasetFormatError):
@@ -229,10 +232,13 @@ def load_dataset(path: str | Path) -> list[Document]:
             if doc.doc_id in seen:
                 raise DatasetFormatError(f"{path}:{line_no}: duplicate doc_id {doc.doc_id!r}")
             seen.add(doc.doc_id)
-            docs.append(doc)
+            yield doc
     except OSError as e:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read dataset {path}: {e.strerror}") from None
-    return docs
+
+
+def load_dataset(path: str | Path) -> list[Document]:
+    return list(iter_dataset(path))
 
 
 # --------------------------------------------------------------------------
@@ -498,11 +504,15 @@ def save_benchmark(benchmark: Benchmark, path: str | Path) -> None:
     write_json(manifest, path)
 
 
-def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
-    """Read a manifest and the documents of the dataset files its tiers
-    evaluate, by doc_id (paths are resolved relative to the manifest's
-    directory). A doc_id in two tier datasets is one document if the texts
-    agree. The training dataset is needed only for assembly and is not read."""
+def open_benchmark(path: str | Path) -> tuple[Benchmark, Iterator[Document]]:
+    """(benchmark, documents) of a manifest: the manifest is read and checked
+    here, the dataset files its tiers evaluate (paths resolved relative to the
+    manifest's directory) as the documents are iterated. Each distinct
+    document comes once, as its line is read; a doc_id in two tier datasets is
+    one document if the texts agree, and a DatasetFormatError if they differ.
+    The stream fills benchmark.doc_ids one dataset at a time and validates the
+    benchmark after the last. The training dataset is needed only for
+    assembly and is not read."""
     path = Path(path)
     manifest = read_json(path, "benchmark manifest")
 
@@ -526,19 +536,31 @@ def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
                        for k, v in datasets.items()},
     )
 
-    docs: dict[str, Document] = {}
-    for key in dict.fromkeys(ds for t in benchmark.tiers for ds in t.dataset_ids):
-        if key not in benchmark.dataset_paths:
-            continue  # validate_benchmark names it
-        ds_path = Path(benchmark.dataset_paths[key])
-        if not ds_path.is_absolute():
-            ds_path = path.parent / ds_path
-        loaded = load_dataset(ds_path)
-        for doc in loaded:
-            if docs.setdefault(doc.doc_id, doc).text != doc.text:
-                raise DatasetFormatError(
-                    f"{ds_path}: doc_id {doc.doc_id!r} has other text in another tier dataset"
-                )
-        benchmark.doc_ids[key] = tuple(d.doc_id for d in loaded)
-    validate_benchmark(benchmark)
-    return benchmark, docs
+    def documents() -> Iterator[Document]:
+        texts: dict[str, str] = {}  # doc_id -> text, for the twin check
+        for key in dict.fromkeys(ds for t in benchmark.tiers for ds in t.dataset_ids):
+            if key not in benchmark.dataset_paths:
+                continue  # validate_benchmark names it
+            ds_path = Path(benchmark.dataset_paths[key])
+            if not ds_path.is_absolute():
+                ds_path = path.parent / ds_path
+            ids = []
+            for doc in iter_dataset(ds_path):
+                ids.append(doc.doc_id)
+                text = texts.get(doc.doc_id)
+                if text is None:
+                    texts[doc.doc_id] = doc.text
+                    yield doc
+                elif text != doc.text:
+                    raise DatasetFormatError(f"{ds_path}: doc_id {doc.doc_id!r} has other "
+                                             f"text in another tier dataset")
+            benchmark.doc_ids[key] = tuple(ids)
+        validate_benchmark(benchmark)
+
+    return benchmark, documents()
+
+
+def load_benchmark(path: str | Path) -> tuple[Benchmark, dict[str, Document]]:
+    """open_benchmark's benchmark and its documents read to the end, by doc_id."""
+    benchmark, documents = open_benchmark(path)
+    return benchmark, {doc.doc_id: doc for doc in documents}

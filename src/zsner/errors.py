@@ -4,7 +4,9 @@ JSON-lines files, the one check of the fields read from them and the one
 writer of whole output files."""
 
 import json
+import os
 import reprlib
+import stat
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -166,7 +168,43 @@ def write_json(data: dict, path) -> None:
 
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each line and a newline to a UTF-8 file, creating the parent
-    directory; a lone surrogate is written as a backslash escape."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    directory; a lone surrogate is written as a backslash escape.
+
+    The lines go to a hidden temporary file beside the target, which then
+    takes the target's name, so a failed or killed write leaves the old file
+    or none. A symlink is written through to its file and kept, and an
+    existing file keeps its permission bits. A target that is not a regular
+    file with one link (a FIFO, a device, a hard-linked file) is written in
+    place. An OSError is a ConfigError naming the path, and no temporary
+    file is left."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            old = os.stat(path)
+        except FileNotFoundError:
+            old = None
+        if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+            with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
+                fh.writelines(line + "\n" for line in lines)
+            return
+        target = Path(os.path.realpath(path))
+        temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            with open(temp, "x", encoding="utf-8", errors="backslashreplace") as fh:
+                fh.writelines(line + "\n" for line in lines)
+                if old is not None:
+                    os.chmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+            # Unlink, then rename, rather than rename over the old file: ext4
+            # (auto_da_alloc) makes that rename, or the close of a truncated
+            # file, wait until the new data is on disk: 0.6-0.9 s against
+            # 2-3 ms for a 13 MB file on a 2-vCPU VM's ext4 disk. No fsync,
+            # for the same cost: a power loss may leave an empty or short file.
+            if old is not None:
+                target.unlink()
+            temp.rename(target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None

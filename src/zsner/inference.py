@@ -733,12 +733,15 @@ def persist_run(records, manifest: Callable[[], dict], run_dir) -> None:
     Records go to cache/JOURNAL as they are read; once all are written,
     manifest() goes to manifest.json and the journal becomes replies.jsonl.
     If the records raise, or the process is interrupted, the journal is
-    deleted; a killed process leaves it for the next run to truncate.
+    deleted; a killed process leaves it for the next run to delete.
     """
     run_dir = Path(run_dir)
     journal = run_dir / "cache" / JOURNAL
     journal.parent.mkdir(parents=True, exist_ok=True)
     try:
+        # deleted, not truncated: ext4 flushes a truncated file's new data
+        # to disk before close returns (see errors.write_lines)
+        journal.unlink(missing_ok=True)
         with open(journal, "w", encoding="utf-8") as fh:
             fh.writelines(rec.to_json() + "\n" for rec in records)
         data = dict(manifest())

@@ -3,7 +3,9 @@ import hashlib
 import json
 import os
 import re
+import resource
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -15,6 +17,7 @@ import pytest
 from conftest import add_twin, build_benchmark_tree, closed_port, completion
 from zsner import cli, corpus, evaluation, inference, prompts
 from zsner.cli import main
+from zsner.errors import write_lines
 from zsner.resources import load_canned_dg
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -1498,6 +1501,201 @@ def test_differing_twin_document_exits_3_at_load(tree, capsys):
         assert str(root / "mn_test.jsonl") in err and repr(twin) in err
         assert "Traceback" not in err
     assert not (root / "r2").exists() and not (root / "r" / "score.json").exists()
+
+
+def test_score_streams_the_benchmark_and_reads_a_twin_once(tree, monkeypatch):
+    """score reads the tier documents as a stream, never through
+    load_benchmark, and scores a twin with the same text once, with the
+    mentions of the dataset that comes first: the report is the one that
+    load_benchmark and build_gold give."""
+    root, _ = tree
+    twin = add_twin(root)
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "gold_oracle",
+                   "--quiet") == 0
+    bench, docs = corpus.load_benchmark(root / "manifest.json")
+    assert docs[twin].mentions  # wn_test's copy; mn_test's has none
+    want, _ = evaluation.tier_report(
+        bench, evaluation.build_gold(docs.values()), inference.load_run(root / "r")[0],
+        ("without_dg", "default_it", "openai_chat"),
+        run_manifest=str(root / "r" / "manifest.json"))
+
+    def refused(path):
+        raise AssertionError("score called load_benchmark")
+
+    monkeypatch.setattr(corpus, "load_benchmark", refused)
+    assert run_cli("score", root / "r", "--quiet") == 0
+    assert json.loads((root / "r" / "score.json").read_text(encoding="utf-8")) == want
+
+
+def test_score_reads_the_datasets_before_it_compares_the_benchmark_id(tree, capsys):
+    """A bad tier dataset exits 3 even when the benchmark id changed too."""
+    root, _ = tree
+    run_dir = _run_dir_with(root, root, benchmark_id="other")
+    assert run_cli("score", run_dir) == 4
+    with open(root / "mn_test.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"doc_id": 5}\n')
+    capsys.readouterr()
+    assert run_cli("score", run_dir) == 3
+    err = capsys.readouterr().err
+    assert f"{root / 'mn_test.jsonl'}:" in err and "Traceback" not in err
+
+
+def _export(root, out) -> tuple:
+    return ("render", "--benchmark", root / "manifest.json", "--variant", "without_dg",
+            "-o", out)
+
+
+def test_render_writes_a_fifo_in_place(shared_tree, tmp_path):
+    """-o to a FIFO writes into it, and it stays a FIFO. The reader gives up
+    after a bounded wait, so a writer that never opens the FIFO fails the
+    test rather than hanging it."""
+    fifo = tmp_path / "jobs.fifo"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open returns at once
+    chunks = []
+
+    def read():
+        deadline = time.monotonic() + 30
+        try:
+            while time.monotonic() < deadline:
+                try:
+                    chunk = os.read(fd, 1 << 16)
+                except BlockingIOError:  # the writer has it open, no data yet
+                    chunk = None
+                if chunk:
+                    chunks.append(chunk)
+                elif chunk == b"" and chunks:  # the writer closed it
+                    return
+                else:
+                    time.sleep(0.005)
+        finally:
+            os.close(fd)
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        assert run_cli(*_export(shared_tree, fifo)) == 0
+    finally:
+        reader.join(60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert run_cli(*_export(shared_tree, tmp_path / "jobs.jsonl")) == 0
+    assert b"".join(chunks) == (tmp_path / "jobs.jsonl").read_bytes()
+
+
+def test_render_writes_through_a_symlink_and_into_a_hard_linked_file(shared_tree, tmp_path):
+    assert run_cli(*_export(shared_tree, tmp_path / "jobs.jsonl")) == 0
+    want = (tmp_path / "jobs.jsonl").read_bytes()
+    real, link, hard = tmp_path / "real.jsonl", tmp_path / "link.jsonl", tmp_path / "hard"
+    real.write_bytes(b"old\n")
+    link.symlink_to(real.name)
+    assert run_cli(*_export(shared_tree, link)) == 0
+    assert os.readlink(link) == real.name and real.read_bytes() == want
+    real.write_bytes(b"old\n")
+    os.link(real, hard)
+    assert run_cli(*_export(shared_tree, hard)) == 0
+    assert real.read_bytes() == want and real.stat().st_nlink == 2  # one file, both names
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hard", "jobs.jsonl", "link.jsonl", "real.jsonl"]
+
+
+def test_score_keeps_the_permission_bits_of_its_report(tree):
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "empty", "--quiet") == 0
+    assert run_cli("score", root / "r", "--quiet") == 0
+    report = root / "r" / "score.json"
+    report.chmod(0o640)
+    assert run_cli("score", root / "r", "--quiet") == 0
+    assert stat.S_IMODE(report.stat().st_mode) == 0o640
+
+
+def test_write_lines_that_fail_leave_the_old_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old\n")
+
+    def lines():
+        yield "a"
+        yield "b"
+        raise ValueError("no third line")
+
+    with pytest.raises(ValueError, match="no third line"):
+        write_lines(path, lines())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_score_cut_short_by_a_file_size_limit_exits_2(tree):
+    """A score.json write that fails (here at RLIMIT_FSIZE, set on the child
+    alone) exits 2 naming the file, with the old report as it was and no
+    temporary file left."""
+    root, _ = tree
+    cfg = _write_run_config(root, "without_dg", with_store=False)
+    assert run_cli("run", cfg, "--run-dir", root / "r", "--mock", "empty", "--quiet") == 0
+    assert run_cli("score", root / "r", "--quiet") == 0
+    report = root / "r" / "score.json"
+    limit = report.stat().st_size // 2
+    report.write_bytes(b'{"old": true}\n')
+    names = sorted(p.name for p in (root / "r").iterdir())
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "zsner.cli", "score", str(root / "r"), "--quiet"],
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          preexec_fn=limit_file_size, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert f"cannot write {report}: File too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert report.read_bytes() == b'{"old": true}\n'
+    assert sorted(p.name for p in (root / "r").iterdir()) == names
+
+
+# The top-level functions and classes of src/zsner that may open a file for
+# writing: the one writer of whole files, the run journal, the response
+# cache and the guideline reply archive.
+_WRITERS = {"errors.write_lines", "inference.persist_run", "inference.ResponseCache",
+            "guidelines.generate_missing"}
+
+
+def _file_writes(source: str, module: str) -> list[str]:
+    """module.owner:line of each call in source that opens a file with a
+    mode holding w, a, x or + (or a mode that is not a literal), or calls
+    write_text or write_bytes, outside _WRITERS."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = f"{module}.{getattr(top, 'name', '')}"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call) or owner in _WRITERS:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name == "open":
+                # open(file, mode) is the builtin; x.open(mode) is Path.open
+                args = node.args[1:] if isinstance(func, ast.Name) else node.args
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            args[0] if args else ast.Constant("r"))
+                writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                              and not set(mode.value) & set("wax+"))
+            else:
+                writes = name in ("write_text", "write_bytes")
+            if writes:
+                found.append(f"{owner}:{node.lineno}")
+    return found
+
+
+def test_files_are_written_only_by_the_named_writers():
+    src = Path(__file__).parents[1] / "src" / "zsner"
+    assert [w for path in sorted(src.glob("*.py"))
+            for w in _file_writes(path.read_text(encoding="utf-8"), path.stem)] == []
+    # the check itself: each kind of write it must catch, and the reads it must not
+    caught = _file_writes(
+        "def f(p):\n    open(p, 'w')\n    open(p, mode='a')\n    open(p, 'r+b')\n"
+        "    p.open('x')\n    open(p, m)\n    p.write_text('')\n    p.write_bytes(b'')\n"
+        "    open(p)\n    open(p, 'rb')\n    p.open()\n    p.read_text()\n", "m")
+    assert caught == [f"m.f:{n}" for n in range(2, 9)]
 
 
 def test_json_files_are_read_and_written_only_in_errors():

@@ -210,6 +210,32 @@ def test_dataset_round_trip(tmp_path, rng):
     assert corpus.load_dataset(path) == docs
 
 
+def test_iter_dataset_yields_the_documents_before_a_bad_line(tmp_path):
+    docs = [corpus.Document("a", "Roma"), corpus.Document("b", "Milano")]
+    path = tmp_path / "ds.jsonl"
+    corpus.save_dataset(docs, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"doc_id": "c", "text": 5}\n{"doc_id": "d", "text": "Pisa"}\n')
+    stream = corpus.iter_dataset(path)
+    assert [next(stream), next(stream)] == docs
+    with pytest.raises(DatasetFormatError) as exc:
+        next(stream)
+    assert f"{path}:3: 'text'" in str(exc.value)
+
+
+def test_open_benchmark_reads_a_dataset_only_as_its_documents_are_iterated(tmp_path, rng):
+    _, datasets, _ = build_benchmark_tree(tmp_path, rng)
+    (tmp_path / "fic_test.jsonl").unlink()  # the second tier dataset
+    bench, stream = corpus.open_benchmark(tmp_path / "manifest.json")
+    assert bench.doc_ids == {}  # nothing read yet
+    got = []
+    with pytest.raises(ConfigError, match="cannot read dataset .*fic_test.jsonl"):
+        for doc in stream:
+            got.append(doc)
+    assert got == datasets["wn_test"]
+    assert bench.doc_ids == {"wn_test": tuple(d.doc_id for d in datasets["wn_test"])}
+
+
 def test_load_dataset_rejects_duplicate_ids(tmp_path):
     doc = corpus.Document("same", "Roma", "", [])
     path = tmp_path / "dup.jsonl"
